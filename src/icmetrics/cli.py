@@ -7,7 +7,6 @@ flags. Warnings and progress go to stderr; report data goes to files only.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated dependency scopes to ignore (default: test,provided)")
         sub.add_argument("--loc-ext", default=".java", metavar="EXTS",
                          help="comma-separated source suffixes for LOC counting (default: .java)")
-        sub.add_argument("--workers", type=int, default=os.cpu_count() or 1, metavar="N",
-                         help="worker pool size (default: logical CPU count)")
+        sub.add_argument("--workers", type=int, default=1, metavar="N",
+                         help="accepted for compatibility; has no effect")
 
     analyze = subparsers.add_parser("analyze", help="run the full correlation study over a corpus")
     add_corpus_flags(analyze, history_required=True)

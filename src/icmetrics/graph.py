@@ -8,11 +8,15 @@ The graph is immutable once built; every query is read-only.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from .model import ProjectCoordinate, ReleaseSnapshot
 
 DEFAULT_SCOPE_FILTER = frozenset({"test", "provided"})
+
+Node = TypeVar("Node", bound=Hashable)
 
 
 class GraphError(ValueError):
@@ -36,7 +40,6 @@ class EcosystemGraph:
     reverse_index: dict[ProjectCoordinate, frozenset[ProjectCoordinate]]
     out_edges: dict[ProjectCoordinate, frozenset[ProjectCoordinate]]
     _scc_members: dict[ProjectCoordinate, frozenset[ProjectCoordinate]] = field(repr=False)
-    _depth_cache: dict[ProjectCoordinate, int] = field(default_factory=dict, repr=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EcosystemGraph):
@@ -49,35 +52,39 @@ class EcosystemGraph:
         )
 
 
-def _tarjan(nodes: list[ProjectCoordinate],
-            adjacency: dict[ProjectCoordinate, tuple[ProjectCoordinate, ...]],
-            ) -> list[list[ProjectCoordinate]]:
-    """Iterative Tarjan; corpus chains can exceed the recursion limit."""
-    index: dict[ProjectCoordinate, int] = {}
-    lowlink: dict[ProjectCoordinate, int] = {}
-    on_stack: set[ProjectCoordinate] = set()
-    stack: list[ProjectCoordinate] = []
-    components: list[list[ProjectCoordinate]] = []
+def strongly_connected_components(roots: Iterable[Node],
+                                  successors: Callable[[Node], Iterable[Node]]) -> list[list[Node]]:
+    """Iterative Tarjan over every node reachable from `roots`; corpus chains
+    can exceed the recursion limit.
+
+    Components come out in reverse topological order: each one after every
+    component it reaches.
+    """
+    index: dict[Node, int] = {}
+    lowlink: dict[Node, int] = {}
+    on_stack: set[Node] = set()
+    stack: list[Node] = []
+    components: list[list[Node]] = []
     counter = 0
 
-    for root in nodes:
+    for root in roots:
         if root in index:
             continue
         index[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
         on_stack.add(root)
-        work = [(root, iter(adjacency.get(root, ())))]
+        work = [(root, iter(successors(root)))]
         while work:
-            node, successors = work[-1]
+            node, pending = work[-1]
             descended = False
-            for succ in successors:
+            for succ in pending:
                 if succ not in index:
                     index[succ] = lowlink[succ] = counter
                     counter += 1
                     stack.append(succ)
                     on_stack.add(succ)
-                    work.append((succ, iter(adjacency.get(succ, ()))))
+                    work.append((succ, iter(successors(succ))))
                     descended = True
                     break
                 if succ in on_stack:
@@ -100,6 +107,24 @@ def _tarjan(nodes: list[ProjectCoordinate],
     return components
 
 
+def effective_targets(snapshot: ReleaseSnapshot,
+                      scope_filter: frozenset[str] | set[str] = DEFAULT_SCOPE_FILTER,
+                      ) -> frozenset[ProjectCoordinate]:
+    """The out-edges a snapshot contributes: targets of dependencies whose
+    scope is not filtered, minus the project's own module and submodule
+    coordinates."""
+    own_modules = {snapshot.coordinate}
+    for manifest in snapshot.manifests:
+        own_modules.add(manifest.coordinate)
+        own_modules.update(manifest.submodule_coordinates)
+    return frozenset(
+        dep.target
+        for manifest in snapshot.manifests
+        for dep in manifest.declared_dependencies
+        if dep.scope not in scope_filter and dep.target not in own_modules
+    )
+
+
 def build_graph(snapshots: list[ReleaseSnapshot] | tuple[ReleaseSnapshot, ...],
                 scope_filter: frozenset[str] | set[str] = DEFAULT_SCOPE_FILTER) -> EcosystemGraph:
     """Construct the ecosystem graph from one snapshot per corpus project."""
@@ -109,17 +134,7 @@ def build_graph(snapshots: list[ReleaseSnapshot] | tuple[ReleaseSnapshot, ...],
     for snapshot in snapshots:
         if snapshot.coordinate in out:
             raise GraphError(f"duplicate snapshot for coordinate {snapshot.coordinate.key()}")
-        own_modules = {snapshot.coordinate}
-        for manifest in snapshot.manifests:
-            own_modules.add(manifest.coordinate)
-            own_modules.update(manifest.submodule_coordinates)
-        targets = {
-            dep.target
-            for manifest in snapshot.manifests
-            for dep in manifest.declared_dependencies
-            if dep.scope not in scope_filter and dep.target not in own_modules
-        }
-        out[snapshot.coordinate] = frozenset(targets)
+        out[snapshot.coordinate] = effective_targets(snapshot, scope_filter)
 
     corpus_members = frozenset(out)
     nodes = set(corpus_members)
@@ -137,7 +152,7 @@ def build_graph(snapshots: list[ReleaseSnapshot] | tuple[ReleaseSnapshot, ...],
 
     sorted_nodes = sorted(nodes)
     adjacency = {node: tuple(sorted(out[node])) for node in sorted_nodes}
-    components = _tarjan(sorted_nodes, adjacency)
+    components = strongly_connected_components(sorted_nodes, adjacency.__getitem__)
 
     scc_id: dict[ProjectCoordinate, ProjectCoordinate] = {}
     members_by_id: dict[ProjectCoordinate, frozenset[ProjectCoordinate]] = {}
@@ -182,8 +197,6 @@ def condensation_depth(graph: EcosystemGraph, start: ProjectCoordinate) -> int:
     if start not in graph.nodes:
         raise UnknownCoordinateError(start)
     root = graph.scc_id[start]
-    if root in graph._depth_cache:
-        return graph._depth_cache[root]
 
     component_adjacency: dict[ProjectCoordinate, set[ProjectCoordinate]] = {}
     for source, target in graph.edges:
@@ -204,12 +217,7 @@ def condensation_depth(graph: EcosystemGraph, start: ProjectCoordinate) -> int:
         else:
             stack.append((component, True))
             stack.extend((s, False) for s in sorted(successors) if s not in best)
-
-    # best[c] is the max size-sum over paths out of c, valid for every
-    # component the traversal finished, not just the queried root.
-    for component, value in best.items():
-        graph._depth_cache[component] = value - 1
-    return graph._depth_cache[root]
+    return best[root] - 1
 
 
 def edges_csv(graph: EcosystemGraph) -> str:

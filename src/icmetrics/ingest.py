@@ -19,7 +19,6 @@ never aborts the load.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
 import json
@@ -383,8 +382,9 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
         for release_dir in sorted(p for p in project_dir.iterdir() if p.is_dir()):
             version_label = release_dir.name
             snapshot_path = release_dir / "snapshot.json"
+            from_json = snapshot_path.is_file()
             try:
-                if snapshot_path.is_file():
+                if from_json:
                     snapshot = parse_snapshot_json(snapshot_path.read_text(encoding="utf-8"))
                 elif any(release_dir.rglob("pom.xml")):
                     snapshot = _load_pom_release(release_dir, loc_extensions, corpus.warnings)
@@ -408,7 +408,8 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
                 corpus.warnings.append(f"failed release {project_dir.name}/{version_label}: {reason}")
                 continue
 
-            violations = validate_snapshot(snapshot)
+            # parse_snapshot_json has already validated a snapshot.json release.
+            violations = [] if from_json else validate_snapshot(snapshot)
             if violations:
                 reason = "invariant violations: " + "; ".join(violations)
                 failed.append(FailedRelease(version_label, reason))
@@ -418,7 +419,7 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
             row = history_index.get((project_dir.name, version_label))
             if row is not None:
                 matched_history_keys.add((project_dir.name, version_label))
-                timestamp = snapshot.timestamp if snapshot_path.is_file() else row.timestamp
+                timestamp = snapshot.timestamp if from_json else row.timestamp
                 snapshot = ReleaseSnapshot(
                     coordinate=snapshot.coordinate,
                     version_label=snapshot.version_label,
@@ -446,13 +447,3 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
             )
 
     return corpus
-
-
-def latest_at_or_before(snapshots: list[ReleaseSnapshot], timestamp: int) -> ReleaseSnapshot:
-    """The newest snapshot not after `timestamp`, else the earliest one.
-
-    `snapshots` must be non-empty and sorted by (timestamp, version_label).
-    """
-    keys = [s.timestamp for s in snapshots]
-    index = bisect.bisect_right(keys, timestamp)
-    return snapshots[index - 1] if index else snapshots[0]

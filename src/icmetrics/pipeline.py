@@ -7,12 +7,13 @@ release-time ecosystem graph, and correlates each project's metric series
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
-from .graph import DEFAULT_SCOPE_FILTER, EcosystemGraph, build_graph
-from .ingest import Corpus, latest_at_or_before
-from .metrics import METRIC_ORDER, compute_vector, vector_value
+from .graph import DEFAULT_SCOPE_FILTER, effective_targets, strongly_connected_components
+from .ingest import Corpus
+from .metrics import METRIC_ORDER, ic_lcom1, ic_rfc, vector_value
 from .model import MetricVector, ProjectCoordinate, ReleaseSnapshot
 from .stats import CorrelationResult, activity_ratio, correlate, median
 
@@ -72,80 +73,129 @@ def select_projects(corpus: Corpus) -> tuple[set[ProjectCoordinate], dict[Projec
     return selected, rejected
 
 
-def graph_snapshots_at(corpus: Corpus, coordinate: ProjectCoordinate,
-                       release: ReleaseSnapshot) -> list[ReleaseSnapshot]:
-    """Ecosystem state for one release: the release itself plus every other
-    project's latest snapshot at or before its timestamp (earliest when
-    none precede)."""
-    chosen = [release]
-    for other, snapshots in sorted(corpus.snapshots.items()):
-        if other == coordinate or not snapshots:
-            continue
-        chosen.append(latest_at_or_before(snapshots, release.timestamp))
-    return chosen
-
-
 def build_series(corpus: Corpus,
                  scope_filter: frozenset[str] | set[str] = DEFAULT_SCOPE_FILTER,
                  workers: int = 1,
                  errors: list[str] | None = None) -> dict[ProjectCoordinate, ProjectSeries]:
     """One ProjectSeries per corpus project, in canonical order.
 
-    Vector computation per release is independent work; results are merged
-    in (coordinate, version) order so output does not depend on `workers`.
+    Each release is measured against the ecosystem at its timestamp: every
+    other project's latest snapshot at or before it (its earliest when none
+    precede), with the release itself as its own project's entry. One sweep
+    over all snapshots in timestamp order keeps that state in a persistent
+    adjacency over dense node ids, and computes only the released project's
+    vector; it equals build_graph + compute_vector on the same state.
+
+    A release whose vector cannot be computed is left out of its series,
+    and "<key>/<version>: <reason>" is appended to `errors`, in
+    (coordinate, list) order. `workers` is accepted for compatibility and
+    has no effect.
     """
-    jobs = [
-        (coordinate, snapshot)
-        for coordinate in sorted(corpus.snapshots)
-        for snapshot in corpus.snapshots[coordinate]
-    ]
+    scope_filter = frozenset(scope_filter)
+    ids: dict[ProjectCoordinate, int] = {}
+    out: list[tuple[int, ...]] = []  # current out-set per node id; stubs stay empty
+    noc: list[int] = []  # corpus projects whose current out-set holds the node
 
-    # Releases that resolve to the same ecosystem state share one graph.
-    # (coordinate, version_label) identifies a snapshot uniquely, so the key
-    # is exact; a duplicate build under concurrency is benign.
-    graph_cache: dict[tuple[tuple[str, str], ...], EcosystemGraph] = {}
+    def node_id(coordinate: ProjectCoordinate) -> int:
+        if coordinate not in ids:
+            ids[coordinate] = len(out)
+            out.append(())
+            noc.append(0)
+        return ids[coordinate]
 
-    def compute(job: tuple[ProjectCoordinate, ReleaseSnapshot]) -> ReleasePoint | str:
-        coordinate, snapshot = job
-        try:
-            chosen = graph_snapshots_at(corpus, coordinate, snapshot)
-            key = tuple(sorted((s.coordinate.key(), s.version_label) for s in chosen))
-            graph = graph_cache.get(key)
-            if graph is None:
-                graph = build_graph(chosen, scope_filter)
-                graph_cache[key] = graph
-            vector = compute_vector(graph, snapshot)
-        except Exception as exc:  # recorded, never fatal for the run
-            return f"{coordinate.key()}/{snapshot.version_label}: {exc}"
-        return ReleasePoint(
-            version_label=snapshot.version_label,
-            timestamp=snapshot.timestamp,
-            bugs_fixed=snapshot.bugs_fixed,
-            vector=vector,
-        )
+    def apply(node: int, targets: tuple[int, ...]) -> None:
+        for target in out[node]:
+            noc[target] -= 1
+        out[node] = targets
+        for target in targets:
+            noc[target] += 1
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(compute, jobs))
-    else:
-        results = [compute(job) for job in jobs]
+    # Each snapshot's out-set is computed once; a project's initial state is
+    # its earliest snapshot.
+    outcomes: dict[ProjectCoordinate, list[ReleasePoint | str | None]] = {}
+    events = []
+    for coordinate in sorted(corpus.snapshots):
+        snapshots = corpus.snapshots[coordinate]
+        outcomes[coordinate] = [None] * len(snapshots)
+        node = node_id(coordinate)
+        for index, snapshot in enumerate(snapshots):
+            try:
+                targets = effective_targets(snapshot, scope_filter)
+            except Exception as exc:  # recorded, never fatal for the run
+                outcomes[coordinate][index] = f"{coordinate.key()}/{snapshot.version_label}: {exc}"
+                continue
+            target_ids = tuple(map(node_id, targets))
+            if index == 0:
+                apply(node, target_ids)
+            events.append((snapshot.timestamp, coordinate, index, snapshot, targets, target_ids))
+    events.sort(key=itemgetter(0))  # stable: ties keep (coordinate, list) order
 
-    points: dict[ProjectCoordinate, list[ReleasePoint]] = {c: [] for c in corpus.snapshots}
-    for (coordinate, _), outcome in zip(jobs, results):
-        if isinstance(outcome, str):
-            if errors is not None:
+    # At each timestamp every snapshot is applied first, so the last of a
+    # project's ties wins, as bisect_right on the timestamps would choose.
+    for _, group in groupby(events, key=itemgetter(0)):
+        group = list(group)
+        for _, coordinate, _, _, _, target_ids in group:
+            apply(ids[coordinate], target_ids)
+        for _, coordinate, index, snapshot, targets, target_ids in group:
+            try:
+                vector = _release_vector(snapshot, ids[coordinate], targets, target_ids, out, noc)
+            except Exception as exc:  # recorded, never fatal for the run
+                outcomes[coordinate][index] = f"{coordinate.key()}/{snapshot.version_label}: {exc}"
+                continue
+            outcomes[coordinate][index] = ReleasePoint(
+                version_label=snapshot.version_label,
+                timestamp=snapshot.timestamp,
+                bugs_fixed=snapshot.bugs_fixed,
+                vector=vector,
+            )
+
+    series = {}
+    for coordinate, results in outcomes.items():
+        points = []
+        for outcome in results:
+            if isinstance(outcome, ReleasePoint):
+                points.append(outcome)
+            elif errors is not None:
                 errors.append(outcome)
-            continue
-        points[coordinate].append(outcome)
-
-    return {
-        coordinate: ProjectSeries(
+        series[coordinate] = ProjectSeries(
             coordinate=coordinate,
-            releases=tuple(sorted(points[coordinate], key=lambda p: (p.timestamp, p.version_label))),
+            releases=tuple(sorted(points, key=lambda p: (p.timestamp, p.version_label))),
             failed_release_count=len(corpus.failed.get(coordinate, [])),
         )
-        for coordinate in sorted(corpus.snapshots)
-    }
+    return series
+
+
+def _release_vector(snapshot: ReleaseSnapshot, node: int, targets: frozenset[ProjectCoordinate],
+                    target_ids: tuple[int, ...], out: list[tuple[int, ...]], noc: list[int]) -> MetricVector:
+    """The release's vector, with its own out-set standing in for its
+    project's current one in `out`.
+
+    CBO and DIT come from one Tarjan pass over what the release reaches:
+    its component is the last one emitted, and each component's longest
+    chain (as a sum of component sizes) folds in emit order over the
+    components it points into, which were all emitted before it.
+    """
+    current = out[node]
+    out[node] = target_ids
+    try:
+        components = strongly_connected_components((node,), out.__getitem__)
+        chain: dict[int, int] = {}
+        for component in components:
+            members = set(component)
+            tail = max((chain[t] for m in component for t in out[m] if t not in members), default=0)
+            for member in component:
+                chain[member] = len(component) + tail
+    finally:
+        out[node] = current
+    return MetricVector(
+        wmc=len(targets),
+        dit=chain[node] - 1,
+        noc=noc[node],
+        cbo=len(components[-1]) - 1,
+        rfc=None if snapshot.api_surface is None else ic_rfc(snapshot.api_surface),
+        lcom1=None if snapshot.usage is None else ic_lcom1(targets, snapshot.usage),
+        loc=snapshot.loc,
+    )
 
 
 def correlate_project(series: ProjectSeries) -> list[CorrelationResult]:

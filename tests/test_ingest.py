@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coord, make_snapshot, write_failed_release, write_release
+from conftest import coord, make_manifest, make_snapshot, write_failed_release, write_release
 
 from icmetrics.ingest import (
+    FailedRelease,
     HistoryFormatError,
     ReleaseHistoryRow,
     SnapshotFormatError,
@@ -303,6 +304,36 @@ def test_malformed_snapshot_is_a_failed_release(tmp_path):
     (release_dir / "snapshot.json").write_text("{broken")
     corpus = load_corpus(tmp_path, [])
     assert len(corpus.failed[coord("p")]) == 1
+
+
+def test_snapshot_json_invariant_violation_fails_with_parse_reason(tmp_path):
+    # Schema-valid JSON whose extra manifest is neither the project nor a
+    # declared submodule: parse_snapshot_json's own validation names it.
+    snapshot = make_snapshot("p", version="1.0", manifests=[make_manifest("p"), make_manifest("stray")])
+    write_release(tmp_path, snapshot)
+    corpus = load_corpus(tmp_path, [])
+    assert corpus.snapshots[coord("p")] == []
+    reason = ("snapshot violates invariants: manifests[1].coordinate: org.fixture:stray"
+              " is neither the project coordinate nor a declared submodule")
+    assert corpus.failed[coord("p")] == [FailedRelease("1.0", reason)]
+    assert corpus.warnings == [f"failed release org.fixture:p/1.0: {reason}"]
+
+
+def test_pom_invariant_violation_is_a_failed_release(tmp_path):
+    release_dir = tmp_path / "g:a" / "1.0"
+    module_dir = release_dir / "core"
+    module_dir.mkdir(parents=True)
+    (release_dir / "pom.xml").write_text(
+        "<project><groupId>g</groupId><artifactId>a</artifactId><version>1.0</version></project>"
+    )
+    (module_dir / "pom.xml").write_text(
+        "<project><groupId>g</groupId><artifactId>core</artifactId><version>1.0</version></project>"
+    )
+    corpus = load_corpus(tmp_path, [ReleaseHistoryRow("g:a", "1.0", 100, 1)])
+    assert corpus.snapshots[ProjectCoordinate("g", "a")] == []
+    reason = ("invariant violations: manifests[1].coordinate: g:core"
+              " is neither the project coordinate nor a declared submodule")
+    assert corpus.failed[ProjectCoordinate("g", "a")] == [FailedRelease("1.0", reason)]
 
 
 def test_pom_release_with_sidecar_files(tmp_path):

@@ -1,14 +1,15 @@
+import bisect
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coord, make_corpus, make_snapshot
+from conftest import coord, make_corpus, make_manifest, make_snapshot
 
-from icmetrics.graph import build_graph
+from icmetrics.graph import DEFAULT_SCOPE_FILTER, build_graph
 from icmetrics.metrics import compute_vector
-from icmetrics.model import ApiSurface
+from icmetrics.model import ApiSurface, DependencyDecl, UsageRecord
 from icmetrics.pipeline import (
     REJECT_MIN_VERSIONS,
     REJECT_PARSE_RATIO,
@@ -133,6 +134,133 @@ class TestBuildSeries:
             "b": [make_snapshot("b", deps=["a"], version=f"{i}.0", timestamp=100 * (i + 1), bugs=1) for i in range(5)],
         })
         assert build_series(corpus, workers=1) == build_series(corpus, workers=8)
+
+
+PROJECT_NAMES = [f"p{i}" for i in range(5)]
+TARGET_NAMES = PROJECT_NAMES + ["stub0", "stub1"]
+
+
+def _own_module(name):
+    return f"{name}-core"
+
+
+@st.composite
+def _release(draw, name, version):
+    """One release of `name`: a root manifest and optionally a module
+    manifest, with dependencies on corpus projects, stubs, the project's own
+    coordinates and filtered scopes."""
+    target_names = TARGET_NAMES + [name, _own_module(name)]
+    deps = draw(st.lists(
+        st.builds(
+            lambda target, scope: DependencyDecl(target=coord(target), scope=scope),
+            st.sampled_from(target_names),
+            st.sampled_from([None, "compile", "runtime", "test", "provided"]),
+        ),
+        max_size=5,
+    ))
+    module = _own_module(name)
+    if draw(st.booleans()):  # the dependencies split over the root and its module
+        split = draw(st.integers(0, len(deps)))
+        manifests = [make_manifest(name, deps[:split], version, submodules=[module]),
+                     make_manifest(module, deps[split:], version)]
+    else:
+        manifests = [make_manifest(name, deps, version, submodules=[module])]
+    usage = draw(st.none() | st.builds(
+        lambda names: UsageRecord(frozenset(coord(n) for n in names)),
+        st.sets(st.sampled_from(target_names), max_size=4),
+    ))
+    surface = draw(st.none() | st.builds(
+        lambda n: ApiSurface({f"m{k}": frozenset({f"c{k % 2}"}) for k in range(n)}),
+        st.integers(0, 3),
+    ))
+    return make_snapshot(
+        name, version=version, timestamp=draw(st.integers(0, 6)), bugs=draw(st.integers(0, 3)),
+        api_surface=surface, usage=usage, loc=draw(st.none() | st.integers(0, 50)),
+        manifests=manifests,
+    )
+
+
+@st.composite
+def _corpora(draw):
+    names = draw(st.lists(st.sampled_from(PROJECT_NAMES), min_size=1, max_size=5, unique=True))
+    projects = {}
+    for name in names:
+        count = draw(st.integers(1, 4))
+        projects[name] = [draw(_release(name, f"{i}.0")) for i in range(count)]
+    # A project with no parsed release is only ever a dependency target.
+    failed = {name: 1 for name in PROJECT_NAMES if name not in names and draw(st.booleans())}
+    return make_corpus(projects, failed=failed)
+
+
+def _oracle_vectors(corpus, scope_filter):
+    """The ecosystem state per release by bisect (earliest snapshot when none
+    precede), then a full build_graph and compute_vector."""
+    vectors = {}
+    for coordinate, snapshots in corpus.snapshots.items():
+        for release in snapshots:
+            chosen = [release]
+            for other, others in corpus.snapshots.items():
+                if other == coordinate or not others:
+                    continue
+                index = bisect.bisect_right([s.timestamp for s in others], release.timestamp)
+                chosen.append(others[index - 1] if index else others[0])
+            graph = build_graph(chosen, scope_filter)
+            vectors[(coordinate, release.version_label)] = compute_vector(graph, release)
+    return vectors
+
+
+class TestSweepMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(_corpora(), st.sampled_from([DEFAULT_SCOPE_FILTER, frozenset(), frozenset({"runtime"})]))
+    def test_series_equals_per_release_graph_rebuild(self, corpus, scope_filter):
+        errors = []
+        series = build_series(corpus, scope_filter, errors=errors)
+        assert errors == []
+        assert list(series) == sorted(corpus.snapshots)
+        expected = _oracle_vectors(corpus, scope_filter)
+        got = {
+            (coordinate, point.version_label): point.vector
+            for coordinate, project in series.items()
+            for point in project.releases
+        }
+        assert got == expected
+        for coordinate, project in series.items():
+            assert [(p.timestamp, p.version_label, p.bugs_fixed) for p in project.releases] == [
+                (s.timestamp, s.version_label, s.bugs_fixed) for s in corpus.snapshots[coordinate]
+            ]
+
+    def test_same_timestamp_ties_apply_before_measuring(self):
+        # b's two releases and a's release share t=100: a sees b's last tie
+        # (b 2.0, which depends on c), and b 1.0 is measured as itself.
+        corpus = make_corpus({
+            "a": [make_snapshot("a", deps=["b"], version="1.0", timestamp=100)],
+            "b": [
+                make_snapshot("b", version="1.0", timestamp=100),
+                make_snapshot("b", deps=["c"], version="2.0", timestamp=100),
+            ],
+            "c": [make_snapshot("c", deps=["a"], version="1.0", timestamp=500)],
+        })
+        series = build_series(corpus)
+        a = series[coord("a")].releases[0].vector
+        assert (a.dit, a.cbo) == (2, 2)  # c's earliest snapshot closes a->b->c->a
+        b1, b2 = series[coord("b")].releases
+        assert (b1.vector.wmc, b1.vector.noc, b1.vector.cbo) == (0, 1, 0)
+        assert (b2.vector.wmc, b2.vector.cbo) == (1, 2)
+
+    def test_failing_release_is_reported_not_fatal(self):
+        class Broken:
+            coordinate = coord("b")
+            version_label = "9.9"
+            timestamp = 100
+            manifests = None
+
+        corpus = make_corpus({"a": _release_run("a", 2, bugs=1), "b": _release_run("b", 2, bugs=1)})
+        corpus.snapshots[coord("b")].append(Broken())
+        errors = []
+        series = build_series(corpus, errors=errors)
+        assert len(errors) == 1 and errors[0].startswith("org.fixture:b/9.9: ")
+        assert len(series[coord("a")].releases) == 2
+        assert len(series[coord("b")].releases) == 2
 
 
 def _series(name, metric_values, bug_values, rfc_values=None, loc_values=None):
