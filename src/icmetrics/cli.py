@@ -171,6 +171,16 @@ def cmd_analyze(config: RunConfig) -> int:
         _info(f"rejected {coordinate.key()} ({rejected[coordinate]})")
 
     selected_series = [series_map[c] for c in sorted(selected)]
+    # series_filename joins group and artifact with "_", so two keys can
+    # share a file name; refuse before any file is written.
+    owners: dict[str, str] = {}
+    for series in selected_series:
+        name = series_filename(series)
+        if name in owners:
+            return _fail(
+                f"series file name clash: {owners[name]} and {series.coordinate.key()} both map to {name}"
+            )
+        owners[name] = series.coordinate.key()
     summaries = [summarize_project(series) for series in selected_series]
     pooled = correlate_pooled(selected_series)
 

@@ -12,9 +12,11 @@ Corpus layout::
           usage.json               optional
           src/                     optional source tree for LOC counting
 
-A release directory that yields no valid snapshot is recorded as a failed
-release (it still counts toward the parse-ratio selection criterion) and
-never aborts the load.
+snapshot.json and the JSON sidecars are UTF-8; a pom.xml is decoded as its
+XML declaration says. A release directory that yields no valid snapshot,
+an undecodable file included, is recorded as a failed release (it still
+counts toward the parse-ratio selection criterion) and never aborts the
+load.
 """
 
 from __future__ import annotations
@@ -22,9 +24,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, NoReturn
 
 from .model import (
     ApiSurface,
@@ -81,103 +86,124 @@ class Corpus:
 # snapshot.json
 
 
-def _expect(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        raise SnapshotFormatError(f"{path}: {message}")
+# Error paths are formatted only when a check fails: a hot check reads
+# ``_coordinate(value) or _coordinate_from_json(value, f"...")``.
+
+
+def _fail(path: str, message: str) -> NoReturn:
+    raise SnapshotFormatError(f"{path}: {message}")
+
+
+def _coordinate(value: Any) -> ProjectCoordinate | None:
+    """The coordinate a JSON value names, or None when it names none."""
+    if isinstance(value, dict):
+        group, artifact = value.get("group"), value.get("artifact")
+        if isinstance(group, str) and group and isinstance(artifact, str) and artifact:
+            return ProjectCoordinate(group, artifact)
+    return None
 
 
 def _coordinate_from_json(value: Any, path: str) -> ProjectCoordinate:
-    _expect(isinstance(value, dict), path, "must be an object")
-    for key in ("group", "artifact"):
-        _expect(isinstance(value.get(key), str) and value[key], f"{path}.{key}", "must be a non-empty string")
-    return ProjectCoordinate(value["group"], value["artifact"])
+    """``_coordinate``, raising SnapshotFormatError at ``path`` when it is None."""
+    coordinate = _coordinate(value)
+    if coordinate is None:
+        if not isinstance(value, dict):
+            _fail(path, "must be an object")
+        group = value.get("group")
+        _fail(f"{path}.{'artifact' if isinstance(group, str) and group else 'group'}",
+              "must be a non-empty string")
+    return coordinate
 
 
-def _optional_str(value: Any, path: str) -> str | None:
+def _is_count(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _array(value: Any, path: str) -> list:
+    if not isinstance(value, list):
+        _fail(path, "must be an array")
+    return value
+
+
+def _api_surface_from_json(value: Any, path: str) -> ApiSurface | None:
+    """Decode an API surface, the ``api_surface`` field or api_surface.json."""
     if value is None:
         return None
-    _expect(isinstance(value, str), path, "must be a string or null")
-    return value
+    if not isinstance(value, dict):
+        _fail(path, "must be an object or null")
+    for method, callees in value.items():
+        if not (isinstance(callees, list) and all(map(isinstance, callees, repeat(str)))):
+            _fail(f"{path}[{method!r}]", "must be an array of strings")
+    return ApiSurface(value)
+
+
+def _usage_from_json(value: Any, path: str) -> UsageRecord | None:
+    """Decode a usage record, the ``usage`` field or usage.json."""
+    if value is None:
+        return None
+    if not isinstance(value, list):
+        _fail(path, "must be an array or null")
+    return UsageRecord(frozenset(
+        _coordinate(item) or _coordinate_from_json(item, f"{path}[{i}]") for i, item in enumerate(value)
+    ))
+
+
+def _manifest_from_json(item: Any, path: str) -> ProjectManifest:
+    coordinate = _coordinate_from_json(item, path)
+    if not isinstance(item.get("version"), str):
+        _fail(f"{path}.version", "must be a string")
+    deps = []
+    for j, dep in enumerate(_array(item.get("dependencies", []), f"{path}.dependencies")):
+        target = _coordinate(dep) or _coordinate_from_json(dep, f"{path}.dependencies[{j}]")
+        version, scope = dep.get("version"), dep.get("scope")
+        if not (version is None or isinstance(version, str)):
+            _fail(f"{path}.dependencies[{j}].version", "must be a string or null")
+        if not (scope is None or isinstance(scope, str)):
+            _fail(f"{path}.dependencies[{j}].scope", "must be a string or null")
+        deps.append(DependencyDecl(target, version, scope))
+    submodules = frozenset(
+        _coordinate(sub) or _coordinate_from_json(sub, f"{path}.submodules[{k}]")
+        for k, sub in enumerate(_array(item.get("submodules", []), f"{path}.submodules"))
+    )
+    return ProjectManifest(coordinate, item["version"], tuple(deps), submodules)
 
 
 def parse_snapshot_json(text: str) -> ReleaseSnapshot:
     """Decode one snapshot.json document; the result always validates clean."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SnapshotFormatError(f".: invalid JSON: {exc}") from exc
-    _expect(isinstance(raw, dict), ".", "document root must be an object")
+    if not isinstance(raw, dict):
+        _fail(".", "document root must be an object")
 
     coordinate = _coordinate_from_json(raw.get("project"), ".project")
-    _expect(isinstance(raw.get("version"), str) and raw["version"], ".version", "must be a non-empty string")
-    _expect(isinstance(raw.get("timestamp"), int) and not isinstance(raw.get("timestamp"), bool),
-            ".timestamp", "must be an integer")
+    if not (isinstance(raw.get("version"), str) and raw["version"]):
+        _fail(".version", "must be a non-empty string")
+    if not (isinstance(raw.get("timestamp"), int) and not isinstance(raw.get("timestamp"), bool)):
+        _fail(".timestamp", "must be an integer")
 
     manifests_raw = raw.get("manifests")
-    _expect(isinstance(manifests_raw, list) and manifests_raw, ".manifests", "must be a non-empty array")
-    manifests = []
-    for i, item in enumerate(manifests_raw):
-        path = f".manifests[{i}]"
-        _expect(isinstance(item, dict), path, "must be an object")
-        m_coord = _coordinate_from_json(item, path)
-        _expect(isinstance(item.get("version"), str), f"{path}.version", "must be a string")
-        deps = []
-        for j, dep in enumerate(item.get("dependencies", [])):
-            dep_path = f"{path}.dependencies[{j}]"
-            _expect(isinstance(dep, dict), dep_path, "must be an object")
-            deps.append(
-                DependencyDecl(
-                    target=_coordinate_from_json(dep, dep_path),
-                    version_text=_optional_str(dep.get("version"), f"{dep_path}.version"),
-                    scope=_optional_str(dep.get("scope"), f"{dep_path}.scope"),
-                )
-            )
-        submodules = frozenset(
-            _coordinate_from_json(sub, f"{path}.submodules[{k}]")
-            for k, sub in enumerate(item.get("submodules", []))
-        )
-        manifests.append(
-            ProjectManifest(
-                coordinate=m_coord,
-                version_text=item["version"],
-                declared_dependencies=tuple(deps),
-                submodule_coordinates=submodules,
-            )
-        )
+    if not (isinstance(manifests_raw, list) and manifests_raw):
+        _fail(".manifests", "must be a non-empty array")
+    manifests = tuple(_manifest_from_json(item, f".manifests[{i}]") for i, item in enumerate(manifests_raw))
 
-    api_surface = None
-    if raw.get("api_surface") is not None:
-        surface_raw = raw["api_surface"]
-        _expect(isinstance(surface_raw, dict), ".api_surface", "must be an object or null")
-        methods = {}
-        for method, callees in surface_raw.items():
-            _expect(isinstance(callees, list) and all(isinstance(c, str) for c in callees),
-                    f".api_surface[{method!r}]", "must be an array of strings")
-            methods[method] = frozenset(callees)
-        api_surface = ApiSurface(methods)
-
-    usage = None
-    if raw.get("usage") is not None:
-        usage_raw = raw["usage"]
-        _expect(isinstance(usage_raw, list), ".usage", "must be an array or null")
-        usage = UsageRecord(
-            frozenset(_coordinate_from_json(item, f".usage[{i}]") for i, item in enumerate(usage_raw))
-        )
+    api_surface = _api_surface_from_json(raw.get("api_surface"), ".api_surface")
+    usage = _usage_from_json(raw.get("usage"), ".usage")
 
     loc = raw.get("loc")
-    if loc is not None:
-        _expect(isinstance(loc, int) and not isinstance(loc, bool) and loc >= 0,
-                ".loc", "must be a non-negative integer or null")
+    if loc is not None and not _is_count(loc):
+        _fail(".loc", "must be a non-negative integer or null")
 
     bugs = raw.get("bugs_fixed", 0)
-    _expect(isinstance(bugs, int) and not isinstance(bugs, bool) and bugs >= 0,
-            ".bugs_fixed", "must be a non-negative integer")
+    if not _is_count(bugs):
+        _fail(".bugs_fixed", "must be a non-negative integer")
 
     snapshot = ReleaseSnapshot(
         coordinate=coordinate,
         version_label=raw["version"],
         timestamp=raw["timestamp"],
-        manifests=tuple(manifests),
+        manifests=manifests,
         api_surface=api_surface,
         usage=usage,
         loc=loc,
@@ -283,23 +309,61 @@ def load_release_history(csv_text: str) -> list[ReleaseHistoryRow]:
 
 
 # --------------------------------------------------------------------------
-# LOC
+# directory walk and LOC
 
 
-def count_loc(src_root: Path, extensions: frozenset[str] | set[str] = DEFAULT_LOC_EXTENSIONS,
-              warnings: list[str] | None = None) -> int:
-    """Count lines over all files whose name ends with a configured suffix.
+_NAME = attrgetter("name")
+
+
+def _walk(top: str) -> list[tuple[int, os.DirEntry[str]]]:
+    """List (depth, entry) for every entry below ``top``; depth 1 is ``top``'s own.
+
+    The order is that of ``sorted(Path(top).rglob("*"))``: depth first, each
+    directory's entries by name. As ``rglob`` does, list a symlinked directory
+    but do not enter it, and skip a directory that cannot be listed.
+    """
+    out: list[tuple[int, os.DirEntry[str]]] = []
+
+    def visit(directory: str, depth: int) -> None:
+        try:
+            with os.scandir(directory) as it:
+                entries = sorted(it, key=_NAME)
+        except (FileNotFoundError, NotADirectoryError, PermissionError):
+            return
+        for entry in entries:
+            out.append((depth, entry))
+            if entry.is_dir(follow_symlinks=False):
+                visit(entry.path, depth + 1)
+
+    visit(top, 1)
+    return out
+
+
+# DirEntry.is_file and is_dir raise on a symlink loop, where Path's say False.
+
+
+def _is_file(entry: os.DirEntry[str]) -> bool:
+    return Path(entry.path).is_file() if entry.is_symlink() else entry.is_file()
+
+
+def _is_dir(entry: os.DirEntry[str]) -> bool:
+    return Path(entry.path).is_dir() if entry.is_symlink() else entry.is_dir()
+
+
+def _count_lines(entries: Iterable[os.DirEntry[str]], warnings: list[str] | None) -> int:
+    """Sum the lines of the files among ``entries``.
 
     A line is a maximal text segment terminated by a newline or end of
     file; a trailing segment without a newline counts when non-empty.
     Unreadable files count as 0 lines and append a warning.
     """
     total = 0
-    for path in sorted(src_root.rglob("*")):
-        if not path.is_file() or not any(path.name.endswith(ext) for ext in extensions):
+    for entry in entries:
+        if not _is_file(entry):
             continue
+        path = entry.path
         try:
-            data = path.read_bytes()
+            data = Path(path).read_bytes()
         except OSError as exc:
             if warnings is not None:
                 warnings.append(f"unreadable file counted as 0 lines: {path} ({exc})")
@@ -310,36 +374,93 @@ def count_loc(src_root: Path, extensions: frozenset[str] | set[str] = DEFAULT_LO
     return total
 
 
+def count_loc(src_root: str | os.PathLike[str],
+              extensions: frozenset[str] | set[str] = DEFAULT_LOC_EXTENSIONS,
+              warnings: list[str] | None = None) -> int:
+    """Count lines over all files whose name ends with a configured suffix.
+
+    A line is a maximal text segment terminated by a newline or end of
+    file; a trailing segment without a newline counts when non-empty.
+    Unreadable files count as 0 lines and append a warning. Symlinked files
+    count; symlinked directories below ``src_root`` are not entered.
+    """
+    suffixes = tuple(extensions)
+    return _count_lines((entry for _, entry in _walk(os.fspath(src_root)) if entry.name.endswith(suffixes)),
+                        warnings)
+
+
 # --------------------------------------------------------------------------
 # corpus trees
 
 
-def _load_pom_release(release_dir: Path, loc_extensions: frozenset[str],
-                      warnings: list[str]) -> ReleaseSnapshot:
-    """Assemble a snapshot from pom.xml files plus optional sidecar files."""
-    pom_paths = sorted(release_dir.rglob("pom.xml"), key=lambda p: (len(p.parts), str(p)))
-    manifests = tuple(parse_pom(p.read_text(encoding="utf-8")) for p in pom_paths)
+def _subdirs(directory: str | os.PathLike[str]) -> list[os.DirEntry[str]]:
+    """The subdirectories of ``directory`` (symlinks followed), by name."""
+    with os.scandir(directory) as it:
+        return sorted((entry for entry in it if _is_dir(entry)), key=_NAME)
 
-    api_surface = None
-    surface_path = release_dir / "api_surface.json"
-    if surface_path.is_file():
-        raw = json.loads(surface_path.read_text(encoding="utf-8"))
-        api_surface = ApiSurface({m: frozenset(c) for m, c in raw.items()})
 
-    usage = None
-    usage_path = release_dir / "usage.json"
-    if usage_path.is_file():
-        raw = json.loads(usage_path.read_text(encoding="utf-8"))
-        usage = UsageRecord(frozenset(ProjectCoordinate(i["group"], i["artifact"]) for i in raw))
+def _read_utf8(path: str, where: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise SnapshotFormatError(f"{where}: invalid UTF-8: {exc}") from None
 
-    loc = None
-    src_dir = release_dir / "src"
-    if src_dir.is_dir():
-        loc = count_loc(src_dir, loc_extensions, warnings)
 
-    root_manifest = manifests[0]
+def _read_sidecar(entry: os.DirEntry[str]) -> Any:
+    """The JSON value of api_surface.json or usage.json.
+
+    A syntax error keeps json's own message as the failure reason.
+    """
+    try:
+        return json.loads(_read_utf8(entry.path, entry.name))
+    except RecursionError as exc:
+        raise SnapshotFormatError(f"{entry.name}: invalid JSON: {exc}") from None
+
+
+def _load_pom_release(release_dir: os.DirEntry[str], loc_suffixes: tuple[str, ...],
+                      warnings: list[str]) -> ReleaseSnapshot | None:
+    """Assemble a snapshot from pom.xml files plus optional sidecar files.
+
+    One walk of the release directory finds the manifests (every pom.xml,
+    ordered by depth, then path), the sidecars and the LOC files under
+    ``src/``. Returns None when the directory holds no pom.xml.
+    """
+    top: dict[str, os.DirEntry[str]] = {}
+    pom_paths: list[tuple[int, str]] = []
+    sources: list[os.DirEntry[str]] = []
+    in_src = False
+    for depth, entry in _walk(release_dir.path):
+        name = entry.name
+        if depth == 1:
+            top[name] = entry
+            in_src = name == "src"
+        elif in_src and name.endswith(loc_suffixes):
+            sources.append(entry)
+        # A listed entry exists unless it is a dangling symlink.
+        if name == "pom.xml" and (not entry.is_symlink() or os.path.exists(entry.path)):
+            pom_paths.append((depth, entry.path))
+    if not pom_paths:
+        return None
+
+    manifests = tuple(parse_pom(Path(path).read_bytes()) for _, path in sorted(pom_paths))
+
+    api_surface = usage = loc = None
+    surface_entry = top.get("api_surface.json")
+    if surface_entry is not None and _is_file(surface_entry):
+        api_surface = _api_surface_from_json(_read_sidecar(surface_entry), surface_entry.name)
+    usage_entry = top.get("usage.json")
+    if usage_entry is not None and _is_file(usage_entry):
+        usage = _usage_from_json(_read_sidecar(usage_entry), usage_entry.name)
+
+    src_entry = top.get("src")
+    if src_entry is not None and _is_dir(src_entry):
+        # rglob enters a symlinked root, so a symlinked src/ gets a walk of its own.
+        loc = (count_loc(src_entry.path, loc_suffixes, warnings) if src_entry.is_symlink()
+               else _count_lines(sources, warnings))
+
     return ReleaseSnapshot(
-        coordinate=root_manifest.coordinate,
+        coordinate=manifests[0].coordinate,
         version_label=release_dir.name,
         timestamp=0,  # filled from the history join
         manifests=manifests,
@@ -366,10 +487,10 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
         history_index[(row.project_key, row.version_label)] = row
 
     corpus = Corpus()
-    loc_extensions = frozenset(loc_extensions)
+    loc_suffixes = tuple(loc_extensions)
     matched_history_keys: set[tuple[str, str]] = set()
 
-    for project_dir in sorted(p for p in root.iterdir() if p.is_dir()):
+    for project_dir in _subdirs(root):
         if ":" not in project_dir.name:
             corpus.warnings.append(
                 f"skipping directory {project_dir.name!r}: name is not a group:artifact key"
@@ -379,16 +500,16 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
         parsed = corpus.snapshots.setdefault(coordinate, [])
         failed = corpus.failed.setdefault(coordinate, [])
 
-        for release_dir in sorted(p for p in project_dir.iterdir() if p.is_dir()):
+        for release_dir in _subdirs(project_dir.path):
             version_label = release_dir.name
-            snapshot_path = release_dir / "snapshot.json"
-            from_json = snapshot_path.is_file()
+            snapshot_path = os.path.join(release_dir.path, "snapshot.json")
             try:
+                from_json = os.path.isfile(snapshot_path)
                 if from_json:
-                    snapshot = parse_snapshot_json(snapshot_path.read_text(encoding="utf-8"))
-                elif any(release_dir.rglob("pom.xml")):
-                    snapshot = _load_pom_release(release_dir, loc_extensions, corpus.warnings)
+                    snapshot = parse_snapshot_json(_read_utf8(snapshot_path, "."))
                 else:
+                    snapshot = _load_pom_release(release_dir, loc_suffixes, corpus.warnings)
+                if snapshot is None:
                     failed.append(FailedRelease(version_label, "no snapshot.json or pom.xml"))
                     corpus.warnings.append(
                         f"failed release {project_dir.name}/{version_label}: no snapshot.json or pom.xml"

@@ -116,7 +116,7 @@ def _check_coordinate(coordinate: ProjectCoordinate, path: str, out: list[str]) 
         value = getattr(coordinate, name)
         if not isinstance(value, str) or not value:
             out.append(f"{path}.{name}: must be a non-empty string")
-        elif any(ch.isspace() for ch in value):
+        elif value.split() != [value]:  # str.split and str.isspace agree on whitespace
             out.append(f"{path}.{name}: must not contain whitespace")
 
 

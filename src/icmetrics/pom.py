@@ -33,6 +33,10 @@ class PomSyntaxError(PomError):
         self.column = column
 
 
+class PomEncodingError(PomError):
+    """The XML declaration names an encoding the parser cannot decode."""
+
+
 class IncompleteCoordinatesError(PomError):
     """groupId/artifactId/version missing and not supplied by a parent."""
 
@@ -50,17 +54,16 @@ def _local(tag: str) -> str:
     return tag.rpartition("}")[2]
 
 
-def _child(element: ET.Element, name: str) -> ET.Element | None:
-    for node in element:
-        if _local(node.tag) == name:
-            return node
-    return None
-
-
-def _child_text(element: ET.Element | None, name: str) -> str | None:
+def _children(element: ET.Element | None) -> dict[str, ET.Element]:
+    """Map each local child name to the first child of that name."""
     if element is None:
-        return None
-    node = _child(element, name)
+        return {}
+    # Reversed, so that the first child of a name is the one kept.
+    return {_local(node.tag): node for node in reversed(element)}
+
+
+def _text(children: dict[str, ET.Element], name: str) -> str | None:
+    node = children.get(name)
     if node is None or node.text is None:
         return None
     text = node.text.strip()
@@ -68,6 +71,8 @@ def _child_text(element: ET.Element | None, name: str) -> str | None:
 
 
 def _interpolate(text: str, properties: dict[str, str]) -> str:
+    if "${" not in text:
+        return text
     for _ in range(_MAX_INTERPOLATION_ROUNDS):
         match = _PROPERTY_RE.search(text)
         if match is None:
@@ -81,30 +86,38 @@ def _interpolate(text: str, properties: dict[str, str]) -> str:
     raise UnresolvedPropertyError(match.group(1) if match else text)
 
 
-def parse_pom(xml_text: str) -> ProjectManifest:
+def parse_pom(xml: bytes | str) -> ProjectManifest:
     """Parse one pom.xml document into a ProjectManifest.
 
-    Raises PomSyntaxError, IncompleteCoordinatesError or
+    Pass the file's bytes, so that the parser decodes them as the XML
+    declaration says (UTF-8 when there is none); ``str`` input is parsed
+    as already decoded text.
+
+    Raises PomSyntaxError, PomEncodingError, IncompleteCoordinatesError or
     UnresolvedPropertyError; never returns a partial manifest.
     """
     try:
-        root = ET.fromstring(xml_text)
+        root = ET.fromstring(xml)
     except ET.ParseError as exc:
         line, column = exc.position
         raise PomSyntaxError(f"malformed XML: {exc.msg.split(':')[0]}", line, column) from exc
+    except (LookupError, ValueError) as exc:
+        # expat asks Python for codecs it lacks; unknown and multi-byte ones fail here.
+        raise PomEncodingError(f"unsupported XML encoding: {exc}") from exc
 
-    parent = _child(root, "parent")
+    top = _children(root)
+    parent = _children(top.get("parent"))
 
     properties: dict[str, str] = {}
-    props_node = _child(root, "properties")
+    props_node = top.get("properties")
     if props_node is not None:
         for node in props_node:
             if node.text is not None:
                 properties[_local(node.tag)] = node.text.strip()
 
-    group = _child_text(root, "groupId") or _child_text(parent, "groupId")
-    artifact = _child_text(root, "artifactId") or _child_text(parent, "artifactId")
-    version = _child_text(root, "version") or _child_text(parent, "version")
+    group = _text(top, "groupId") or _text(parent, "groupId")
+    artifact = _text(top, "artifactId") or _text(parent, "artifactId")
+    version = _text(top, "version") or _text(parent, "version")
     if not group or not artifact or not version:
         missing = [
             name
@@ -125,17 +138,18 @@ def parse_pom(xml_text: str) -> ProjectManifest:
     properties.setdefault("project.version", version)
 
     dependencies: list[DependencyDecl] = []
-    deps_node = _child(root, "dependencies")
+    deps_node = top.get("dependencies")
     if deps_node is not None:
         for index, node in enumerate(n for n in deps_node if _local(n.tag) == "dependency"):
-            dep_group = _child_text(node, "groupId")
-            dep_artifact = _child_text(node, "artifactId")
+            fields = _children(node)
+            dep_group = _text(fields, "groupId")
+            dep_artifact = _text(fields, "artifactId")
             if not dep_group or not dep_artifact:
                 raise IncompleteCoordinatesError(
                     f"incomplete coordinates: dependency #{index} lacks groupId or artifactId"
                 )
-            dep_version = _child_text(node, "version")
-            dep_scope = _child_text(node, "scope")
+            dep_version = _text(fields, "version")
+            dep_scope = _text(fields, "scope")
             dependencies.append(
                 DependencyDecl(
                     target=ProjectCoordinate(
@@ -148,7 +162,7 @@ def parse_pom(xml_text: str) -> ProjectManifest:
             )
 
     submodules: set[ProjectCoordinate] = set()
-    modules_node = _child(root, "modules")
+    modules_node = top.get("modules")
     if modules_node is not None:
         for node in modules_node:
             if _local(node.tag) == "module" and node.text and node.text.strip():

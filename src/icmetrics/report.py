@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import IO, Iterable
+from typing import Iterable
 
 from .metrics import METRIC_ORDER
 from .pipeline import ProjectSeries, ProjectSummary
@@ -52,21 +52,17 @@ def _ordered(results: Iterable[CorrelationResult]) -> list[CorrelationResult]:
     return [by_name[name] for name in METRIC_ORDER if name in by_name]
 
 
-def emit_combined_table(results: Iterable[CorrelationResult], sink: IO[str] | None = None) -> str:
+def emit_combined_table(results: Iterable[CorrelationResult]) -> str:
     """Pooled correlation table, one row per metric in fixed report order."""
     lines = [COMBINED_HEADER]
     for result in _ordered(results):
         lines.append(
             f"{result.metric_name},{format_correlation(result.r)},{format_p(result.p_two_tailed)},{result.n}"
         )
-    text = "\n".join(lines) + "\n"
-    if sink is not None:
-        sink.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
-def emit_per_project_table(per_project: Iterable[tuple[str, Iterable[CorrelationResult]]],
-                           sink: IO[str] | None = None) -> str:
+def emit_per_project_table(per_project: Iterable[tuple[str, Iterable[CorrelationResult]]]) -> str:
     """Per-project correlation rows; projects pre-sorted by the caller's key."""
     lines = [PER_PROJECT_HEADER]
     for project_key, results in per_project:
@@ -75,13 +71,10 @@ def emit_per_project_table(per_project: Iterable[tuple[str, Iterable[Correlation
                 f"{project_key},{result.metric_name},"
                 f"{format_correlation(result.r)},{format_p(result.p_two_tailed)},{result.n}"
             )
-    text = "\n".join(lines) + "\n"
-    if sink is not None:
-        sink.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
-def emit_summaries_table(summaries: Iterable[ProjectSummary], sink: IO[str] | None = None) -> str:
+def emit_summaries_table(summaries: Iterable[ProjectSummary]) -> str:
     lines = [SUMMARIES_HEADER]
     for summary in summaries:
         medians = ",".join(_float_cell(summary.medians.get(name)) for name in _SUMMARY_MEDIAN_ORDER)
@@ -89,13 +82,10 @@ def emit_summaries_table(summaries: Iterable[ProjectSummary], sink: IO[str] | No
             f"{summary.coordinate.key()},{summary.n_releases},{summary.n_bugs_total},"
             f"{repr(summary.activity)},{medians}"
         )
-    text = "\n".join(lines) + "\n"
-    if sink is not None:
-        sink.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
-def emit_series_csv(series: ProjectSeries, sink: IO[str] | None = None) -> str:
+def emit_series_csv(series: ProjectSeries) -> str:
     """Plot-ready per-release values for one project; absent metrics are empty cells."""
     lines = [SERIES_HEADER]
     for point in series.releases:
@@ -113,17 +103,14 @@ def emit_series_csv(series: ProjectSeries, sink: IO[str] | None = None) -> str:
             "" if vector.loc is None else str(vector.loc),
         ]
         lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if sink is not None:
-        sink.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 def series_filename(series: ProjectSeries) -> str:
     return f"series_{series.coordinate.group}_{series.coordinate.artifact}.csv"
 
 
-def emit_metrics_jsonl(series_list: Iterable[ProjectSeries], sink: IO[str] | None = None) -> str:
+def emit_metrics_jsonl(series_list: Iterable[ProjectSeries]) -> str:
     """One JSON object per (project, release), sorted by (coordinate, timestamp)."""
     lines = []
     for series in sorted(series_list, key=lambda s: s.coordinate):
@@ -141,10 +128,7 @@ def emit_metrics_jsonl(series_list: Iterable[ProjectSeries], sink: IO[str] | Non
                 "loc": point.vector.loc,
             }
             lines.append(json.dumps(record, sort_keys=False))
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if sink is not None:
-        sink.write(text)
-    return text
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # --------------------------------------------------------------------------

@@ -183,3 +183,21 @@ def test_exclude_scopes_flag_changes_the_graph(tmp_path):
     kept = json.loads((tmp_path / "keep" / "metrics.jsonl").read_text())
     assert default["wmc"] == 0
     assert kept["wmc"] == 1
+
+
+def test_series_filename_clash_fails_before_writing(tmp_path, capsys):
+    # a_b:c and a:b_c both map to series_a_b_c.csv.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    rows = []
+    for group, name in (("a_b", "c"), ("a", "b_c")):
+        for i in range(10):
+            write_release(corpus, make_snapshot(name, group=group, version=f"{i}.0", timestamp=100 * i))
+            rows.append((f"{group}:{name}", f"{i}.0", 100 * i, i % 3 + 1))
+    history = write_history(tmp_path / "releases.csv", rows)
+    out = tmp_path / "out"
+    rc = main(["analyze", "--corpus", str(corpus), "--history", str(history), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: series file name clash: a:b_c and a_b:c both map to series_a_b_c.csv" in err
+    assert list(out.iterdir()) == []

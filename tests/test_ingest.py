@@ -1,5 +1,7 @@
 import json
 import string
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -379,3 +381,224 @@ def test_corpus_root_must_exist(tmp_path):
 
     with pytest.raises(CorpusError):
         load_corpus(tmp_path / "missing", [])
+
+
+# --------------------------------------------------------------------------
+# never-crash ingest
+
+ROOT_POM = (
+    "<project><groupId>g</groupId><artifactId>a</artifactId><version>1.0</version>"
+    "<modules><module>core</module></modules></project>"
+)
+CORE_POM = (
+    "<project><groupId>g</groupId><artifactId>core</artifactId><version>1.0</version>"
+    "<dependencies><dependency><groupId>x</groupId><artifactId>y</artifactId>"
+    "</dependency></dependencies></project>"
+)
+
+
+def _write_release_files(corpus_root, files):
+    """Write release g:a/1.0; ``files`` maps relative paths to bytes."""
+    release_dir = corpus_root / "g:a" / "1.0"
+    for relative, data in files.items():
+        path = release_dir / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    return release_dir
+
+
+def _snapshot_doc(**manifest_fields):
+    doc = json.loads(MINIMAL_SNAPSHOT)
+    doc["manifests"][0].update(manifest_fields)
+    return json.dumps(doc).encode()
+
+
+_POM_FILES = {"pom.xml": ROOT_POM.encode(), "core/pom.xml": CORE_POM.encode()}
+
+CRASH_CASES = {
+    "usage.json is an object": (
+        {**_POM_FILES, "usage.json": b'{"group": "x", "artifact": "y"}'},
+        "usage.json: must be an array or null",
+    ),
+    "usage.json item lacks artifact": (
+        {**_POM_FILES, "usage.json": b'[{"group": "x"}]'},
+        "usage.json[0].artifact: must be a non-empty string",
+    ),
+    "api_surface.json is a list": (
+        {**_POM_FILES, "api_surface.json": b'[["A.g()V"]]'},
+        "api_surface.json: must be an object or null",
+    ),
+    "api_surface.json callees are an int": (
+        {**_POM_FILES, "api_surface.json": b'{"A.f()V": 3}'},
+        "api_surface.json['A.f()V']: must be an array of strings",
+    ),
+    "dependencies is null": (
+        {"snapshot.json": _snapshot_doc(dependencies=None)},
+        ".manifests[0].dependencies: must be an array",
+    ),
+    "dependencies is an int": (
+        {"snapshot.json": _snapshot_doc(dependencies=7)},
+        ".manifests[0].dependencies: must be an array",
+    ),
+    "submodules is null": (
+        {"snapshot.json": _snapshot_doc(submodules=None)},
+        ".manifests[0].submodules: must be an array",
+    ),
+    "submodules is an int": (
+        {"snapshot.json": _snapshot_doc(submodules=7)},
+        ".manifests[0].submodules: must be an array",
+    ),
+    "snapshot.json is not UTF-8": (
+        {"snapshot.json": MINIMAL_SNAPSHOT.replace('"1.0"', '"1.\xe9"', 1).encode("latin-1")},
+        ".: invalid UTF-8: 'utf-8' codec can't decode byte 0xe9 in position",
+    ),
+    "snapshot.json nests too deep to decode": (
+        {"snapshot.json": b"[" * 100_000},
+        ".: invalid JSON: maximum recursion depth exceeded",
+    ),
+    "usage.json nests too deep to decode": (
+        {**_POM_FILES, "usage.json": b"[" * 100_000},
+        "usage.json: invalid JSON: maximum recursion depth exceeded",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRASH_CASES))
+def test_malformed_release_file_is_a_failed_release(tmp_path, case):
+    files, reason = CRASH_CASES[case]
+    _write_release_files(tmp_path, files)
+    corpus = load_corpus(tmp_path, None)
+    assert corpus.snapshots[ProjectCoordinate("g", "a")] == []
+    [failure] = corpus.failed[ProjectCoordinate("g", "a")]
+    assert failure.version_label == "1.0"
+    assert failure.reason.startswith(reason)
+    assert corpus.warnings == [f"failed release g:a/1.0: {failure.reason}"]
+
+
+def test_pom_in_declared_latin1_parses(tmp_path):
+    pom = CORE_POM.replace("<artifactId>y</artifactId>", "<artifactId>caf\xe9</artifactId>")
+    _write_release_files(tmp_path, {
+        "pom.xml": ROOT_POM.encode(),
+        "core/pom.xml": ('<?xml version="1.0" encoding="ISO-8859-1"?>\n' + pom).encode("latin-1"),
+    })
+    corpus = load_corpus(tmp_path, None)
+    assert corpus.failed[ProjectCoordinate("g", "a")] == []
+    [snapshot] = corpus.snapshots[ProjectCoordinate("g", "a")]
+    [dependency] = snapshot.manifests[1].declared_dependencies
+    assert dependency.target == ProjectCoordinate("x", "caf\xe9")
+
+
+# The fuzz corpus: g:a/1.0 from POMs with sidecars and src/, g:a/2.0 and
+# g:b/1.0 from snapshot.json.
+_FUZZ_FILES = {
+    ("g:a", "1.0", "pom.xml"): ROOT_POM.encode(),
+    ("g:a", "1.0", "core/pom.xml"): CORE_POM.encode(),
+    ("g:a", "1.0", "api_surface.json"): b'{"A.f()V": ["A.g()V"], "A.g()V": []}',
+    ("g:a", "1.0", "usage.json"): b'[{"group": "x", "artifact": "y"}]',
+    ("g:a", "1.0", "src/A.java"): b"a\nb",
+    ("g:a", "2.0", "snapshot.json"): MINIMAL_SNAPSHOT.replace('"1.0"', '"2.0"').encode(),
+    ("g:b", "1.0", "snapshot.json"): MINIMAL_SNAPSHOT.replace('"artifact": "a"', '"artifact": "b"').encode(),
+}
+_HISTORY = [ReleaseHistoryRow(project, version, 100, 1)
+            for project, version in sorted({(p, v) for p, v, _ in _FUZZ_FILES})]
+
+_json_shapes = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["group", "artifact", "version", "timestamp", "manifests", "dependencies",
+                         "submodules", "api_surface", "usage", "loc", "project", "A.f()V"]) | st.text(max_size=4),
+        inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _outcomes(corpus):
+    """(project key, version) -> the parsed snapshot or the FailedRelease."""
+    outcomes = {}
+    for coordinate, snapshots in corpus.snapshots.items():
+        outcomes.update(((coordinate.key(), s.version_label), s) for s in snapshots)
+    for coordinate, failures in corpus.failed.items():
+        for failure in failures:
+            assert (coordinate.key(), failure.version_label) not in outcomes
+            outcomes[(coordinate.key(), failure.version_label)] = failure
+    return outcomes
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    target=st.sampled_from(sorted(_FUZZ_FILES)),
+    data=st.binary(max_size=300) | _json_shapes.map(lambda value: json.dumps(value).encode()),
+)
+def test_any_bytes_in_one_file_never_abort_the_load(target, data):
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        for (project, version, relative), content in _FUZZ_FILES.items():
+            path = root / project / version / relative
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(content)
+        before = _outcomes(load_corpus(root, _HISTORY))
+        assert all(isinstance(outcome, ReleaseSnapshot) for outcome in before.values())
+
+        (root / target[0] / target[1] / target[2]).write_bytes(data)
+        after = _outcomes(load_corpus(root, _HISTORY))
+
+    assert after.keys() == before.keys()
+    changed = (target[0], target[1])
+    assert {key: after[key] for key in after if key != changed} == {
+        key: before[key] for key in before if key != changed
+    }
+
+
+# --------------------------------------------------------------------------
+# the release walk
+
+
+def _rglob_manifest_paths(release_dir):
+    return sorted(release_dir.rglob("pom.xml"), key=lambda p: (len(p.parts), str(p)))
+
+
+def _rglob_loc(src_root, extensions):
+    total = 0
+    for path in sorted(src_root.rglob("*")):
+        if path.is_file() and any(path.name.endswith(ext) for ext in extensions):
+            data = path.read_bytes()
+            total += data.count(b"\n") + (1 if data and not data.endswith(b"\n") else 0)
+    return total
+
+
+def test_release_walk_follows_the_rglob_rules(tmp_path):
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "Other.java").write_text("x\ny\nz\n")
+    release_dir = _write_release_files(tmp_path / "corpus", {
+        "pom.xml": ROOT_POM.replace("<module>core</module>", "<module>core</module><module>gen</module>").encode(),
+        "core/pom.xml": CORE_POM.encode(),
+        "src/pom.xml": CORE_POM.replace("core", "gen").encode(),
+        "src/main/A.java": b"a\nb\n",
+        "src/main/B.java": b"c",
+        "src/main/notes.txt": b"not\ncounted\n",
+    })
+    (release_dir / "linked").symlink_to(release_dir / "core", target_is_directory=True)
+    (release_dir / "src" / "alias").symlink_to(release_dir / "src" / "main", target_is_directory=True)
+    (release_dir / "src" / "Link.java").symlink_to(outside / "Other.java")
+    (release_dir / "src" / "Loop.java").symlink_to(release_dir / "src" / "Loop.java")
+    # A symlinked src/ itself is entered, as rglob enters the directory it starts from.
+    linked_release = release_dir.parent / "2.0"
+    linked_release.mkdir()
+    (linked_release / "pom.xml").write_text(ROOT_POM)
+    (linked_release / "src").symlink_to(release_dir / "src", target_is_directory=True)
+
+    expected_manifests = [p.relative_to(release_dir).as_posix() for p in _rglob_manifest_paths(release_dir)]
+    assert expected_manifests == ["pom.xml", "core/pom.xml", "src/pom.xml"]
+    assert _rglob_loc(release_dir / "src", {".java"}) == 6
+    assert count_loc(release_dir / "src", {".java"}) == 6
+
+    assert _rglob_loc(linked_release / "src", {".java"}) == 6
+
+    corpus = load_corpus(tmp_path / "corpus", None)
+    assert corpus.failed[ProjectCoordinate("g", "a")] == []
+    snapshot, linked = corpus.snapshots[ProjectCoordinate("g", "a")]
+    assert [m.coordinate.artifact for m in snapshot.manifests] == ["a", "core", "gen"]
+    assert snapshot.loc == 6
+    assert [m.coordinate.artifact for m in linked.manifests] == ["a"]
+    assert linked.loc == 6

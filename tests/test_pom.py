@@ -3,6 +3,7 @@ import pytest
 from icmetrics.model import ProjectCoordinate
 from icmetrics.pom import (
     IncompleteCoordinatesError,
+    PomEncodingError,
     PomError,
     PomSyntaxError,
     UnresolvedPropertyError,
@@ -210,3 +211,16 @@ def test_every_failure_is_a_classified_pom_error():
     for text in bad_inputs:
         with pytest.raises(PomError):
             parse_pom(text)
+
+
+def test_bytes_are_decoded_as_the_declaration_says():
+    pom = MINIMAL.replace('<?xml version="1.0"?>', '<?xml version="1.0" encoding="ISO-8859-1"?>')
+    pom = pom.replace("<artifactId>a</artifactId>", "<artifactId>caf\xe9</artifactId>")
+    assert parse_pom(pom.encode("latin-1")).coordinate == ProjectCoordinate("g", "caf\xe9")
+    assert parse_pom(MINIMAL.encode()) == parse_pom(MINIMAL)
+
+
+@pytest.mark.parametrize("encoding", ["no-such-codec", "shift_jis", "rot13"])
+def test_undecodable_declared_encoding_is_a_pom_error(encoding):
+    with pytest.raises(PomEncodingError, match="unsupported XML encoding"):
+        parse_pom(MINIMAL.replace('version="1.0"?>', f'version="1.0" encoding="{encoding}"?>').encode())
