@@ -1,6 +1,5 @@
 """Interaction-complexity metrics for dependency-manifest ecosystems."""
 
-from .graph import EcosystemGraph, build_graph, condensation_depth, reverse_dependents, scc_members
 from .ingest import (
     Corpus,
     ReleaseHistoryRow,
@@ -10,7 +9,7 @@ from .ingest import (
     load_release_history,
     parse_snapshot_json,
 )
-from .metrics import ic_cbo, ic_dit, ic_lcom1, ic_noc, ic_rfc, ic_wmc, compute_vector
+from .metrics import ic_lcom1, ic_rfc
 from .model import (
     ApiSurface,
     DependencyDecl,

@@ -49,7 +49,6 @@ class RunConfig:
     scope_filter: frozenset[str] = DEFAULT_SCOPE_FILTER
     loc_extensions: frozenset[str] = DEFAULT_LOC_EXTENSIONS
     activity_threshold: float = 0.05
-    workers: int = 1
     human: bool = False
     seed: int = 0
     n_projects: int = 10
@@ -113,7 +112,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         config.out = Path(args.out).resolve()
         config.scope_filter = _comma_set(args.exclude_scopes)
         config.loc_extensions = _comma_set(args.loc_ext)
-        config.workers = max(1, args.workers)
         if args.command == "analyze":
             config.activity_threshold = args.activity_threshold
             config.human = args.human
@@ -162,7 +160,7 @@ def cmd_analyze(config: RunConfig) -> int:
         return _fail(str(exc))
 
     vector_errors: list[str] = []
-    series_map = build_series(corpus, config.scope_filter, config.workers, vector_errors)
+    series_map = build_series(corpus, config.scope_filter, vector_errors)
     for message in vector_errors:
         _warn(message)
 
@@ -218,7 +216,7 @@ def cmd_metrics(config: RunConfig) -> int:
         return _fail(str(exc))
 
     vector_errors: list[str] = []
-    series_map = build_series(corpus, config.scope_filter, config.workers, vector_errors)
+    series_map = build_series(corpus, config.scope_filter, vector_errors)
     for message in vector_errors:
         _warn(message)
 

@@ -25,7 +25,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
@@ -57,6 +57,10 @@ class HistoryFormatError(ValueError):
 
 class CorpusError(ValueError):
     """The corpus root itself is unusable."""
+
+
+class _RejectedRelease(ValueError):
+    """A release directory that yields no usable snapshot; the message is the reason."""
 
 
 @dataclass(frozen=True)
@@ -437,8 +441,7 @@ def _load_pom_release(release_dir: os.DirEntry[str], loc_suffixes: tuple[str, ..
             in_src = name == "src"
         elif in_src and name.endswith(loc_suffixes):
             sources.append(entry)
-        # A listed entry exists unless it is a dangling symlink.
-        if name == "pom.xml" and (not entry.is_symlink() or os.path.exists(entry.path)):
+        if name == "pom.xml" and _is_file(entry):
             pom_paths.append((depth, entry.path))
     if not pom_paths:
         return None
@@ -488,7 +491,7 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
 
     corpus = Corpus()
     loc_suffixes = tuple(loc_extensions)
-    matched_history_keys: set[tuple[str, str]] = set()
+    seen_releases: set[tuple[str, str]] = set()
 
     for project_dir in _subdirs(root):
         if ":" not in project_dir.name:
@@ -502,6 +505,8 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
 
         for release_dir in _subdirs(project_dir.path):
             version_label = release_dir.name
+            key = (project_dir.name, version_label)
+            seen_releases.add(key)
             snapshot_path = os.path.join(release_dir.path, "snapshot.json")
             try:
                 from_json = os.path.isfile(snapshot_path)
@@ -510,47 +515,25 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
                 else:
                     snapshot = _load_pom_release(release_dir, loc_suffixes, corpus.warnings)
                 if snapshot is None:
-                    failed.append(FailedRelease(version_label, "no snapshot.json or pom.xml"))
-                    corpus.warnings.append(
-                        f"failed release {project_dir.name}/{version_label}: no snapshot.json or pom.xml"
+                    raise _RejectedRelease("no snapshot.json or pom.xml")
+                if snapshot.coordinate != coordinate:
+                    raise _RejectedRelease(
+                        f"manifest coordinate {snapshot.coordinate.key()} does not match"
+                        f" project directory {project_dir.name}"
                     )
-                    continue
-            except (PomError, SnapshotFormatError, json.JSONDecodeError, OSError) as exc:
+                # parse_snapshot_json has already validated a snapshot.json release.
+                violations = [] if from_json else validate_snapshot(snapshot)
+                if violations:
+                    raise _RejectedRelease("invariant violations: " + "; ".join(violations))
+            except (_RejectedRelease, PomError, SnapshotFormatError, json.JSONDecodeError, OSError) as exc:
                 failed.append(FailedRelease(version_label, str(exc)))
                 corpus.warnings.append(f"failed release {project_dir.name}/{version_label}: {exc}")
                 continue
 
-            if snapshot.coordinate != coordinate:
-                reason = (
-                    f"manifest coordinate {snapshot.coordinate.key()} does not match"
-                    f" project directory {project_dir.name}"
-                )
-                failed.append(FailedRelease(version_label, reason))
-                corpus.warnings.append(f"failed release {project_dir.name}/{version_label}: {reason}")
-                continue
-
-            # parse_snapshot_json has already validated a snapshot.json release.
-            violations = [] if from_json else validate_snapshot(snapshot)
-            if violations:
-                reason = "invariant violations: " + "; ".join(violations)
-                failed.append(FailedRelease(version_label, reason))
-                corpus.warnings.append(f"failed release {project_dir.name}/{version_label}: {reason}")
-                continue
-
-            row = history_index.get((project_dir.name, version_label))
+            row = history_index.get(key)
             if row is not None:
-                matched_history_keys.add((project_dir.name, version_label))
-                timestamp = snapshot.timestamp if from_json else row.timestamp
-                snapshot = ReleaseSnapshot(
-                    coordinate=snapshot.coordinate,
-                    version_label=snapshot.version_label,
-                    timestamp=timestamp,
-                    manifests=snapshot.manifests,
-                    api_surface=snapshot.api_surface,
-                    usage=snapshot.usage,
-                    loc=snapshot.loc,
-                    bugs_fixed=row.bugs_fixed,
-                )
+                snapshot = replace(snapshot, timestamp=snapshot.timestamp if from_json else row.timestamp,
+                                   bugs_fixed=row.bugs_fixed)
             elif history is not None:
                 corpus.warnings.append(
                     f"no history row for {project_dir.name}/{version_label};"
@@ -561,7 +544,7 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
         parsed.sort(key=lambda s: (s.timestamp, s.version_label))
 
     for row in history or ():
-        if (row.project_key, row.version_label) not in matched_history_keys:
+        if (row.project_key, row.version_label) not in seen_releases:
             corpus.warnings.append(
                 f"orphan history row: {row.project_key},{row.version_label},"
                 f"{row.timestamp},{row.bugs_fixed} matches no release directory"

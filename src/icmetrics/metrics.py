@@ -1,7 +1,8 @@
-"""The six interaction-complexity metrics, one function each.
+"""The six interaction-complexity metrics and their report order.
 
-All operations are pure reads over an immutable graph (or plain values)
-and safe to evaluate in parallel.
+The four graph metrics come from ``pipeline.build_series``, which computes
+them in one sweep over the ecosystem's history; the two below read only the
+release's own inputs.
 
   IC-WMC   number of distinct libraries a project depends on
   IC-DIT   longest dependency chain below the project
@@ -13,8 +14,7 @@ and safe to evaluate in parallel.
 
 from __future__ import annotations
 
-from .graph import EcosystemGraph, GraphError, condensation_depth, reverse_dependents, scc_members
-from .model import ApiSurface, MetricVector, ProjectCoordinate, ReleaseSnapshot, UsageRecord
+from .model import ApiSurface, MetricVector, ProjectCoordinate, UsageRecord
 
 METRIC_ORDER = ("IC-NOC", "IC-DIT", "IC-LCOM1", "IC-WMC", "IC-RFC", "IC-CBO", "LOC")
 
@@ -33,30 +33,6 @@ def vector_value(vector: MetricVector, metric_name: str) -> int | None:
     return getattr(vector, _VECTOR_FIELDS[metric_name])
 
 
-def _require_corpus_member(graph: EcosystemGraph, project: ProjectCoordinate) -> None:
-    if project not in graph.corpus_members:
-        raise GraphError(f"not a corpus project: {project.key()}")
-
-
-def ic_wmc(graph: EcosystemGraph, project: ProjectCoordinate) -> int:
-    """Out-degree in the deduplicated graph; external stubs count."""
-    _require_corpus_member(graph, project)
-    return len(graph.out_edges[project])
-
-
-def ic_dit(graph: EcosystemGraph, project: ProjectCoordinate) -> int:
-    return condensation_depth(graph, project)
-
-
-def ic_noc(graph: EcosystemGraph, project: ProjectCoordinate) -> int:
-    return len(reverse_dependents(graph, project))
-
-
-def ic_cbo(graph: EcosystemGraph, project: ProjectCoordinate) -> int:
-    _require_corpus_member(graph, project)
-    return len(scc_members(graph, project)) - 1
-
-
 def ic_rfc(surface: ApiSurface) -> int:
     """Size of (public method identities) union (all first-step callees)."""
     identities = set(surface.methods)
@@ -73,18 +49,3 @@ def ic_lcom1(manifest_deps: frozenset[ProjectCoordinate] | set[ProjectCoordinate
     are ignored; they cannot reduce the count below zero.
     """
     return len(frozenset(manifest_deps) - usage.referenced_coordinates)
-
-
-def compute_vector(graph: EcosystemGraph, snapshot: ReleaseSnapshot) -> MetricVector:
-    """All metrics for one release. rfc/lcom1 stay None without their input."""
-    project = snapshot.coordinate
-    _require_corpus_member(graph, project)
-    return MetricVector(
-        wmc=ic_wmc(graph, project),
-        dit=ic_dit(graph, project),
-        noc=ic_noc(graph, project),
-        cbo=ic_cbo(graph, project),
-        rfc=None if snapshot.api_surface is None else ic_rfc(snapshot.api_surface),
-        lcom1=None if snapshot.usage is None else ic_lcom1(graph.out_edges[project], snapshot.usage),
-        loc=snapshot.loc,
-    )

@@ -75,7 +75,6 @@ def select_projects(corpus: Corpus) -> tuple[set[ProjectCoordinate], dict[Projec
 
 def build_series(corpus: Corpus,
                  scope_filter: frozenset[str] | set[str] = DEFAULT_SCOPE_FILTER,
-                 workers: int = 1,
                  errors: list[str] | None = None) -> dict[ProjectCoordinate, ProjectSeries]:
     """One ProjectSeries per corpus project, in canonical order.
 
@@ -84,12 +83,11 @@ def build_series(corpus: Corpus,
     precede), with the release itself as its own project's entry. One sweep
     over all snapshots in timestamp order keeps that state in a persistent
     adjacency over dense node ids, and computes only the released project's
-    vector; it equals build_graph + compute_vector on the same state.
+    vector.
 
     A release whose vector cannot be computed is left out of its series,
     and "<key>/<version>: <reason>" is appended to `errors`, in
-    (coordinate, list) order. `workers` is accepted for compatibility and
-    has no effect.
+    (coordinate, list) order.
     """
     scope_filter = frozenset(scope_filter)
     ids: dict[ProjectCoordinate, int] = {}

@@ -4,15 +4,18 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from icmetrics.graph import DEFAULT_SCOPE_FILTER
 from icmetrics.ingest import Corpus, encode_snapshot
 from icmetrics.model import (
     ApiSurface,
     DependencyDecl,
+    MetricVector,
     ProjectCoordinate,
     ProjectManifest,
     ReleaseSnapshot,
     UsageRecord,
 )
+from icmetrics.pipeline import build_series
 
 FIXTURE_GROUP = "org.fixture"
 
@@ -60,6 +63,20 @@ def make_snapshot(name: str, deps=(), version: str = "1.0.0", timestamp: int = 0
 def graph_snapshots(edge_map: dict[str, list[str]]) -> list[ReleaseSnapshot]:
     """One snapshot per key, depending on the named targets (all corpus members)."""
     return [make_snapshot(name, deps) for name, deps in edge_map.items()]
+
+
+def sweep_vectors(snapshots, scope_filter=DEFAULT_SCOPE_FILTER) -> dict[ProjectCoordinate, MetricVector]:
+    """Each project's vector from build_series, for one snapshot per project.
+
+    Each snapshot is its project's whole history, so every release is
+    measured against all the others, whatever the timestamps.
+    """
+    corpus = Corpus(snapshots={snapshot.coordinate: [snapshot] for snapshot in snapshots})
+    assert len(corpus.snapshots) == len(snapshots), "one snapshot per project"
+    errors: list[str] = []
+    series = build_series(corpus, scope_filter, errors=errors)
+    assert errors == []
+    return {coordinate: project.releases[0].vector for coordinate, project in series.items()}
 
 
 def make_corpus(projects: dict[str, list[ReleaseSnapshot]],

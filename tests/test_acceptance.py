@@ -17,23 +17,16 @@ from conftest import (
     coord,
     graph_snapshots,
     make_snapshot,
+    sweep_vectors,
     write_failed_release,
     write_history,
     write_release,
 )
-from test_graph import (
-    oracle_depth,
-    oracle_reachability,
-    oracle_same_scc,
-    oracle_scc_members,
-    random_edge_map,
-)
+from test_graph import assert_matches_oracles, random_edge_map
 from test_stats import oracle_p, oracle_pearson
 
 from icmetrics.cli import main
-from icmetrics.graph import build_graph
 from icmetrics.ingest import load_corpus
-from icmetrics.metrics import compute_vector, ic_cbo, ic_dit, ic_noc
 from icmetrics.model import ProjectCoordinate
 from icmetrics.pipeline import select_projects
 from icmetrics.pom import (
@@ -71,18 +64,7 @@ def test_criterion_1_graph_oracle_equivalence():
         start = time.monotonic()
         rng = random.Random(1)
         for _ in range(1000):
-            edge_map = random_edge_map(rng, max_nodes=12, max_density=0.5)
-            nodes = [coord(n) for n in edge_map]
-            edges = [(coord(u), coord(v)) for u, targets in edge_map.items() for v in targets]
-            graph = build_graph(graph_snapshots(edge_map))
-            reach = oracle_reachability(nodes, edges)
-            for u in nodes:
-                members = oracle_scc_members(nodes, reach, u)
-                assert ic_cbo(graph, u) == len(members) - 1
-                assert ic_noc(graph, u) == len({s for s, t in edges if t == u})
-                assert ic_dit(graph, u) == oracle_depth(nodes, edges, u, reach=reach)
-                for v in nodes:
-                    assert (graph.scc_id[u] == graph.scc_id[v]) == oracle_same_scc(reach, u, v)
+            assert_matches_oracles(random_edge_map(rng, max_nodes=12, max_density=0.5))
         elapsed = time.monotonic() - start
         assert elapsed < 10.0, f"graph oracle sweep took {elapsed:.1f}s"
 
@@ -151,9 +133,7 @@ def test_criterion_3_nan_convention(tmp_path):
 
 def test_criterion_4_forced_zero_cases():
     with _criterion("4 forced-zero-cases"):
-        lone = make_snapshot("launcher")
-        graph = build_graph([lone])
-        vector = compute_vector(graph, lone)
+        vector = sweep_vectors([make_snapshot("launcher")])[coord("launcher")]
         assert vector.wmc == 0 and vector.dit == 0
 
         rng = random.Random(4)
@@ -165,9 +145,8 @@ def test_criterion_4_forced_zero_cases():
                 names[i]: [names[j] for j in range(i + 1, n) if rng.random() < density]
                 for i in range(n)
             }
-            acyclic = build_graph(graph_snapshots(dag))
-            for member in acyclic.corpus_members:
-                assert ic_cbo(acyclic, member) == 0
+            for vector in sweep_vectors(graph_snapshots(dag)).values():
+                assert vector.cbo == 0
 
 
 def test_criterion_5_planted_signal_recovery():

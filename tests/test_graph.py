@@ -1,19 +1,9 @@
 import random
 
-import pytest
+from conftest import coord, graph_snapshots, make_manifest, make_snapshot, sweep_vectors
 
-from conftest import coord, graph_snapshots, make_manifest, make_snapshot
-
-from icmetrics.graph import (
-    GraphError,
-    UnknownCoordinateError,
-    build_graph,
-    condensation_depth,
-    edges_csv,
-    reverse_dependents,
-    scc_members,
-)
-from icmetrics.model import DependencyDecl
+from icmetrics.graph import strongly_connected_components
+from icmetrics.model import DependencyDecl, UsageRecord
 
 
 # --------------------------------------------------------------------------
@@ -76,32 +66,58 @@ def random_edge_map(rng, max_nodes=12, max_density=0.5):
     }
 
 
+def components_of(edge_map):
+    """Each node's component, by strongly_connected_components."""
+    adjacency = {coord(u): [coord(v) for v in targets] for u, targets in edge_map.items()}
+    components = strongly_connected_components(sorted(adjacency), lambda node: adjacency.get(node, ()))
+    return {member: frozenset(component) for component in components for member in component}
+
+
+def assert_matches_oracles(edge_map):
+    """build_series' WMC/NOC/CBO/DIT for every project of one corpus, and
+    strongly_connected_components' pairwise membership, equal the oracles."""
+    nodes = [coord(n) for n in edge_map]
+    edges = [(coord(u), coord(v)) for u, targets in edge_map.items() for v in targets]
+    reach = oracle_reachability(nodes, edges)
+    vectors = sweep_vectors(graph_snapshots(edge_map))
+    component = components_of(edge_map)
+    for u in nodes:
+        members = oracle_scc_members(nodes, reach, u)
+        assert vectors[u].wmc == len({t for s, t in edges if s == u})
+        assert vectors[u].noc == len({s for s, t in edges if t == u})
+        assert vectors[u].cbo == len(members) - 1
+        assert vectors[u].dit == oracle_depth(nodes, edges, u, reach=reach)
+        assert component[u] == members
+        for v in nodes:
+            assert (component[u] == component[v]) == oracle_same_scc(reach, u, v)
+
+
 # --------------------------------------------------------------------------
-# construction
+# construction: what a release's out-set holds, seen through build_series
 
 
 def test_single_project_no_dependencies():
-    graph = build_graph([make_snapshot("p")])
-    assert graph.nodes == frozenset({coord("p")})
-    assert graph.edges == frozenset()
+    vectors = sweep_vectors([make_snapshot("p")])
+    assert list(vectors) == [coord("p")]
+    assert (vectors[coord("p")].wmc, vectors[coord("p")].dit) == (0, 0)
 
 
 def test_module_references_and_duplicates_collapse_to_one_edge():
     # m2 is a submodule of p; both modules declare X; m1 also references m2.
+    # WMC 1 with LCOM1 0 against a usage of {x} pins the out-set to {x}.
     manifests = (
         make_manifest("p", deps=["x", "m2"], submodules=["m2"]),
         make_manifest("m2", deps=["x"]),
     )
-    graph = build_graph([make_snapshot("p", manifests=manifests)])
-    assert graph.edges == frozenset({(coord("p"), coord("x"))})
+    snapshot = make_snapshot("p", manifests=manifests, usage=UsageRecord(frozenset({coord("x")})))
+    vector = sweep_vectors([snapshot])[coord("p")]
+    assert (vector.wmc, vector.lcom1) == (1, 0)
 
 
 def test_external_targets_become_stub_leaves():
-    graph = build_graph(graph_snapshots({"p": ["ext"]}))
-    ext = coord("ext")
-    assert ext in graph.nodes
-    assert ext not in graph.corpus_members
-    assert graph.out_edges[ext] == frozenset()
+    vectors = sweep_vectors(graph_snapshots({"p": ["ext"]}))
+    assert list(vectors) == [coord("p")]  # a stub has no series of its own
+    assert (vectors[coord("p")].wmc, vectors[coord("p")].dit) == (1, 1)  # and no out-edges
 
 
 def test_scope_filter_defaults_to_test_and_provided():
@@ -110,89 +126,86 @@ def test_scope_filter_defaults_to_test_and_provided():
         DependencyDecl(target=coord("t"), scope="test"),
         DependencyDecl(target=coord("p2"), scope="provided"),
     )
-    graph = build_graph([make_snapshot("p", deps=deps)])
-    assert graph.out_edges[coord("p")] == frozenset({coord("kept")})
+    snapshot = make_snapshot("p", deps=deps, usage=UsageRecord(frozenset({coord("kept")})))
+    vector = sweep_vectors([snapshot])[coord("p")]
+    assert (vector.wmc, vector.lcom1) == (1, 0)
 
 
 def test_scope_filter_override():
     deps = (DependencyDecl(target=coord("t"), scope="test"),)
-    graph = build_graph([make_snapshot("p", deps=deps)], scope_filter=frozenset())
-    assert graph.out_edges[coord("p")] == frozenset({coord("t")})
-
-
-def test_duplicate_snapshot_coordinate_is_an_error():
-    with pytest.raises(GraphError, match="duplicate"):
-        build_graph([make_snapshot("p"), make_snapshot("p", version="2.0")])
+    snapshot = make_snapshot("p", deps=deps, usage=UsageRecord(frozenset({coord("t")})))
+    vector = sweep_vectors([snapshot], scope_filter=frozenset())[coord("p")]
+    assert (vector.wmc, vector.lcom1) == (1, 0)
 
 
 def test_construction_is_order_independent():
-    edge_map = {"a": ["b", "c"], "b": ["c"], "c": ["a"], "d": []}
-    snapshots = graph_snapshots(edge_map)
-    forward = build_graph(snapshots)
-    backward = build_graph(list(reversed(snapshots)))
-    assert forward == backward
+    snapshots = graph_snapshots({"a": ["b", "c"], "b": ["c"], "c": ["a"], "d": []})
+    forward = sweep_vectors(snapshots)
+    backward = sweep_vectors(list(reversed(snapshots)))
+    assert list(forward.items()) == list(backward.items())
 
 
 # --------------------------------------------------------------------------
-# queries
+# strongly connected components
 
 
 def test_mutual_dependency_shares_one_scc():
-    graph = build_graph(graph_snapshots({"a": ["b"], "b": ["a"]}))
-    assert graph.scc_id[coord("a")] == graph.scc_id[coord("b")]
+    component = components_of({"a": ["b"], "b": ["a"]})
+    assert component[coord("a")] == component[coord("b")]
 
 
 def test_three_cycle_members():
-    graph = build_graph(graph_snapshots({"a": ["b"], "b": ["c"], "c": ["a"]}))
-    assert scc_members(graph, coord("a")) == {coord("a"), coord("b"), coord("c")}
+    component = components_of({"a": ["b"], "b": ["c"], "c": ["a"]})
+    assert component[coord("a")] == {coord("a"), coord("b"), coord("c")}
 
 
 def test_acyclic_node_is_a_singleton():
-    graph = build_graph(graph_snapshots({"a": ["b"], "b": []}))
-    assert scc_members(graph, coord("a")) == {coord("a")}
+    component = components_of({"a": ["b"], "b": []})
+    assert component[coord("a")] == {coord("a")}
 
 
 def test_disjoint_two_cycles_stay_separate():
-    graph = build_graph(graph_snapshots({"a": ["b"], "b": ["a"], "c": ["d"], "d": ["c"]}))
-    assert scc_members(graph, coord("a")) == {coord("a"), coord("b")}
-    assert scc_members(graph, coord("c")) == {coord("c"), coord("d")}
+    component = components_of({"a": ["b"], "b": ["a"], "c": ["d"], "d": ["c"]})
+    assert component[coord("a")] == {coord("a"), coord("b")}
+    assert component[coord("c")] == {coord("c"), coord("d")}
+
+
+# --------------------------------------------------------------------------
+# depth and dependents
+
+
+def _dit(edge_map, name):
+    return sweep_vectors(graph_snapshots(edge_map))[coord(name)].dit
 
 
 def test_depth_isolated_node_is_zero():
-    graph = build_graph(graph_snapshots({"solo": []}))
-    assert condensation_depth(graph, coord("solo")) == 0
+    assert _dit({"solo": []}, "solo") == 0
 
 
 def test_depth_of_chain_counts_edges():
-    graph = build_graph(graph_snapshots({"a": ["b"], "b": ["c"], "c": []}))
-    assert condensation_depth(graph, coord("a")) == 2
-    assert condensation_depth(graph, coord("b")) == 1
-    assert condensation_depth(graph, coord("c")) == 0
+    chain = {"a": ["b"], "b": ["c"], "c": []}
+    assert [_dit(chain, name) for name in "abc"] == [2, 1, 0]
 
 
 def test_depth_of_two_cycle_is_one():
-    graph = build_graph(graph_snapshots({"a": ["b"], "b": ["a"]}))
-    assert condensation_depth(graph, coord("a")) == 1
+    assert _dit({"a": ["b"], "b": ["a"]}, "a") == 1
 
 
 def test_depth_cycle_plus_tail():
-    graph = build_graph(graph_snapshots({"a": ["b"], "b": ["a", "c"], "c": []}))
-    assert condensation_depth(graph, coord("a")) == 2
+    assert _dit({"a": ["b"], "b": ["a", "c"], "c": []}, "a") == 2
 
 
 def test_depth_branching_takes_the_longest_path():
-    graph = build_graph(graph_snapshots({"a": ["b", "c"], "b": [], "c": ["d"], "d": []}))
-    assert condensation_depth(graph, coord("a")) == 2
+    assert _dit({"a": ["b", "c"], "b": [], "c": ["d"], "d": []}, "a") == 2
 
 
 def test_reverse_dependents_empty():
-    graph = build_graph(graph_snapshots({"p": []}))
-    assert reverse_dependents(graph, coord("p")) == frozenset()
+    assert sweep_vectors(graph_snapshots({"p": []}))[coord("p")].noc == 0
 
 
 def test_reverse_dependents_direct_only():
-    graph = build_graph(graph_snapshots({"q": ["p"], "r": ["p"], "s": ["q"], "p": []}))
-    assert reverse_dependents(graph, coord("p")) == {coord("q"), coord("r")}
+    vectors = sweep_vectors(graph_snapshots({"q": ["p"], "r": ["p"], "s": ["q"], "p": []}))
+    assert vectors[coord("p")].noc == 2
 
 
 def test_reverse_dependents_dedupes_modules():
@@ -200,24 +213,8 @@ def test_reverse_dependents_dedupes_modules():
         make_manifest("q", deps=["p"], submodules=["q2"]),
         make_manifest("q2", deps=["p"]),
     )
-    snapshots = [make_snapshot("q", manifests=manifests), make_snapshot("p")]
-    graph = build_graph(snapshots)
-    assert reverse_dependents(graph, coord("p")) == {coord("q")}
-
-
-@pytest.mark.parametrize("query", [condensation_depth, reverse_dependents, scc_members])
-def test_unknown_coordinate_raises(query):
-    graph = build_graph([make_snapshot("p")])
-    with pytest.raises(UnknownCoordinateError):
-        query(graph, coord("ghost"))
-
-
-def test_edges_csv_is_sorted():
-    graph = build_graph(graph_snapshots({"b": ["a"], "a": ["c"]}))
-    assert edges_csv(graph) == (
-        "org.fixture:a,org.fixture:c\n"
-        "org.fixture:b,org.fixture:a\n"
-    )
+    vectors = sweep_vectors([make_snapshot("q", manifests=manifests), make_snapshot("p")])
+    assert vectors[coord("p")].noc == 1
 
 
 # --------------------------------------------------------------------------
@@ -227,14 +224,4 @@ def test_edges_csv_is_sorted():
 def test_random_graphs_match_oracles():
     rng = random.Random(20260810)
     for _ in range(150):
-        edge_map = random_edge_map(rng)
-        nodes = [coord(n) for n in edge_map]
-        edges = [(coord(u), coord(v)) for u, targets in edge_map.items() for v in targets]
-        graph = build_graph(graph_snapshots(edge_map))
-        reach = oracle_reachability(nodes, edges)
-        for u in nodes:
-            assert scc_members(graph, u) == oracle_scc_members(nodes, reach, u)
-            assert condensation_depth(graph, u) == oracle_depth(nodes, edges, u)
-            assert reverse_dependents(graph, u) == {s for s, t in edges if t == u}
-            for v in nodes:
-                assert (graph.scc_id[u] == graph.scc_id[v]) == oracle_same_scc(reach, u, v)
+        assert_matches_oracles(random_edge_map(rng))

@@ -282,6 +282,14 @@ def test_orphan_history_row_warns(tmp_path):
     assert any("orphan history row" in w and "9.9" in w for w in corpus.warnings)
 
 
+def test_failed_release_with_a_history_row_is_not_an_orphan(tmp_path):
+    release_dir = write_failed_release(tmp_path, "org.fixture:p", "1.0")
+    (release_dir / "snapshot.json").write_text("{bad")
+    corpus = load_corpus(tmp_path, [ReleaseHistoryRow("org.fixture:p", "1.0", 100, 1)])
+    [failure] = corpus.failed[coord("p")]
+    assert corpus.warnings == [f"failed release org.fixture:p/1.0: {failure.reason}"]
+
+
 def test_releases_sorted_by_timestamp_then_version(tmp_path):
     # Created out of order on purpose; label "b" breaks the timestamp tie.
     write_release(tmp_path, make_snapshot("p", version="b", timestamp=100))
@@ -367,6 +375,25 @@ def test_pom_release_with_sidecar_files(tmp_path):
     assert snapshot.manifests[0].coordinate == ProjectCoordinate("g", "a")
     assert snapshot.api_surface.methods == {"A.f()V": frozenset({"A.g()V"})}
     assert snapshot.usage.referenced_coordinates == frozenset({ProjectCoordinate("x", "y")})
+
+
+def test_directory_named_pom_xml_is_not_a_manifest(tmp_path):
+    release_dir = tmp_path / "g:a" / "1.0"
+    (release_dir / "sub" / "pom.xml").mkdir(parents=True)
+    (release_dir / "pom.xml").write_text(
+        "<project><groupId>g</groupId><artifactId>a</artifactId><version>1.0</version></project>"
+    )
+    corpus = load_corpus(tmp_path, None)
+    assert corpus.failed[ProjectCoordinate("g", "a")] == []
+    [snapshot] = corpus.snapshots[ProjectCoordinate("g", "a")]
+    assert [m.coordinate.artifact for m in snapshot.manifests] == ["a"]
+
+
+def test_release_with_only_a_pom_xml_directory_fails(tmp_path):
+    (tmp_path / "g:a" / "1.0" / "pom.xml").mkdir(parents=True)
+    corpus = load_corpus(tmp_path, None)
+    assert corpus.snapshots[ProjectCoordinate("g", "a")] == []
+    assert corpus.failed[ProjectCoordinate("g", "a")] == [FailedRelease("1.0", "no snapshot.json or pom.xml")]
 
 
 def test_non_key_directory_is_skipped_with_warning(tmp_path):

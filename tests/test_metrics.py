@@ -1,99 +1,72 @@
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coord, graph_snapshots, make_manifest, make_snapshot
+from conftest import coord, graph_snapshots, make_manifest, make_snapshot, sweep_vectors
 
-from icmetrics.graph import GraphError, build_graph
-from icmetrics.metrics import (
-    compute_vector,
-    ic_cbo,
-    ic_dit,
-    ic_lcom1,
-    ic_noc,
-    ic_rfc,
-    ic_wmc,
-)
-from icmetrics.model import ApiSurface, UsageRecord
+from icmetrics.metrics import ic_lcom1, ic_rfc
+from icmetrics.model import ApiSurface, MetricVector, UsageRecord
+
+
+def _vector(edge_map, name):
+    return sweep_vectors(graph_snapshots(edge_map))[coord(name)]
 
 
 class TestWmc:
     def test_zero_dependency_project(self):
-        graph = build_graph([make_snapshot("p")])
-        assert ic_wmc(graph, coord("p")) == 0
+        assert sweep_vectors([make_snapshot("p")])[coord("p")].wmc == 0
 
     def test_modules_dedupe(self):
         manifests = (
             make_manifest("p", deps=["x"], submodules=["m2"]),
             make_manifest("m2", deps=["x", "y"]),
         )
-        graph = build_graph([make_snapshot("p", manifests=manifests)])
-        assert ic_wmc(graph, coord("p")) == 2
+        assert sweep_vectors([make_snapshot("p", manifests=manifests)])[coord("p")].wmc == 2
 
     def test_counts_corpus_members_and_stubs_alike(self):
-        graph = build_graph(graph_snapshots({"p": ["inside", "outside"], "inside": []}))
-        assert ic_wmc(graph, coord("p")) == 2
-
-    def test_non_corpus_project_rejected(self):
-        graph = build_graph(graph_snapshots({"p": ["stub"]}))
-        with pytest.raises(GraphError):
-            ic_wmc(graph, coord("stub"))
+        assert _vector({"p": ["inside", "outside"], "inside": []}, "p").wmc == 2
 
 
 class TestDit:
     def test_isolated(self):
-        graph = build_graph([make_snapshot("p")])
-        assert ic_dit(graph, coord("p")) == 0
+        assert sweep_vectors([make_snapshot("p")])[coord("p")].dit == 0
 
     def test_branching(self):
-        graph = build_graph(graph_snapshots({"a": ["b", "c"], "b": [], "c": ["d"], "d": []}))
-        assert ic_dit(graph, coord("a")) == 2
+        assert _vector({"a": ["b", "c"], "b": [], "c": ["d"], "d": []}, "a").dit == 2
 
     def test_cycle_with_tail(self):
-        graph = build_graph(graph_snapshots({"a": ["b"], "b": ["a", "c"], "c": []}))
-        assert ic_dit(graph, coord("a")) == 2
+        assert _vector({"a": ["b"], "b": ["a", "c"], "c": []}, "a").dit == 2
 
     def test_stub_contributes_one_level(self):
-        graph = build_graph(graph_snapshots({"p": ["ext"]}))
-        assert ic_dit(graph, coord("p")) == 1
+        assert _vector({"p": ["ext"]}, "p").dit == 1
 
 
 class TestNoc:
     def test_leaf(self):
-        graph = build_graph([make_snapshot("p")])
-        assert ic_noc(graph, coord("p")) == 0
+        assert sweep_vectors([make_snapshot("p")])[coord("p")].noc == 0
 
     def test_direct_dependents_only(self):
-        graph = build_graph(graph_snapshots({"q": ["p"], "r": ["p"], "s": ["q"], "p": []}))
-        assert ic_noc(graph, coord("p")) == 2
+        assert _vector({"q": ["p"], "r": ["p"], "s": ["q"], "p": []}, "p").noc == 2
 
     def test_multi_module_dependent_counts_once(self):
         manifests = (
             make_manifest("q", deps=["p"], submodules=["q2"]),
             make_manifest("q2", deps=["p"]),
         )
-        graph = build_graph([make_snapshot("q", manifests=manifests), make_snapshot("p")])
-        assert ic_noc(graph, coord("p")) == 1
-
-    def test_stub_can_be_queried(self):
-        graph = build_graph(graph_snapshots({"p": ["ext"], "q": ["ext"]}))
-        assert ic_noc(graph, coord("ext")) == 2
+        vectors = sweep_vectors([make_snapshot("q", manifests=manifests), make_snapshot("p")])
+        assert vectors[coord("p")].noc == 1
 
 
 class TestCbo:
     def test_acyclic_is_zero(self):
-        graph = build_graph(graph_snapshots({"a": ["b"], "b": []}))
-        assert ic_cbo(graph, coord("a")) == 0
+        assert _vector({"a": ["b"], "b": []}, "a").cbo == 0
 
     def test_two_cycle(self):
-        graph = build_graph(graph_snapshots({"a": ["b"], "b": ["a"]}))
-        assert ic_cbo(graph, coord("a")) == 1
+        assert _vector({"a": ["b"], "b": ["a"]}, "a").cbo == 1
 
     def test_three_cycle(self):
-        graph = build_graph(graph_snapshots({"a": ["b"], "b": ["c"], "c": ["a"]}))
-        assert ic_cbo(graph, coord("a")) == 2
+        assert _vector({"a": ["b"], "b": ["c"], "c": ["a"]}, "a").cbo == 2
 
 
 class TestRfc:
@@ -149,9 +122,10 @@ class TestLcom1:
 
 
 class TestComputeVector:
+    """The whole vector of a release, as build_series computes it."""
+
     def test_optionals_absent_without_inputs(self):
-        graph = build_graph([make_snapshot("p")])
-        vector = compute_vector(graph, make_snapshot("p"))
+        vector = sweep_vectors([make_snapshot("p")])[coord("p")]
         assert (vector.wmc, vector.dit, vector.noc, vector.cbo) == (0, 0, 0, 0)
         assert vector.rfc is None
         assert vector.lcom1 is None
@@ -161,20 +135,15 @@ class TestComputeVector:
         surface = ApiSurface({"f": frozenset({"x", "y"}), "g": frozenset({"y", "z"})})
         usage = UsageRecord(frozenset({coord("b")}))
         snapshot = make_snapshot("a", deps=["b", "ext"], api_surface=surface, usage=usage, loc=123)
-        graph = build_graph([snapshot, make_snapshot("b", deps=["a"])])
-        vector = compute_vector(graph, snapshot)
-        assert vector.wmc == ic_wmc(graph, coord("a")) == 2
-        assert vector.dit == ic_dit(graph, coord("a")) == 2
-        assert vector.noc == ic_noc(graph, coord("a")) == 1
-        assert vector.cbo == ic_cbo(graph, coord("a")) == 1
-        assert vector.rfc == 5
-        assert vector.lcom1 == 1  # ext declared but unused
-        assert vector.loc == 123
+        vector = sweep_vectors([snapshot, make_snapshot("b", deps=["a"])])[coord("a")]
+        assert vector.rfc == ic_rfc(surface)
+        assert vector.lcom1 == ic_lcom1({coord("b"), coord("ext")}, usage)
+        # ext declared but unused: LCOM1 1
+        assert vector == MetricVector(wmc=2, dit=2, noc=1, cbo=1, rfc=5, lcom1=1, loc=123)
 
     def test_repeated_calls_identical(self):
-        snapshot = make_snapshot("p", deps=["q"])
-        graph = build_graph([snapshot, make_snapshot("q")])
-        assert compute_vector(graph, snapshot) == compute_vector(graph, snapshot)
+        snapshots = [make_snapshot("p", deps=["q"]), make_snapshot("q")]
+        assert sweep_vectors(snapshots) == sweep_vectors(snapshots)
 
 
 # --------------------------------------------------------------------------
@@ -196,17 +165,15 @@ def _random_edge_map(rng, acyclic=False):
 def test_cbo_is_zero_on_every_random_dag():
     rng = random.Random(11)
     for _ in range(100):
-        graph = build_graph(graph_snapshots(_random_edge_map(rng, acyclic=True)))
-        for member in graph.corpus_members:
-            assert ic_cbo(graph, member) == 0
+        vectors = sweep_vectors(graph_snapshots(_random_edge_map(rng, acyclic=True)))
+        assert all(vector.cbo == 0 for vector in vectors.values())
 
 
 def test_wmc_zero_iff_dit_zero():
     rng = random.Random(12)
     for _ in range(100):
-        graph = build_graph(graph_snapshots(_random_edge_map(rng)))
-        for member in graph.corpus_members:
-            assert (ic_wmc(graph, member) == 0) == (ic_dit(graph, member) == 0)
+        for vector in sweep_vectors(graph_snapshots(_random_edge_map(rng))).values():
+            assert (vector.wmc == 0) == (vector.dit == 0)
 
 
 def test_handshake_identity():
@@ -214,9 +181,9 @@ def test_handshake_identity():
     for _ in range(100):
         edge_map = _random_edge_map(rng)
         edge_map["p"] = ["outside0", "outside1"]  # force some stubs
-        graph = build_graph(graph_snapshots(edge_map))
-        noc_total = sum(ic_noc(graph, member) for member in graph.corpus_members)
-        stub_in_edges = sum(
-            1 for _, target in graph.edges if target not in graph.corpus_members
-        )
-        assert noc_total + stub_in_edges == len(graph.edges)
+        vectors = sweep_vectors(graph_snapshots(edge_map))
+        edges = sum(len(targets) for targets in edge_map.values())
+        noc_total = sum(vector.noc for vector in vectors.values())
+        stub_in_edges = sum(1 for targets in edge_map.values() for target in targets if target not in edge_map)
+        assert noc_total + stub_in_edges == edges
+        assert sum(vector.wmc for vector in vectors.values()) == edges

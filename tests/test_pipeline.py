@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coord, make_corpus, make_manifest, make_snapshot
+from conftest import coord, make_corpus, make_manifest, make_snapshot, sweep_vectors
+from test_graph import oracle_depth, oracle_reachability, oracle_scc_members
 
-from icmetrics.graph import DEFAULT_SCOPE_FILTER, build_graph
-from icmetrics.metrics import compute_vector
-from icmetrics.model import ApiSurface, DependencyDecl, UsageRecord
+from icmetrics.graph import DEFAULT_SCOPE_FILTER
+from icmetrics.model import ApiSurface, DependencyDecl, MetricVector, UsageRecord
 from icmetrics.pipeline import (
     REJECT_MIN_VERSIONS,
     REJECT_PARSE_RATIO,
@@ -107,8 +107,8 @@ class TestBuildSeries:
         }
         corpus = make_corpus(snapshots)
         series = build_series(corpus)
-        graph = build_graph([snapshots["a"][0], snapshots["b"][0]])
-        assert series[coord("a")].releases[0].vector == compute_vector(graph, snapshots["a"][0])
+        expected = _oracle_vectors(corpus, DEFAULT_SCOPE_FILTER)[(coord("a"), "1.0")]
+        assert series[coord("a")].releases[0].vector == expected
 
     def test_graph_uses_other_projects_snapshot_at_or_before(self):
         # At a's t=100 release, b's state is its t=90 snapshot (one dep);
@@ -127,13 +127,6 @@ class TestBuildSeries:
         series = build_series(corpus)
         dits = [p.vector.dit for p in series[coord("a")].releases]
         assert dits == [2, 1]
-
-    def test_worker_count_does_not_change_results(self):
-        corpus = make_corpus({
-            "a": _release_run("a", 5, bugs=2),
-            "b": [make_snapshot("b", deps=["a"], version=f"{i}.0", timestamp=100 * (i + 1), bugs=1) for i in range(5)],
-        })
-        assert build_series(corpus, workers=1) == build_series(corpus, workers=8)
 
 
 PROJECT_NAMES = [f"p{i}" for i in range(5)]
@@ -192,20 +185,44 @@ def _corpora(draw):
     return make_corpus(projects, failed=failed)
 
 
+def _oracle_out_set(snapshot, scope_filter):
+    """Declared targets whose scope is not filtered, minus the project's
+    own coordinate and its manifests' and submodules' coordinates."""
+    own = {snapshot.coordinate}
+    declared = set()
+    for manifest in snapshot.manifests:
+        own.add(manifest.coordinate)
+        own.update(manifest.submodule_coordinates)
+        declared.update(d.target for d in manifest.declared_dependencies if d.scope not in scope_filter)
+    return declared - own
+
+
 def _oracle_vectors(corpus, scope_filter):
     """The ecosystem state per release by bisect (earliest snapshot when none
-    precede), then a full build_graph and compute_vector."""
+    precede), then every metric from that state's out-sets by brute force."""
     vectors = {}
     for coordinate, snapshots in corpus.snapshots.items():
         for release in snapshots:
-            chosen = [release]
+            state = {coordinate: release}
             for other, others in corpus.snapshots.items():
                 if other == coordinate or not others:
                     continue
                 index = bisect.bisect_right([s.timestamp for s in others], release.timestamp)
-                chosen.append(others[index - 1] if index else others[0])
-            graph = build_graph(chosen, scope_filter)
-            vectors[(coordinate, release.version_label)] = compute_vector(graph, release)
+                state[other] = others[index - 1] if index else others[0]
+            out = {member: _oracle_out_set(snapshot, scope_filter) for member, snapshot in state.items()}
+            nodes = set(out).union(*out.values())
+            edges = [(u, v) for u, targets in out.items() for v in targets]
+            reach = oracle_reachability(nodes, edges)
+            surface, usage = release.api_surface, release.usage
+            vectors[(coordinate, release.version_label)] = MetricVector(
+                wmc=len(out[coordinate]),
+                dit=oracle_depth(nodes, edges, coordinate, reach=reach),
+                noc=sum(coordinate in targets for targets in out.values()),
+                cbo=len(oracle_scc_members(nodes, reach, coordinate)) - 1,
+                rfc=None if surface is None else len(set(surface.methods).union(*surface.methods.values())),
+                lcom1=None if usage is None else len(out[coordinate] - usage.referenced_coordinates),
+                loc=release.loc,
+            )
     return vectors
 
 
@@ -277,10 +294,8 @@ def _series(name, metric_values, bug_values, rfc_values=None, loc_values=None):
             ),
             loc=None if loc_values is None else loc_values[i],
         )
-        graph = build_graph([snapshot])
-        points.append(
-            ReleasePoint(snapshot.version_label, snapshot.timestamp, bugs, compute_vector(graph, snapshot))
-        )
+        vector = sweep_vectors([snapshot])[snapshot.coordinate]
+        points.append(ReleasePoint(snapshot.version_label, snapshot.timestamp, bugs, vector))
     return ProjectSeries(coordinate=coord(name), releases=tuple(points))
 
 

@@ -1,10 +1,8 @@
 import json
 import math
 
-from conftest import coord, make_snapshot
+from conftest import coord, make_snapshot, sweep_vectors
 
-from icmetrics.graph import build_graph
-from icmetrics.metrics import compute_vector
 from icmetrics.pipeline import ProjectSeries, ReleasePoint, summarize_project
 from icmetrics.report import (
     COMBINED_HEADER,
@@ -30,8 +28,7 @@ NAN = float("nan")
 def _point(name, wmc_deps, bugs, version, timestamp, **kwargs):
     snapshot = make_snapshot(name, deps=[f"d{i}" for i in range(wmc_deps)],
                              version=version, timestamp=timestamp, bugs=bugs, **kwargs)
-    graph = build_graph([snapshot])
-    return ReleasePoint(version, timestamp, bugs, compute_vector(graph, snapshot))
+    return ReleasePoint(version, timestamp, bugs, sweep_vectors([snapshot])[snapshot.coordinate])
 
 
 def _toy_series(name="p"):
