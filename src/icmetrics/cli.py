@@ -7,6 +7,7 @@ flags. Warnings and progress go to stderr; report data goes to files only.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,6 +62,17 @@ def _comma_set(text: str) -> frozenset[str]:
     return frozenset(part.strip() for part in text.split(",") if part.strip())
 
 
+def _positive_float(text: str) -> float:
+    """An argparse type: a finite number greater than zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number greater than 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="icmetrics",
@@ -83,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = subparsers.add_parser("analyze", help="run the full correlation study over a corpus")
     add_corpus_flags(analyze, history_required=True)
-    analyze.add_argument("--activity-threshold", type=float, default=0.05, metavar="T",
+    analyze.add_argument("--activity-threshold", type=_positive_float, default=0.05, metavar="T",
                          help="releases-per-bug threshold for the low-activity partition (default: 0.05)")
     analyze.add_argument("--human", action="store_true",
                          help="also print aligned 2-decimal tables to stdout")

@@ -91,25 +91,46 @@ class Corpus:
 
 
 # Error paths are formatted only when a check fails: a hot check reads
-# ``_coordinate(value) or _coordinate_from_json(value, f"...")``.
+# ``_coordinate(value, shared) or _coordinate_from_json(value, f"...", shared)``.
+
+
+class _Shared:
+    """One object per distinct decoded value, for the life of one load.
+
+    Between releases most of a project's API surface and all of its
+    dependency coordinates stay the same; decoding them through these tables
+    keeps one copy of each method identity, callee set and coordinate
+    instead of one per release. Only equal immutable values are shared, and
+    each value is checked on the raw JSON before it is looked up.
+    """
+
+    __slots__ = ("names", "callees", "coordinates")
+
+    def __init__(self) -> None:
+        self.names: dict[str, str] = {}
+        self.callees: dict[frozenset[str], frozenset[str]] = {}
+        self.coordinates: dict[tuple[str, str], ProjectCoordinate] = {}
 
 
 def _fail(path: str, message: str) -> NoReturn:
     raise SnapshotFormatError(f"{path}: {message}")
 
 
-def _coordinate(value: Any) -> ProjectCoordinate | None:
+def _coordinate(value: Any, shared: _Shared) -> ProjectCoordinate | None:
     """The coordinate a JSON value names, or None when it names none."""
     if isinstance(value, dict):
         group, artifact = value.get("group"), value.get("artifact")
         if isinstance(group, str) and group and isinstance(artifact, str) and artifact:
-            return ProjectCoordinate(group, artifact)
+            coordinate = shared.coordinates.get((group, artifact))
+            if coordinate is None:
+                coordinate = shared.coordinates[group, artifact] = ProjectCoordinate(group, artifact)
+            return coordinate
     return None
 
 
-def _coordinate_from_json(value: Any, path: str) -> ProjectCoordinate:
+def _coordinate_from_json(value: Any, path: str, shared: _Shared) -> ProjectCoordinate:
     """``_coordinate``, raising SnapshotFormatError at ``path`` when it is None."""
-    coordinate = _coordinate(value)
+    coordinate = _coordinate(value, shared)
     if coordinate is None:
         if not isinstance(value, dict):
             _fail(path, "must be an object")
@@ -129,36 +150,42 @@ def _array(value: Any, path: str) -> list:
     return value
 
 
-def _api_surface_from_json(value: Any, path: str) -> ApiSurface | None:
+def _api_surface_from_json(value: Any, path: str, shared: _Shared) -> ApiSurface | None:
     """Decode an API surface, the ``api_surface`` field or api_surface.json."""
     if value is None:
         return None
     if not isinstance(value, dict):
         _fail(path, "must be an object or null")
+    names, callee_sets = shared.names, shared.callees
+    methods = {}
     for method, callees in value.items():
         if not (isinstance(callees, list) and all(map(isinstance, callees, repeat(str)))):
             _fail(f"{path}[{method!r}]", "must be an array of strings")
-    return ApiSurface(value)
+        callee_set = frozenset(callees)
+        methods[names.setdefault(method, method)] = callee_sets.setdefault(callee_set, callee_set)
+    # ApiSurface's frozenset() of an exact frozenset is that same object.
+    return ApiSurface(methods)
 
 
-def _usage_from_json(value: Any, path: str) -> UsageRecord | None:
+def _usage_from_json(value: Any, path: str, shared: _Shared) -> UsageRecord | None:
     """Decode a usage record, the ``usage`` field or usage.json."""
     if value is None:
         return None
     if not isinstance(value, list):
         _fail(path, "must be an array or null")
     return UsageRecord(frozenset(
-        _coordinate(item) or _coordinate_from_json(item, f"{path}[{i}]") for i, item in enumerate(value)
+        _coordinate(item, shared) or _coordinate_from_json(item, f"{path}[{i}]", shared)
+        for i, item in enumerate(value)
     ))
 
 
-def _manifest_from_json(item: Any, path: str) -> ProjectManifest:
-    coordinate = _coordinate_from_json(item, path)
+def _manifest_from_json(item: Any, path: str, shared: _Shared) -> ProjectManifest:
+    coordinate = _coordinate_from_json(item, path, shared)
     if not isinstance(item.get("version"), str):
         _fail(f"{path}.version", "must be a string")
     deps = []
     for j, dep in enumerate(_array(item.get("dependencies", []), f"{path}.dependencies")):
-        target = _coordinate(dep) or _coordinate_from_json(dep, f"{path}.dependencies[{j}]")
+        target = _coordinate(dep, shared) or _coordinate_from_json(dep, f"{path}.dependencies[{j}]", shared)
         version, scope = dep.get("version"), dep.get("scope")
         if not (version is None or isinstance(version, str)):
             _fail(f"{path}.dependencies[{j}].version", "must be a string or null")
@@ -166,7 +193,7 @@ def _manifest_from_json(item: Any, path: str) -> ProjectManifest:
             _fail(f"{path}.dependencies[{j}].scope", "must be a string or null")
         deps.append(DependencyDecl(target, version, scope))
     submodules = frozenset(
-        _coordinate(sub) or _coordinate_from_json(sub, f"{path}.submodules[{k}]")
+        _coordinate(sub, shared) or _coordinate_from_json(sub, f"{path}.submodules[{k}]", shared)
         for k, sub in enumerate(_array(item.get("submodules", []), f"{path}.submodules"))
     )
     return ProjectManifest(coordinate, item["version"], tuple(deps), submodules)
@@ -174,6 +201,11 @@ def _manifest_from_json(item: Any, path: str) -> ProjectManifest:
 
 def parse_snapshot_json(text: str) -> ReleaseSnapshot:
     """Decode one snapshot.json document; the result always validates clean."""
+    return _snapshot_from_json(text, _Shared())
+
+
+def _snapshot_from_json(text: str, shared: _Shared) -> ReleaseSnapshot:
+    """``parse_snapshot_json``, sharing equal values through ``shared``."""
     try:
         raw = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -181,7 +213,7 @@ def parse_snapshot_json(text: str) -> ReleaseSnapshot:
     if not isinstance(raw, dict):
         _fail(".", "document root must be an object")
 
-    coordinate = _coordinate_from_json(raw.get("project"), ".project")
+    coordinate = _coordinate_from_json(raw.get("project"), ".project", shared)
     if not (isinstance(raw.get("version"), str) and raw["version"]):
         _fail(".version", "must be a non-empty string")
     if not (isinstance(raw.get("timestamp"), int) and not isinstance(raw.get("timestamp"), bool)):
@@ -190,10 +222,11 @@ def parse_snapshot_json(text: str) -> ReleaseSnapshot:
     manifests_raw = raw.get("manifests")
     if not (isinstance(manifests_raw, list) and manifests_raw):
         _fail(".manifests", "must be a non-empty array")
-    manifests = tuple(_manifest_from_json(item, f".manifests[{i}]") for i, item in enumerate(manifests_raw))
+    manifests = tuple(_manifest_from_json(item, f".manifests[{i}]", shared)
+                      for i, item in enumerate(manifests_raw))
 
-    api_surface = _api_surface_from_json(raw.get("api_surface"), ".api_surface")
-    usage = _usage_from_json(raw.get("usage"), ".usage")
+    api_surface = _api_surface_from_json(raw.get("api_surface"), ".api_surface", shared)
+    usage = _usage_from_json(raw.get("usage"), ".usage", shared)
 
     loc = raw.get("loc")
     if loc is not None and not _is_count(loc):
@@ -422,8 +455,14 @@ def _read_sidecar(entry: os.DirEntry[str]) -> Any:
         raise SnapshotFormatError(f"{entry.name}: invalid JSON: {exc}") from None
 
 
+def _read_bytes(path: str) -> bytes:
+    # Not Path.read_bytes: a Path interns every component of the path it is given.
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
 def _load_pom_release(release_dir: os.DirEntry[str], loc_suffixes: tuple[str, ...],
-                      warnings: list[str]) -> ReleaseSnapshot | None:
+                      warnings: list[str], shared: _Shared) -> ReleaseSnapshot | None:
     """Assemble a snapshot from pom.xml files plus optional sidecar files.
 
     One walk of the release directory finds the manifests (every pom.xml,
@@ -446,15 +485,15 @@ def _load_pom_release(release_dir: os.DirEntry[str], loc_suffixes: tuple[str, ..
     if not pom_paths:
         return None
 
-    manifests = tuple(parse_pom(Path(path).read_bytes()) for _, path in sorted(pom_paths))
+    manifests = tuple(parse_pom(_read_bytes(path)) for _, path in sorted(pom_paths))
 
     api_surface = usage = loc = None
     surface_entry = top.get("api_surface.json")
     if surface_entry is not None and _is_file(surface_entry):
-        api_surface = _api_surface_from_json(_read_sidecar(surface_entry), surface_entry.name)
+        api_surface = _api_surface_from_json(_read_sidecar(surface_entry), surface_entry.name, shared)
     usage_entry = top.get("usage.json")
     if usage_entry is not None and _is_file(usage_entry):
-        usage = _usage_from_json(_read_sidecar(usage_entry), usage_entry.name)
+        usage = _usage_from_json(_read_sidecar(usage_entry), usage_entry.name, shared)
 
     src_entry = top.get("src")
     if src_entry is not None and _is_dir(src_entry):
@@ -490,6 +529,7 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
         history_index[(row.project_key, row.version_label)] = row
 
     corpus = Corpus()
+    shared = _Shared()
     loc_suffixes = tuple(loc_extensions)
     seen_releases: set[tuple[str, str]] = set()
 
@@ -511,9 +551,9 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
             try:
                 from_json = os.path.isfile(snapshot_path)
                 if from_json:
-                    snapshot = parse_snapshot_json(_read_utf8(snapshot_path, "."))
+                    snapshot = _snapshot_from_json(_read_utf8(snapshot_path, "."), shared)
                 else:
-                    snapshot = _load_pom_release(release_dir, loc_suffixes, corpus.warnings)
+                    snapshot = _load_pom_release(release_dir, loc_suffixes, corpus.warnings, shared)
                 if snapshot is None:
                     raise _RejectedRelease("no snapshot.json or pom.xml")
                 if snapshot.coordinate != coordinate:

@@ -9,6 +9,7 @@ baseline so every project clears the non-zero-bugs selection criterion.
 
 from __future__ import annotations
 
+import math
 import random
 from pathlib import Path
 
@@ -33,6 +34,10 @@ def synth_ecosystem(out_dir: Path, seed: int, n_projects: int, n_releases: int,
         raise ValueError(f"need at least 2 projects, got {n_projects}")
     if n_releases < 3:
         raise ValueError(f"need at least 3 releases, got {n_releases}")
+    if not math.isfinite(coupling):
+        raise ValueError(f"coupling must be finite, got {coupling}")
+    if not math.isfinite(noise):
+        raise ValueError(f"noise must be finite, got {noise}")
     if noise < 0:
         raise ValueError(f"noise must be non-negative, got {noise}")
 

@@ -201,3 +201,24 @@ def test_series_filename_clash_fails_before_writing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: series file name clash: a:b_c and a_b:c both map to series_a_b_c.csv" in err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("threshold", ["0", "-1", "nan", "inf"])
+def test_activity_threshold_must_be_finite_and_positive(tmp_path, capsys, threshold):
+    corpus, history, _, _ = _write_fixture_corpus(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze", "--corpus", str(corpus), "--history", str(history), "--out", str(out),
+              "--activity-threshold", threshold])
+    assert excinfo.value.code == 2
+    assert "argument --activity-threshold: must be a finite number greater than 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--coupling", "inf"], ["--coupling", "nan"],
+                                   ["--noise", "inf"], ["--noise", "nan"]])
+def test_synth_non_finite_input_fails_before_writing(tmp_path, capsys, flags):
+    rc = main(["synth", "--out", str(tmp_path / "out"), "--projects", "2", "--releases", "3", *flags])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {flags[0][2:]} must be finite, got {flags[1]}\n"
+    assert not (tmp_path / "out").exists()

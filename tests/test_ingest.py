@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import string
 import tempfile
@@ -629,3 +630,125 @@ def test_release_walk_follows_the_rglob_rules(tmp_path):
     assert snapshot.loc == 6
     assert [m.coordinate.artifact for m in linked.manifests] == ["a"]
     assert linked.loc == 6
+
+
+# --------------------------------------------------------------------------
+# equal values decoded once per load
+
+_SHARED_SURFACE = {"org.fixture.P.run()V": ["org.fixture.P.step()V"], "org.fixture.P.step()V": []}
+
+
+def _release_with_shared_values(corpus_root, version, timestamp):
+    deps = [DependencyDecl(ProjectCoordinate("org.dep", "lib"), "1.0")]
+    surface = ApiSurface({m: frozenset(c) for m, c in _SHARED_SURFACE.items()})
+    write_release(corpus_root, make_snapshot("p", deps, version=version, timestamp=timestamp, api_surface=surface))
+
+
+def _surface_entry(snapshot, method):
+    """The (key, callees) objects a snapshot's API surface holds for ``method``."""
+    return next((key, callees) for key, callees in snapshot.api_surface.methods.items() if key == method)
+
+
+def _dependency(snapshot):
+    return snapshot.manifests[0].declared_dependencies[0].target
+
+
+def test_one_load_shares_equal_values_across_releases(tmp_path):
+    _release_with_shared_values(tmp_path, "1.0", 100)
+    _release_with_shared_values(tmp_path, "2.0", 200)
+    # A pom release's api_surface.json goes through the same tables.
+    release_dir = tmp_path / "org.fixture:p" / "3.0"
+    release_dir.mkdir()
+    (release_dir / "pom.xml").write_text(
+        "<project><groupId>org.fixture</groupId><artifactId>p</artifactId><version>3.0</version>"
+        "<dependencies><dependency><groupId>org.dep</groupId><artifactId>lib</artifactId>"
+        "</dependency></dependencies></project>"
+    )
+    (release_dir / "api_surface.json").write_text(json.dumps(_SHARED_SURFACE))
+
+    corpus = load_corpus(tmp_path, None)
+    assert corpus.failed[coord("p")] == []
+    by_version = {snapshot.version_label: snapshot for snapshot in corpus.snapshots[coord("p")]}
+    first, second, from_pom = by_version["1.0"], by_version["2.0"], by_version["3.0"]
+    for other in (second, from_pom):
+        for method in _SHARED_SURFACE:
+            key, callees = _surface_entry(first, method)
+            other_key, other_callees = _surface_entry(other, method)
+            assert other_key is key
+            assert other_callees is callees
+    # parse_pom builds its coordinates itself; only the JSON decoders share them.
+    assert _dependency(second) is _dependency(first)
+    assert second.coordinate is first.coordinate
+
+
+def test_separate_loads_share_no_decoded_object(tmp_path):
+    _release_with_shared_values(tmp_path, "1.0", 100)
+    [one] = load_corpus(tmp_path, None).snapshots[coord("p")]
+    [two] = load_corpus(tmp_path, None).snapshots[coord("p")]
+    text = (tmp_path / "org.fixture:p" / "1.0" / "snapshot.json").read_text()
+    three, four = parse_snapshot_json(text), parse_snapshot_json(text)
+    for a, b in ((one, two), (three, four)):
+        assert a == b
+        key, callees = _surface_entry(a, "org.fixture.P.run()V")
+        other_key, other_callees = _surface_entry(b, "org.fixture.P.run()V")
+        assert other_key is not key
+        assert other_callees is not callees
+        assert _dependency(b) is not _dependency(a)
+        assert b.coordinate is not a.coordinate
+
+
+# Small pools, so that releases repeat method identities, callee sets and
+# coordinates, and a table keyed on less than the whole value would mix
+# two of them up.
+_POOL_METHODS = ["p.A.f()V", "p.A.g()V", "q.B.h()V", "q.B.k()V"]
+_POOL_COORDINATES = [ProjectCoordinate(group, artifact) for group in ("g1", "g2") for artifact in ("x", "y")]
+_pool_coordinates = st.sampled_from(_POOL_COORDINATES)
+_pool_methods = st.sampled_from(_POOL_METHODS)
+
+
+@st.composite
+def _pooled_release(draw, project, version):
+    deps = draw(st.lists(st.builds(DependencyDecl, _pool_coordinates, st.none() | st.sampled_from(["1.0", "2.0"]),
+                                   st.none() | st.sampled_from(["compile", "test"])), max_size=3))
+    submodules = draw(st.frozensets(_pool_coordinates, max_size=2)) - {project}
+    surface = draw(st.none() | st.builds(
+        ApiSurface, st.dictionaries(_pool_methods, st.frozensets(_pool_methods, max_size=3), max_size=4)))
+    return ReleaseSnapshot(
+        coordinate=project,
+        version_label=version,
+        timestamp=draw(st.integers(0, 3)),
+        manifests=(ProjectManifest(project, version, tuple(deps), submodules),),
+        api_surface=surface,
+        usage=draw(st.none() | st.builds(UsageRecord, st.frozensets(_pool_coordinates, max_size=3))),
+        loc=draw(st.none() | st.integers(0, 50)),
+    )
+
+
+@st.composite
+def _pooled_corpora(draw):
+    projects = draw(st.lists(_pool_coordinates, min_size=1, max_size=2, unique=True))
+    return [draw(_pooled_release(project, version))
+            for project in projects for version in ("1", "2", "3")[:draw(st.integers(1, 3))]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pooled_corpora(), st.lists(st.integers(0, 9), min_size=6, max_size=6))
+def test_shared_load_equals_per_file_decode(releases, bugs):
+    history = [ReleaseHistoryRow(s.coordinate.key(), s.version_label, s.timestamp, b)
+               for s, b in zip(releases, bugs)]
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        expected = {}
+        for snapshot, row in zip(releases, history):
+            text = encode_snapshot(snapshot)
+            release_dir = root / row.project_key / row.version_label
+            release_dir.mkdir(parents=True)
+            (release_dir / "snapshot.json").write_text(text, encoding="utf-8")
+            decoded = dataclasses.replace(parse_snapshot_json(text), bugs_fixed=row.bugs_fixed)
+            expected.setdefault(snapshot.coordinate, []).append(decoded)
+        corpus = load_corpus(root, history)
+
+    for snapshots in expected.values():
+        snapshots.sort(key=lambda s: (s.timestamp, s.version_label))
+    assert corpus.warnings == []
+    assert corpus.snapshots == expected

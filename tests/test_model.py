@@ -4,6 +4,7 @@ import pytest
 from conftest import coord, make_manifest, make_snapshot
 
 from icmetrics.model import (
+    ApiSurface,
     DependencyDecl,
     ProjectCoordinate,
     ReleaseSnapshot,
@@ -32,6 +33,12 @@ class TestProjectCoordinate:
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             coord("x").group = "other"
+
+
+def test_api_surface_keeps_an_exact_frozenset_object():
+    # Shared callee sets stay shared: frozenset() of an exact frozenset is that object.
+    callees = frozenset({"A.g()V"})
+    assert ApiSurface({"A.f()V": callees}).methods["A.f()V"] is callees
 
 
 class TestValidateSnapshot:

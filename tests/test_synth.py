@@ -45,6 +45,14 @@ def test_invalid_sizes_rejected(tmp_path):
         synth_ecosystem(tmp_path, seed=0, n_projects=3, n_releases=5, coupling=1.0, noise=-1.0)
 
 
+@pytest.mark.parametrize("coupling, noise", [(float("inf"), 0.5), (float("-inf"), 0.5), (float("nan"), 0.5),
+                                             (1.0, float("inf")), (1.0, float("nan"))])
+def test_non_finite_coupling_or_noise_rejected_before_writing(tmp_path, coupling, noise):
+    with pytest.raises(ValueError, match="must be finite"):
+        synth_ecosystem(tmp_path / "out", seed=0, n_projects=3, n_releases=5, coupling=coupling, noise=noise)
+    assert not (tmp_path / "out").exists()
+
+
 def test_planted_coupling_is_recovered(tmp_path):
     corpus_dir, history_path = synth_ecosystem(
         tmp_path, seed=0, n_projects=10, n_releases=20, coupling=2.0, noise=0.1
