@@ -7,14 +7,12 @@ flags. Warnings and progress go to stderr; report data goes to files only.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from .graph import DEFAULT_SCOPE_FILTER
 from .ingest import (
-    DEFAULT_LOC_EXTENSIONS,
     Corpus,
     CorpusError,
     HistoryFormatError,
@@ -41,25 +39,12 @@ from .report import (
 from .synth import synth_ecosystem
 
 
-@dataclass
-class RunConfig:
-    command: str
-    corpus: Path | None = None
-    history: Path | None = None
-    out: Path | None = None
-    scope_filter: frozenset[str] = DEFAULT_SCOPE_FILTER
-    loc_extensions: frozenset[str] = DEFAULT_LOC_EXTENSIONS
-    activity_threshold: float = 0.05
-    human: bool = False
-    seed: int = 0
-    n_projects: int = 10
-    n_releases: int = 20
-    coupling: float = 1.0
-    noise: float = 1.0
-
-
 def _comma_set(text: str) -> frozenset[str]:
     return frozenset(part.strip() for part in text.split(",") if part.strip())
+
+
+def _path(text: str) -> Path:
+    return Path(text).resolve()
 
 
 def _positive_float(text: str) -> float:
@@ -82,13 +67,13 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     def add_corpus_flags(sub: argparse.ArgumentParser, history_required: bool) -> None:
-        sub.add_argument("--corpus", required=True, metavar="DIR", help="corpus root directory")
+        sub.add_argument("--corpus", type=_path, required=True, metavar="DIR", help="corpus root directory")
         sub.add_argument("--history", required=history_required, metavar="FILE",
                          help="releases.csv with project,version,timestamp,bugs_fixed")
-        sub.add_argument("--out", required=True, metavar="DIR", help="output directory (created if absent)")
-        sub.add_argument("--exclude-scopes", default="test,provided", metavar="SCOPES",
+        sub.add_argument("--out", type=_path, required=True, metavar="DIR", help="output directory (created if absent)")
+        sub.add_argument("--exclude-scopes", type=_comma_set, default="test,provided", metavar="SCOPES",
                          help="comma-separated dependency scopes to ignore (default: test,provided)")
-        sub.add_argument("--loc-ext", default=".java", metavar="EXTS",
+        sub.add_argument("--loc-ext", type=_comma_set, default=".java", metavar="EXTS",
                          help="comma-separated source suffixes for LOC counting (default: .java)")
         sub.add_argument("--workers", type=int, default=1, metavar="N",
                          help="accepted for compatibility; has no effect")
@@ -104,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_corpus_flags(metrics, history_required=False)
 
     synth = subparsers.add_parser("synth", help="generate a seeded synthetic corpus + history")
-    synth.add_argument("--out", required=True, metavar="DIR", help="output directory (created if absent)")
+    synth.add_argument("--out", type=_path, required=True, metavar="DIR", help="output directory (created if absent)")
     synth.add_argument("--seed", type=int, default=0, metavar="N")
     synth.add_argument("--projects", type=int, default=10, metavar="N")
     synth.add_argument("--releases", type=int, default=20, metavar="N")
@@ -114,27 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="standard deviation of the bug-count noise")
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    if args.command in ("analyze", "metrics"):
-        config.corpus = Path(args.corpus).resolve()
-        config.history = Path(args.history).resolve() if args.history else None
-        config.out = Path(args.out).resolve()
-        config.scope_filter = _comma_set(args.exclude_scopes)
-        config.loc_extensions = _comma_set(args.loc_ext)
-        if args.command == "analyze":
-            config.activity_threshold = args.activity_threshold
-            config.human = args.human
-    else:
-        config.out = Path(args.out).resolve()
-        config.seed = args.seed
-        config.n_projects = args.projects
-        config.n_releases = args.releases
-        config.coupling = args.coupling
-        config.noise = args.noise
-    return config
 
 
 def _warn(message: str) -> None:
@@ -150,11 +114,14 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _load_inputs(config: RunConfig) -> Corpus:
+def _load_inputs(args: argparse.Namespace) -> Corpus:
     history = None
-    if config.history is not None:
-        history = load_release_history(config.history.read_text(encoding="utf-8"))
-    corpus = load_corpus(config.corpus, history, config.loc_extensions)
+    if args.history:
+        history = load_release_history(_path(args.history).read_text(encoding="utf-8"))
+    corpus = load_corpus(args.corpus, history, args.loc_ext)
+    # The corpus is immutable and lives until exit; keep the cyclic GC
+    # from rescanning it on every older-generation pass.
+    gc.freeze()
     for message in corpus.warnings:
         _warn(message)
     return corpus
@@ -164,15 +131,15 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="")
 
 
-def cmd_analyze(config: RunConfig) -> int:
+def cmd_analyze(args: argparse.Namespace) -> int:
     try:
-        corpus = _load_inputs(config)
-        config.out.mkdir(parents=True, exist_ok=True)
+        corpus = _load_inputs(args)
+        args.out.mkdir(parents=True, exist_ok=True)
     except (OSError, HistoryFormatError, CorpusError) as exc:
         return _fail(str(exc))
 
     vector_errors: list[str] = []
-    series_map = build_series(corpus, config.scope_filter, vector_errors)
+    series_map = build_series(corpus, args.exclude_scopes, vector_errors)
     for message in vector_errors:
         _warn(message)
 
@@ -195,55 +162,54 @@ def cmd_analyze(config: RunConfig) -> int:
     pooled = correlate_pooled(selected_series)
 
     try:
-        _write(config.out / "combined.csv", emit_combined_table(pooled))
+        _write(args.out / "combined.csv", emit_combined_table(pooled))
         _write(
-            config.out / "per_project.csv",
+            args.out / "per_project.csv",
             emit_per_project_table(
                 (summary.coordinate.key(), summary.correlations) for summary in summaries
             ),
         )
-        _write(config.out / "summaries.csv", emit_summaries_table(summaries))
+        _write(args.out / "summaries.csv", emit_summaries_table(summaries))
         for series in selected_series:
-            _write(config.out / series_filename(series), emit_series_csv(series))
+            _write(args.out / series_filename(series), emit_series_csv(series))
     except OSError as exc:
         return _fail(str(exc))
 
-    low_activity, _ = classify_activity(summaries, config.activity_threshold)
+    low_activity, _ = classify_activity(summaries, args.activity_threshold)
     if low_activity:
         keys = ", ".join(summary.coordinate.key() for summary in low_activity)
-        _info(f"low-activity projects (activity < {config.activity_threshold}): {keys}")
+        _info(f"low-activity projects (activity < {args.activity_threshold}): {keys}")
 
-    if config.human:
+    if args.human:
         sys.stdout.write(render_combined_human(pooled))
         sys.stdout.write("\n")
         sys.stdout.write(render_summaries_human(summaries))
     return 0
 
 
-def cmd_metrics(config: RunConfig) -> int:
+def cmd_metrics(args: argparse.Namespace) -> int:
     try:
-        corpus = _load_inputs(config)
-        config.out.mkdir(parents=True, exist_ok=True)
+        corpus = _load_inputs(args)
+        args.out.mkdir(parents=True, exist_ok=True)
     except (OSError, HistoryFormatError, CorpusError) as exc:
         return _fail(str(exc))
 
     vector_errors: list[str] = []
-    series_map = build_series(corpus, config.scope_filter, vector_errors)
+    series_map = build_series(corpus, args.exclude_scopes, vector_errors)
     for message in vector_errors:
         _warn(message)
 
     try:
-        _write(config.out / "metrics.jsonl", emit_metrics_jsonl(series_map.values()))
+        _write(args.out / "metrics.jsonl", emit_metrics_jsonl(series_map.values()))
     except OSError as exc:
         return _fail(str(exc))
     return 0
 
 
-def cmd_synth(config: RunConfig) -> int:
+def cmd_synth(args: argparse.Namespace) -> int:
     try:
         corpus_dir, history_path = synth_ecosystem(
-            config.out, config.seed, config.n_projects, config.n_releases,
-            config.coupling, config.noise,
+            args.out, args.seed, args.projects, args.releases, args.coupling, args.noise,
         )
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
@@ -253,12 +219,11 @@ def cmd_synth(config: RunConfig) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = _config_from_args(args)
-    if config.command == "analyze":
-        return cmd_analyze(config)
-    if config.command == "metrics":
-        return cmd_metrics(config)
-    return cmd_synth(config)
+    if args.command == "analyze":
+        return cmd_analyze(args)
+    if args.command == "metrics":
+        return cmd_metrics(args)
+    return cmd_synth(args)
 
 
 def run() -> None:

@@ -4,7 +4,10 @@ Nodes are project coordinates; one snapshot per corpus project contributes
 its deduplicated dependency targets as outgoing edges. Dependency targets
 not present in the corpus become stub leaf nodes without outgoing edges.
 The graph itself lives in ``pipeline.build_series``, which keeps it up to
-date over time and computes each release's vector from it.
+date over time, memoizes each node's DIT chain and component size, and
+drops only the memos of a changed node and of the nodes that reach it.
+``strongly_connected_components`` is run on a memo miss, over the nodes
+whose values are not memoized.
 """
 
 from __future__ import annotations

@@ -253,7 +253,8 @@ def _snapshot_from_json(text: str, shared: _Shared) -> ReleaseSnapshot:
 
 
 def encode_snapshot(snapshot: ReleaseSnapshot) -> str:
-    """Inverse of parse_snapshot_json (round-trips field-by-field)."""
+    """Inverse of parse_snapshot_json (round-trips field-by-field). Compact
+    separators let json use its C encoder."""
     doc: dict[str, Any] = {
         "project": {"group": snapshot.coordinate.group, "artifact": snapshot.coordinate.artifact},
         "version": snapshot.version_label,
@@ -296,7 +297,7 @@ def encode_snapshot(snapshot: ReleaseSnapshot) -> str:
     }
     if snapshot.bugs_fixed:
         doc["bugs_fixed"] = snapshot.bugs_fixed
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from operator import itemgetter
 from .graph import DEFAULT_SCOPE_FILTER, effective_targets, strongly_connected_components
 from .ingest import Corpus
 from .metrics import METRIC_ORDER, ic_lcom1, ic_rfc, vector_value
-from .model import MetricVector, ProjectCoordinate, ReleaseSnapshot
+from .model import MetricVector, ProjectCoordinate
 from .stats import CorrelationResult, activity_ratio, correlate, median
 
 MIN_RELEASES = 10
@@ -85,28 +85,67 @@ def build_series(corpus: Corpus,
     adjacency over dense node ids, and computes only the released project's
     vector.
 
+    The sweep memoizes each node's chain (DIT + 1, as a sum of component
+    sizes) and component size. A node's values depend only on what it
+    reaches, so a changed out-set drops the memo of the node and of every
+    cached node that reaches it, and nothing else. Measuring a release is
+    a memo lookup; a miss runs Tarjan from the node over uncached nodes
+    only. NOC is the size of the node's reverse adjacency.
+
     A release whose vector cannot be computed is left out of its series,
     and "<key>/<version>: <reason>" is appended to `errors`, in
     (coordinate, list) order.
     """
     scope_filter = frozenset(scope_filter)
     ids: dict[ProjectCoordinate, int] = {}
-    out: list[tuple[int, ...]] = []  # current out-set per node id; stubs stay empty
-    noc: list[int] = []  # corpus projects whose current out-set holds the node
+    # Current out-set per node id, sorted so that equal sets compare equal;
+    # stubs stay empty.
+    out: list[tuple[int, ...]] = []
+    preds: list[set[int]] = []  # corpus projects whose current out-set holds the node
+    chain: list[int] = []  # memo: DIT + 1; 0 when not cached
+    size: list[int] = []  # memo: component size, valid where chain is cached
 
     def node_id(coordinate: ProjectCoordinate) -> int:
-        if coordinate not in ids:
-            ids[coordinate] = len(out)
+        node = ids.get(coordinate)
+        if node is None:
+            node = ids[coordinate] = len(out)
             out.append(())
-            noc.append(0)
-        return ids[coordinate]
+            preds.append(set())
+            chain.append(0)
+            size.append(0)
+        return node
 
     def apply(node: int, targets: tuple[int, ...]) -> None:
+        if targets == out[node]:
+            return
         for target in out[node]:
-            noc[target] -= 1
-        out[node] = targets
+            preds[target].remove(node)
         for target in targets:
-            noc[target] += 1
+            preds[target].add(node)
+        out[node] = targets
+        # Cached nodes are closed under successors, so no cached node
+        # reaches an uncached one and the walk stops there.
+        stack = [node]
+        while stack:
+            member = stack.pop()
+            if chain[member]:
+                chain[member] = 0
+                stack.extend(preds[member])
+
+    def uncached(node: int) -> list[int]:
+        return [target for target in out[node] if not chain[target]]
+
+    def measure(node: int) -> tuple[int, int]:
+        """(DIT, CBO) of the node in the current state. Tarjan emits each
+        component after those it points into, so its chain folds over set
+        values (cached or just emitted); its own members still read 0."""
+        if not chain[node]:
+            for component in strongly_connected_components((node,), uncached):
+                value = len(component) + max((chain[t] for m in component for t in out[m]), default=0)
+                for member in component:
+                    chain[member] = value
+                    size[member] = len(component)
+        return chain[node] - 1, size[node] - 1
 
     # Each snapshot's out-set is computed once; a project's initial state is
     # its earliest snapshot.
@@ -122,21 +161,36 @@ def build_series(corpus: Corpus,
             except Exception as exc:  # recorded, never fatal for the run
                 outcomes[coordinate][index] = f"{coordinate.key()}/{snapshot.version_label}: {exc}"
                 continue
-            target_ids = tuple(map(node_id, targets))
+            target_ids = tuple(sorted(map(node_id, targets)))
             if index == 0:
                 apply(node, target_ids)
-            events.append((snapshot.timestamp, coordinate, index, snapshot, targets, target_ids))
+            events.append((snapshot.timestamp, coordinate, node, index, snapshot, targets, target_ids))
     events.sort(key=itemgetter(0))  # stable: ties keep (coordinate, list) order
 
-    # At each timestamp every snapshot is applied first, so the last of a
-    # project's ties wins, as bisect_right on the timestamps would choose.
+    # At each timestamp every project's last tie is applied first, as
+    # bisect_right on the timestamps would choose. An earlier tie stands in
+    # for it only while the tie itself is measured.
     for _, group in groupby(events, key=itemgetter(0)):
         group = list(group)
-        for _, coordinate, _, _, _, target_ids in group:
-            apply(ids[coordinate], target_ids)
-        for _, coordinate, index, snapshot, targets, target_ids in group:
+        applied = {node: target_ids for _, _, node, _, _, _, target_ids in group}
+        for node, target_ids in applied.items():
+            apply(node, target_ids)
+        for _, coordinate, node, index, snapshot, targets, target_ids in group:
             try:
-                vector = _release_vector(snapshot, ids[coordinate], targets, target_ids, out, noc)
+                apply(node, target_ids)
+                try:
+                    dit, cbo = measure(node)
+                finally:
+                    apply(node, applied[node])
+                vector = MetricVector(
+                    wmc=len(targets),
+                    dit=dit,
+                    noc=len(preds[node]),
+                    cbo=cbo,
+                    rfc=None if snapshot.api_surface is None else ic_rfc(snapshot.api_surface),
+                    lcom1=None if snapshot.usage is None else ic_lcom1(targets, snapshot.usage),
+                    loc=snapshot.loc,
+                )
             except Exception as exc:  # recorded, never fatal for the run
                 outcomes[coordinate][index] = f"{coordinate.key()}/{snapshot.version_label}: {exc}"
                 continue
@@ -161,39 +215,6 @@ def build_series(corpus: Corpus,
             failed_release_count=len(corpus.failed.get(coordinate, [])),
         )
     return series
-
-
-def _release_vector(snapshot: ReleaseSnapshot, node: int, targets: frozenset[ProjectCoordinate],
-                    target_ids: tuple[int, ...], out: list[tuple[int, ...]], noc: list[int]) -> MetricVector:
-    """The release's vector, with its own out-set standing in for its
-    project's current one in `out`.
-
-    CBO and DIT come from one Tarjan pass over what the release reaches:
-    its component is the last one emitted, and each component's longest
-    chain (as a sum of component sizes) folds in emit order over the
-    components it points into, which were all emitted before it.
-    """
-    current = out[node]
-    out[node] = target_ids
-    try:
-        components = strongly_connected_components((node,), out.__getitem__)
-        chain: dict[int, int] = {}
-        for component in components:
-            members = set(component)
-            tail = max((chain[t] for m in component for t in out[m] if t not in members), default=0)
-            for member in component:
-                chain[member] = len(component) + tail
-    finally:
-        out[node] = current
-    return MetricVector(
-        wmc=len(targets),
-        dit=chain[node] - 1,
-        noc=noc[node],
-        cbo=len(components[-1]) - 1,
-        rfc=None if snapshot.api_surface is None else ic_rfc(snapshot.api_surface),
-        lcom1=None if snapshot.usage is None else ic_lcom1(targets, snapshot.usage),
-        loc=snapshot.loc,
-    )
 
 
 def correlate_project(series: ProjectSeries) -> list[CorrelationResult]:

@@ -21,6 +21,9 @@ EXTERNAL_GROUP = "ext.vendor"
 
 _EPOCH = 1_577_836_800  # 2020-01-01T00:00:00Z
 _DAY = 86_400
+# random.gauss returns cos(a) * sqrt(-2 ln(1 - u)) with 1 - u >= 2**-53,
+# so no standard draw exceeds 8.6 in magnitude.
+_GAUSS_BOUND = 9.0
 
 
 def synth_ecosystem(out_dir: Path, seed: int, n_projects: int, n_releases: int,
@@ -40,6 +43,11 @@ def synth_ecosystem(out_dir: Path, seed: int, n_projects: int, n_releases: int,
         raise ValueError(f"noise must be finite, got {noise}")
     if noise < 0:
         raise ValueError(f"noise must be non-negative, got {noise}")
+    # Every bug count is baseline (<= 5) + coupling * method count + a
+    # scaled Gaussian draw; bound each term so no release overflows.
+    max_methods = 8 + 5 * (n_releases - 1) + 2
+    if not math.isfinite(5 + abs(coupling) * max_methods + noise * _GAUSS_BOUND):
+        raise ValueError(f"coupling {coupling} and noise {noise} overflow the bug counts")
 
     out_dir = Path(out_dir)
     corpus_dir = out_dir / "corpus"

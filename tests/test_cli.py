@@ -222,3 +222,13 @@ def test_synth_non_finite_input_fails_before_writing(tmp_path, capsys, flags):
     assert rc == 1
     assert capsys.readouterr().err == f"error: {flags[0][2:]} must be finite, got {flags[1]}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags", [["--coupling", "1e308"], ["--coupling=-1e308"], ["--noise", "1e308"]])
+def test_synth_overflowing_input_fails_before_writing(tmp_path, capsys, flags):
+    rc = main(["synth", "--out", str(tmp_path / "out"), "--projects", "2", "--releases", "3", *flags])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("overflow the bug counts\n")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

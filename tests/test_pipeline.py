@@ -264,6 +264,52 @@ class TestSweepMatchesOracle:
         assert (b1.vector.wmc, b1.vector.noc, b1.vector.cbo) == (0, 1, 0)
         assert (b2.vector.wmc, b2.vector.cbo) == (1, 2)
 
+    def test_low_out_set_change_reaches_untouched_ancestor(self):
+        # Only c changes (t=200); a and b keep their out-sets, yet a's next
+        # release sees the longer chain a->b->c->d.
+        corpus = make_corpus({
+            "a": [make_snapshot("a", deps=["b"], version="1.0", timestamp=100),
+                  make_snapshot("a", deps=["b"], version="2.0", timestamp=300)],
+            "b": [make_snapshot("b", deps=["c"], version="1.0", timestamp=50)],
+            "c": [make_snapshot("c", version="1.0", timestamp=0),
+                  make_snapshot("c", deps=["d"], version="2.0", timestamp=200)],
+            "d": [make_snapshot("d", version="1.0", timestamp=0)],
+        })
+        series = build_series(corpus)
+        assert [p.vector.dit for p in series[coord("a")].releases] == [2, 3]
+        assert [p.vector.dit for p in series[coord("c")].releases] == [0, 1]
+        _assert_matches_oracle(corpus, series)
+
+    def test_cycle_closed_then_opened_again(self):
+        # b's t=200 release closes a->b->a; its t=400 release opens it.
+        corpus = make_corpus({
+            "a": [make_snapshot("a", deps=["b"], version=f"{i}.0", timestamp=t)
+                  for i, t in enumerate((100, 300, 500))],
+            "b": [make_snapshot("b", version="1.0", timestamp=0),
+                  make_snapshot("b", deps=["a"], version="2.0", timestamp=200),
+                  make_snapshot("b", version="3.0", timestamp=400)],
+        })
+        series = build_series(corpus)
+        assert [(p.vector.cbo, p.vector.dit) for p in series[coord("a")].releases] == [(0, 1), (1, 1), (0, 1)]
+        assert [(p.vector.cbo, p.vector.noc) for p in series[coord("b")].releases] == [(0, 1), (1, 1), (0, 1)]
+        _assert_matches_oracle(corpus, series)
+
+    def test_tie_inside_a_cycle_is_measured_then_undone(self):
+        # b 1.0 and b 2.0 tie at t=100. b 1.0 closes a->b->a only for its
+        # own measurement; b 2.0 (the applied tie) and a's later release
+        # see b->c.
+        corpus = make_corpus({
+            "a": [make_snapshot("a", deps=["b"], version="1.0", timestamp=100),
+                  make_snapshot("a", deps=["b"], version="2.0", timestamp=200)],
+            "b": [make_snapshot("b", deps=["a"], version="1.0", timestamp=100),
+                  make_snapshot("b", deps=["c"], version="2.0", timestamp=100)],
+            "c": [make_snapshot("c", version="1.0", timestamp=0)],
+        })
+        series = build_series(corpus)
+        assert [(p.vector.cbo, p.vector.dit) for p in series[coord("a")].releases] == [(0, 2), (0, 2)]
+        assert [(p.vector.cbo, p.vector.dit) for p in series[coord("b")].releases] == [(1, 1), (0, 1)]
+        _assert_matches_oracle(corpus, series)
+
     def test_failing_release_is_reported_not_fatal(self):
         class Broken:
             coordinate = coord("b")
@@ -278,6 +324,11 @@ class TestSweepMatchesOracle:
         assert len(errors) == 1 and errors[0].startswith("org.fixture:b/9.9: ")
         assert len(series[coord("a")].releases) == 2
         assert len(series[coord("b")].releases) == 2
+
+
+def _assert_matches_oracle(corpus, series):
+    got = {(c, p.version_label): p.vector for c, project in series.items() for p in project.releases}
+    assert got == _oracle_vectors(corpus, DEFAULT_SCOPE_FILTER)
 
 
 def _series(name, metric_values, bug_values, rfc_values=None, loc_values=None):

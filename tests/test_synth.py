@@ -53,6 +53,19 @@ def test_non_finite_coupling_or_noise_rejected_before_writing(tmp_path, coupling
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("coupling, noise", [(1e308, 0.5), (-1e307, 0.5), (1.0, 1e308), (5e306, 1e307)])
+def test_overflowing_coupling_or_noise_rejected_before_writing(tmp_path, coupling, noise):
+    with pytest.raises(ValueError, match="overflow the bug counts"):
+        synth_ecosystem(tmp_path / "out", seed=0, n_projects=3, n_releases=5, coupling=coupling, noise=noise)
+    assert not (tmp_path / "out").exists()
+
+
+def test_large_finite_coupling_and_noise_still_write(tmp_path):
+    synth_ecosystem(tmp_path / "out", seed=0, n_projects=2, n_releases=3, coupling=1e300, noise=1e300)
+    rows = (tmp_path / "out" / "releases.csv").read_text().splitlines()[1:]
+    assert len(rows) == 6 and all(int(row.rsplit(",", 1)[1]) >= 0 for row in rows)
+
+
 def test_planted_coupling_is_recovered(tmp_path):
     corpus_dir, history_path = synth_ecosystem(
         tmp_path, seed=0, n_projects=10, n_releases=20, coupling=2.0, noise=0.1
