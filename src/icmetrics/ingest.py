@@ -37,6 +37,7 @@ from .model import (
     ProjectCoordinate,
     ProjectManifest,
     ReleaseSnapshot,
+    SharedValues,
     UsageRecord,
     validate_snapshot,
 )
@@ -94,22 +95,32 @@ class Corpus:
 # ``_coordinate(value, shared) or _coordinate_from_json(value, f"...", shared)``.
 
 
-class _Shared:
+class _Shared(SharedValues):
     """One object per distinct decoded value, for the life of one load.
 
     Between releases most of a project's API surface and all of its
-    dependency coordinates stay the same; decoding them through these tables
-    keeps one copy of each method identity, callee set and coordinate
-    instead of one per release. Only equal immutable values are shared, and
-    each value is checked on the raw JSON before it is looked up.
+    dependencies stay the same; decoding them through these tables keeps
+    one copy of each value instead of one per release, and checks an
+    API-surface entry again only when its raw callee list changed. The
+    tables:
+
+    - ``coordinates`` and ``dependencies`` (from SharedValues): each
+      ``ProjectCoordinate`` and ``DependencyDecl`` of the JSON decoders and
+      of ``parse_pom``;
+    - ``methods``: per method identity, the shared identity, the raw JSON
+      callee list last checked for it and that list's shared callee set;
+    - ``callees``: each distinct callee set.
+
+    Only equal immutable values are shared, and each value is checked on the
+    raw JSON before it is stored.
     """
 
-    __slots__ = ("names", "callees", "coordinates")
+    __slots__ = ("methods", "callees")
 
     def __init__(self) -> None:
-        self.names: dict[str, str] = {}
+        super().__init__()
+        self.methods: dict[str, tuple[str, list[str], frozenset[str]]] = {}
         self.callees: dict[frozenset[str], frozenset[str]] = {}
-        self.coordinates: dict[tuple[str, str], ProjectCoordinate] = {}
 
 
 def _fail(path: str, message: str) -> NoReturn:
@@ -121,10 +132,7 @@ def _coordinate(value: Any, shared: _Shared) -> ProjectCoordinate | None:
     if isinstance(value, dict):
         group, artifact = value.get("group"), value.get("artifact")
         if isinstance(group, str) and group and isinstance(artifact, str) and artifact:
-            coordinate = shared.coordinates.get((group, artifact))
-            if coordinate is None:
-                coordinate = shared.coordinates[group, artifact] = ProjectCoordinate(group, artifact)
-            return coordinate
+            return shared.coordinate(group, artifact)
     return None
 
 
@@ -156,13 +164,20 @@ def _api_surface_from_json(value: Any, path: str, shared: _Shared) -> ApiSurface
         return None
     if not isinstance(value, dict):
         _fail(path, "must be an object or null")
-    names, callee_sets = shared.names, shared.callees
+    memo, callee_sets = shared.methods, shared.callees
     methods = {}
     for method, callees in value.items():
-        if not (isinstance(callees, list) and all(map(isinstance, callees, repeat(str)))):
-            _fail(f"{path}[{method!r}]", "must be an array of strings")
-        callee_set = frozenset(callees)
-        methods[names.setdefault(method, method)] = callee_sets.setdefault(callee_set, callee_set)
+        entry = memo.get(method)
+        # No JSON value but a str equals a str, so a list equal to the one
+        # last checked for this method is a list of strings too.
+        if entry is None or entry[1] != callees:
+            if not (isinstance(callees, list) and all(map(isinstance, callees, repeat(str)))):
+                _fail(f"{path}[{method!r}]", "must be an array of strings")
+            callee_set = frozenset(callees)
+            callee_set = callee_sets.setdefault(callee_set, callee_set)
+            key = method if entry is None else entry[0]
+            entry = memo[key] = (key, callees, callee_set)
+        methods[entry[0]] = entry[2]
     # ApiSurface's frozenset() of an exact frozenset is that same object.
     return ApiSurface(methods)
 
@@ -179,24 +194,43 @@ def _usage_from_json(value: Any, path: str, shared: _Shared) -> UsageRecord | No
     ))
 
 
+def _dependency(value: Any, shared: _Shared) -> DependencyDecl | None:
+    """The dependency a JSON value declares, or None when it is not one."""
+    if isinstance(value, dict):
+        group, artifact = value.get("group"), value.get("artifact")
+        version, scope = value.get("version"), value.get("scope")
+        if (isinstance(group, str) and group and isinstance(artifact, str) and artifact
+                and (version is None or isinstance(version, str))
+                and (scope is None or isinstance(scope, str))):
+            return shared.dependency(group, artifact, version, scope)
+    return None
+
+
+def _dependency_from_json(value: Any, path: str, shared: _Shared) -> DependencyDecl:
+    """``_dependency``, raising SnapshotFormatError at ``path`` when it is None."""
+    dependency = _dependency(value, shared)
+    if dependency is None:
+        _coordinate_from_json(value, path, shared)
+        version = value.get("version")
+        if not (version is None or isinstance(version, str)):
+            _fail(f"{path}.version", "must be a string or null")
+        _fail(f"{path}.scope", "must be a string or null")
+    return dependency
+
+
 def _manifest_from_json(item: Any, path: str, shared: _Shared) -> ProjectManifest:
     coordinate = _coordinate_from_json(item, path, shared)
     if not isinstance(item.get("version"), str):
         _fail(f"{path}.version", "must be a string")
-    deps = []
-    for j, dep in enumerate(_array(item.get("dependencies", []), f"{path}.dependencies")):
-        target = _coordinate(dep, shared) or _coordinate_from_json(dep, f"{path}.dependencies[{j}]", shared)
-        version, scope = dep.get("version"), dep.get("scope")
-        if not (version is None or isinstance(version, str)):
-            _fail(f"{path}.dependencies[{j}].version", "must be a string or null")
-        if not (scope is None or isinstance(scope, str)):
-            _fail(f"{path}.dependencies[{j}].scope", "must be a string or null")
-        deps.append(DependencyDecl(target, version, scope))
+    deps = tuple(
+        _dependency(dep, shared) or _dependency_from_json(dep, f"{path}.dependencies[{j}]", shared)
+        for j, dep in enumerate(_array(item.get("dependencies", []), f"{path}.dependencies"))
+    )
     submodules = frozenset(
         _coordinate(sub, shared) or _coordinate_from_json(sub, f"{path}.submodules[{k}]", shared)
         for k, sub in enumerate(_array(item.get("submodules", []), f"{path}.submodules"))
     )
-    return ProjectManifest(coordinate, item["version"], tuple(deps), submodules)
+    return ProjectManifest(coordinate, item["version"], deps, submodules)
 
 
 def parse_snapshot_json(text: str) -> ReleaseSnapshot:
@@ -351,6 +385,7 @@ def load_release_history(csv_text: str) -> list[ReleaseHistoryRow]:
 
 
 _NAME = attrgetter("name")
+_READ_CHUNK = 1 << 16
 
 
 def _walk(top: str) -> list[tuple[int, os.DirEntry[str]]]:
@@ -388,6 +423,23 @@ def _is_dir(entry: os.DirEntry[str]) -> bool:
     return Path(entry.path).is_dir() if entry.is_symlink() else entry.is_dir()
 
 
+def _read(path: str) -> bytes:
+    """The whole content of the file at ``path``; every corpus file is read here.
+
+    os.open, fstat and read cost about half of ``open(path, "rb").read()``
+    and a third of ``Path(path).read_bytes()``, which also interns every
+    component of the path. A failed open names ``path`` as ``open``'s does.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        data = os.read(fd, os.fstat(fd).st_size + 1)
+        while chunk := os.read(fd, _READ_CHUNK):  # the file grew since fstat
+            data += chunk
+    finally:
+        os.close(fd)
+    return data
+
+
 def _count_lines(entries: Iterable[os.DirEntry[str]], warnings: list[str] | None) -> int:
     """Sum the lines of the files among ``entries``.
 
@@ -401,7 +453,7 @@ def _count_lines(entries: Iterable[os.DirEntry[str]], warnings: list[str] | None
             continue
         path = entry.path
         try:
-            data = Path(path).read_bytes()
+            data = _read(path)
         except OSError as exc:
             if warnings is not None:
                 warnings.append(f"unreadable file counted as 0 lines: {path} ({exc})")
@@ -438,11 +490,17 @@ def _subdirs(directory: str | os.PathLike[str]) -> list[os.DirEntry[str]]:
 
 
 def _read_utf8(path: str, where: str) -> str:
+    """The file's text as ``open(path, encoding="utf-8").read()`` gives it.
+
+    Decoded in one piece, so an invalid-UTF-8 reason names the same byte
+    position, and with universal newlines, so JSON error positions stay
+    those of text mode.
+    """
     try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
+        text = _read(path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SnapshotFormatError(f"{where}: invalid UTF-8: {exc}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _read_sidecar(entry: os.DirEntry[str]) -> Any:
@@ -454,12 +512,6 @@ def _read_sidecar(entry: os.DirEntry[str]) -> Any:
         return json.loads(_read_utf8(entry.path, entry.name))
     except RecursionError as exc:
         raise SnapshotFormatError(f"{entry.name}: invalid JSON: {exc}") from None
-
-
-def _read_bytes(path: str) -> bytes:
-    # Not Path.read_bytes: a Path interns every component of the path it is given.
-    with open(path, "rb") as handle:
-        return handle.read()
 
 
 def _load_pom_release(release_dir: os.DirEntry[str], loc_suffixes: tuple[str, ...],
@@ -486,7 +538,7 @@ def _load_pom_release(release_dir: os.DirEntry[str], loc_suffixes: tuple[str, ..
     if not pom_paths:
         return None
 
-    manifests = tuple(parse_pom(_read_bytes(path)) for _, path in sorted(pom_paths))
+    manifests = tuple(parse_pom(_read(path), shared) for _, path in sorted(pom_paths))
 
     api_surface = usage = loc = None
     surface_entry = top.get("api_surface.json")

@@ -35,10 +35,8 @@ def vector_value(vector: MetricVector, metric_name: str) -> int | None:
 
 def ic_rfc(surface: ApiSurface) -> int:
     """Size of (public method identities) union (all first-step callees)."""
-    identities = set(surface.methods)
-    for callees in surface.methods.values():
-        identities.update(callees)
-    return len(identities)
+    methods = surface.methods
+    return len(set(methods).union(*methods.values()))
 
 
 def ic_lcom1(manifest_deps: frozenset[ProjectCoordinate] | set[ProjectCoordinate],

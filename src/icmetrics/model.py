@@ -2,12 +2,14 @@
 
 Construction never raises; ``validate_snapshot`` reports rule violations as
 plain strings so corpus loading can keep going and record failures instead
-of aborting.
+of aborting. ``SharedValues`` lets the decoders of one corpus load hand out
+one object per distinct coordinate and dependency declaration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Mapping
 
 
@@ -36,6 +38,36 @@ class DependencyDecl:
     target: ProjectCoordinate
     version_text: str | None = None
     scope: str | None = None
+
+
+class SharedValues:
+    """One object per distinct coordinate and dependency declaration.
+
+    Decoders given the same instance return the same object for equal
+    values, so a corpus load holds each value once however many manifests
+    repeat it. The tables only grow; they live as long as the instance.
+    """
+
+    __slots__ = ("coordinates", "dependencies")
+
+    def __init__(self) -> None:
+        self.coordinates: dict[tuple[str, str], ProjectCoordinate] = {}
+        self.dependencies: dict[tuple[str, str, str | None, str | None], DependencyDecl] = {}
+
+    def coordinate(self, group: str, artifact: str) -> ProjectCoordinate:
+        coordinate = self.coordinates.get((group, artifact))
+        if coordinate is None:
+            coordinate = self.coordinates[group, artifact] = ProjectCoordinate(group, artifact)
+        return coordinate
+
+    def dependency(self, group: str, artifact: str, version_text: str | None,
+                   scope: str | None) -> DependencyDecl:
+        key = (group, artifact, version_text, scope)
+        dependency = self.dependencies.get(key)
+        if dependency is None:
+            dependency = self.dependencies[key] = DependencyDecl(
+                self.coordinate(group, artifact), version_text, scope)
+        return dependency
 
 
 @dataclass(frozen=True)
@@ -120,6 +152,20 @@ def _check_coordinate(coordinate: ProjectCoordinate, path: str, out: list[str]) 
             out.append(f"{path}.{name}: must not contain whitespace")
 
 
+_TARGET = attrgetter("target")
+
+
+def _is_valid(coordinate: ProjectCoordinate) -> bool:
+    """True when ``_check_coordinate`` reports nothing for ``coordinate``.
+
+    The success path of ``validate_snapshot`` asks only this, so that it
+    formats no path string.
+    """
+    group, artifact = coordinate.group, coordinate.artifact
+    return (isinstance(group, str) and group.split() == [group]
+            and isinstance(artifact, str) and artifact.split() == [artifact])
+
+
 def validate_snapshot(snapshot: ReleaseSnapshot) -> list[str]:
     """Check every type invariant of a snapshot; return violations as data.
 
@@ -127,7 +173,9 @@ def validate_snapshot(snapshot: ReleaseSnapshot) -> list[str]:
     function of the snapshot (deterministic ordering).
     """
     violations: list[str] = []
-    _check_coordinate(snapshot.coordinate, "coordinate", violations)
+    project = snapshot.coordinate
+    if not _is_valid(project):
+        _check_coordinate(project, "coordinate", violations)
 
     if not isinstance(snapshot.timestamp, int):
         violations.append("timestamp: must be an integer (UTC seconds)")
@@ -141,27 +189,36 @@ def validate_snapshot(snapshot: ReleaseSnapshot) -> list[str]:
 
     # Coordinates a manifest is allowed to carry: the project itself plus
     # the union of every manifest's declared submodules (nested modules are
-    # covered because their declaring manifest is in the same list).
-    allowed = {snapshot.coordinate}
-    for manifest in snapshot.manifests:
-        allowed.update(manifest.submodule_coordinates)
+    # covered because their declaring manifest is in the same list). Built
+    # only for a manifest that is not the project's own coordinate object.
+    allowed: set[ProjectCoordinate] | None = None
 
+    # Each check below appends only for a value that fails it, so a path is
+    # formatted, and a set sorted, only when there is a violation to report.
     for i, manifest in enumerate(snapshot.manifests):
-        path = f"manifests[{i}]"
-        _check_coordinate(manifest.coordinate, f"{path}.coordinate", violations)
-        if manifest.coordinate in manifest.submodule_coordinates:
-            violations.append(f"{path}.submodule_coordinates: manifest lists itself as a submodule")
-        if manifest.coordinate not in allowed:
-            violations.append(
-                f"{path}.coordinate: {manifest.coordinate.key()} is neither the project"
-                " coordinate nor a declared submodule"
-            )
-        for sub in sorted(manifest.submodule_coordinates):
-            _check_coordinate(sub, f"{path}.submodule[{sub.key()}]", violations)
-        for j, dep in enumerate(manifest.declared_dependencies):
-            _check_coordinate(dep.target, f"{path}.dependencies[{j}].target", violations)
+        coordinate, submodules = manifest.coordinate, manifest.submodule_coordinates
+        if not _is_valid(coordinate):
+            _check_coordinate(coordinate, f"manifests[{i}].coordinate", violations)
+        if submodules and coordinate in submodules:
+            violations.append(f"manifests[{i}].submodule_coordinates: manifest lists itself as a submodule")
+        if coordinate is not project:
+            if allowed is None:
+                allowed = {project}.union(*(m.submodule_coordinates for m in snapshot.manifests))
+            if coordinate not in allowed:
+                violations.append(
+                    f"manifests[{i}].coordinate: {coordinate.key()} is neither the project"
+                    " coordinate nor a declared submodule"
+                )
+        if submodules and not all(map(_is_valid, submodules)):
+            for sub in sorted(submodules):
+                _check_coordinate(sub, f"manifests[{i}].submodule[{sub.key()}]", violations)
+        dependencies = manifest.declared_dependencies
+        if not all(map(_is_valid, map(_TARGET, dependencies))):
+            for j, dep in enumerate(dependencies):
+                if not _is_valid(dep.target):
+                    _check_coordinate(dep.target, f"manifests[{i}].dependencies[{j}].target", violations)
 
-    if snapshot.usage is not None:
+    if snapshot.usage is not None and not all(map(_is_valid, snapshot.usage.referenced_coordinates)):
         for ref in sorted(snapshot.usage.referenced_coordinates):
             _check_coordinate(ref, f"usage[{ref.key()}]", violations)
 

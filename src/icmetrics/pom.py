@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 
-from .model import DependencyDecl, ProjectCoordinate, ProjectManifest
+from .model import DependencyDecl, ProjectCoordinate, ProjectManifest, SharedValues
 
 _PROPERTY_RE = re.compile(r"\$\{([^}]+)\}")
 _MAX_INTERPOLATION_ROUNDS = 10
@@ -58,8 +58,9 @@ def _children(element: ET.Element | None) -> dict[str, ET.Element]:
     """Map each local child name to the first child of that name."""
     if element is None:
         return {}
-    # Reversed, so that the first child of a name is the one kept.
-    return {_local(node.tag): node for node in reversed(element)}
+    # Reversed, so that the first child of a name is the one kept; _local
+    # inlined, as this runs for every child of every element read.
+    return {node.tag.rpartition("}")[2]: node for node in reversed(element)}
 
 
 def _text(children: dict[str, ET.Element], name: str) -> str | None:
@@ -86,16 +87,18 @@ def _interpolate(text: str, properties: dict[str, str]) -> str:
     raise UnresolvedPropertyError(match.group(1) if match else text)
 
 
-def parse_pom(xml: bytes | str) -> ProjectManifest:
+def parse_pom(xml: bytes | str, _shared: SharedValues | None = None) -> ProjectManifest:
     """Parse one pom.xml document into a ProjectManifest.
 
     Pass the file's bytes, so that the parser decodes them as the XML
     declaration says (UTF-8 when there is none); ``str`` input is parsed
-    as already decoded text.
+    as already decoded text. ``_shared`` is for ``ingest.load_corpus``: its
+    coordinates and dependency declarations are shared by the whole load.
 
     Raises PomSyntaxError, PomEncodingError, IncompleteCoordinatesError or
     UnresolvedPropertyError; never returns a partial manifest.
     """
+    shared = SharedValues() if _shared is None else _shared
     try:
         root = ET.fromstring(xml)
     except ET.ParseError as exc:
@@ -132,7 +135,6 @@ def parse_pom(xml: bytes | str) -> ProjectManifest:
     artifact = _interpolate(artifact, properties)
     version = _interpolate(version, properties)
 
-    properties = dict(properties)
     properties.setdefault("project.groupId", group)
     properties.setdefault("project.artifactId", artifact)
     properties.setdefault("project.version", version)
@@ -150,26 +152,22 @@ def parse_pom(xml: bytes | str) -> ProjectManifest:
                 )
             dep_version = _text(fields, "version")
             dep_scope = _text(fields, "scope")
-            dependencies.append(
-                DependencyDecl(
-                    target=ProjectCoordinate(
-                        _interpolate(dep_group, properties),
-                        _interpolate(dep_artifact, properties),
-                    ),
-                    version_text=None if dep_version is None else _interpolate(dep_version, properties),
-                    scope=None if dep_scope is None else _interpolate(dep_scope, properties),
-                )
-            )
+            dependencies.append(shared.dependency(
+                _interpolate(dep_group, properties),
+                _interpolate(dep_artifact, properties),
+                None if dep_version is None else _interpolate(dep_version, properties),
+                None if dep_scope is None else _interpolate(dep_scope, properties),
+            ))
 
     submodules: set[ProjectCoordinate] = set()
     modules_node = top.get("modules")
     if modules_node is not None:
         for node in modules_node:
             if _local(node.tag) == "module" and node.text and node.text.strip():
-                submodules.add(ProjectCoordinate(group, _interpolate(node.text.strip(), properties)))
+                submodules.add(shared.coordinate(group, _interpolate(node.text.strip(), properties)))
 
     return ProjectManifest(
-        coordinate=ProjectCoordinate(group, artifact),
+        coordinate=shared.coordinate(group, artifact),
         version_text=version,
         declared_dependencies=tuple(dependencies),
         submodule_coordinates=frozenset(submodules),

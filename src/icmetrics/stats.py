@@ -17,6 +17,10 @@ NAN = float("nan")
 _BETACF_TOL = 1e-14
 _BETACF_MAX_ITER = 300
 _TINY = 1e-300
+# Below this magnitude no sum of squared deviations, nor the product of two
+# such sums, can overflow: with |v| <= 2**200, sxx <= n * 2**402, and
+# sxx * syy < 2**1024 for any n < 2**110.
+_SAFE_MAGNITUDE = 2.0 ** 200
 
 
 @dataclass(frozen=True)
@@ -33,6 +37,21 @@ class CorrelationResult:
     n: int
 
 
+def _in_safe_range(values: Sequence[float]) -> Sequence[float]:
+    """``values``, scaled by a power of two when their squares could overflow.
+
+    r does not change when a series is scaled, and scaling by a power of two
+    is exact (short of values that underflow), so a scaled series gets the r
+    it would get in a wider float; a series within the safe range is
+    returned as it is and keeps every bit of its r.
+    """
+    peak = max(map(abs, values))
+    if peak <= _SAFE_MAGNITUDE:
+        return values
+    shift = math.frexp(peak)[1]  # the scaled peak lies in [0.5, 1)
+    return [math.ldexp(v, -shift) for v in values]
+
+
 def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample Pearson correlation; NaN on zero variance or n < 3."""
     if len(xs) != len(ys):
@@ -44,6 +63,7 @@ def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
     # rounded mean differs from the common value by an ulp.
     if all(x == xs[0] for x in xs) or all(y == ys[0] for y in ys):
         return NAN
+    xs, ys = _in_safe_range(xs), _in_safe_range(ys)
     mean_x = math.fsum(xs) / n
     mean_y = math.fsum(ys) / n
     sxx = math.fsum((x - mean_x) ** 2 for x in xs)

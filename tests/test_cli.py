@@ -167,6 +167,18 @@ def test_synth_analyze_round_trip_has_no_warnings(tmp_path, capsys):
     assert len(combined.splitlines()) == 8  # all seven metrics present
 
 
+def test_huge_finite_bug_counts_analyze_without_a_traceback(tmp_path, capsys):
+    # Bug counts near 1e302: squaring their deviations overflows a float.
+    rc = main(["synth", "--out", str(tmp_path), "--coupling", "1e300", "--projects", "2", "--releases", "11"])
+    assert rc == 0
+    rc = main(["analyze", "--corpus", str(tmp_path / "corpus"), "--history", str(tmp_path / "releases.csv"),
+               "--out", str(tmp_path / "report")])
+    assert rc == 0
+    assert "Traceback" not in capsys.readouterr().err
+    combined = (tmp_path / "report" / "combined.csv").read_text()
+    assert len(combined.splitlines()) == 8
+
+
 def test_exclude_scopes_flag_changes_the_graph(tmp_path):
     from icmetrics.model import DependencyDecl
     from conftest import coord

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import coord, make_manifest, make_snapshot, write_failed_release, write_release
 
+from icmetrics import ingest
 from icmetrics.ingest import (
     FailedRelease,
     HistoryFormatError,
@@ -213,14 +214,14 @@ def test_count_loc_unreadable_file_warns_and_counts_zero(tmp_path, monkeypatch):
     (tmp_path / "A.java").write_text("a\nb\n")
     (tmp_path / "B.java").write_text("c\n")
 
-    real_read_bytes = type(tmp_path).read_bytes
+    real_read = ingest._read
 
-    def flaky(self):
-        if self.name == "B.java":
+    def flaky(path):
+        if Path(path).name == "B.java":
             raise OSError("simulated i/o failure")
-        return real_read_bytes(self)
+        return real_read(path)
 
-    monkeypatch.setattr(type(tmp_path), "read_bytes", flaky)
+    monkeypatch.setattr(ingest, "_read", flaky)
     warnings: list[str] = []
     assert count_loc(tmp_path, {".java"}, warnings) == 2
     assert len(warnings) == 1 and "B.java" in warnings[0]
@@ -676,9 +677,11 @@ def test_one_load_shares_equal_values_across_releases(tmp_path):
             other_key, other_callees = _surface_entry(other, method)
             assert other_key is key
             assert other_callees is callees
-    # parse_pom builds its coordinates itself; only the JSON decoders share them.
     assert _dependency(second) is _dependency(first)
     assert second.coordinate is first.coordinate
+    # parse_pom goes through the load's coordinate table too.
+    assert _dependency(from_pom) is _dependency(first)
+    assert from_pom.coordinate is first.coordinate
 
 
 def test_separate_loads_share_no_decoded_object(tmp_path):
@@ -695,6 +698,95 @@ def test_separate_loads_share_no_decoded_object(tmp_path):
         assert other_callees is not callees
         assert _dependency(b) is not _dependency(a)
         assert b.coordinate is not a.coordinate
+
+
+def _write_pom_release(corpus_root, version):
+    release_dir = corpus_root / "g:a" / version
+    (release_dir / "core").mkdir(parents=True)
+    (release_dir / "pom.xml").write_text(
+        f"<project><groupId>g</groupId><artifactId>a</artifactId><version>{version}</version>"
+        "<modules><module>core</module></modules>"
+        "<dependencies><dependency><groupId>x</groupId><artifactId>y</artifactId><version>2</version>"
+        "</dependency></dependencies></project>"
+    )
+    (release_dir / "core" / "pom.xml").write_text(
+        f"<project><parent><groupId>g</groupId><artifactId>a</artifactId><version>{version}</version></parent>"
+        "<artifactId>core</artifactId><dependencies><dependency><groupId>x</groupId><artifactId>y</artifactId>"
+        "<version>2</version></dependency></dependencies></project>"
+    )
+
+
+def _pom_values(snapshot):
+    """Every coordinate and dependency object of a snapshot's manifests."""
+    root, core = snapshot.manifests
+    [submodule] = root.submodule_coordinates
+    return [root.coordinate, submodule, core.coordinate, *root.declared_dependencies,
+            *core.declared_dependencies, root.declared_dependencies[0].target]
+
+
+def test_pom_releases_share_coordinates_and_dependencies_within_one_load_only(tmp_path):
+    _write_pom_release(tmp_path, "1.0")
+    _write_pom_release(tmp_path, "2.0")
+    first, second = load_corpus(tmp_path, None).snapshots[ProjectCoordinate("g", "a")]
+    [again, _] = load_corpus(tmp_path, None).snapshots[ProjectCoordinate("g", "a")]
+    values, later, other_load = _pom_values(first), _pom_values(second), _pom_values(again)
+    assert values == later == other_load
+    # Within one load, equal values are one object, across manifests and releases.
+    assert values[1] is values[2]
+    assert values[3] is values[4]
+    for value, repeated in zip(values, later):
+        assert repeated is value
+    for value, unshared in zip(values, other_load):
+        assert unshared is not value
+
+
+_FIRST_SURFACE = {"p.A.f()V": ["p.A.g()V"], "p.A.g()V": []}
+# Later releases repeat p.A.f()V with its callee list changed.
+_CHANGED_CALLEES = {
+    "not a list": "p.A.g()V",
+    "a list holding an int": ["p.A.g()V", 1],
+    "an extra callee": ["p.A.g()V", "p.A.h()V"],
+}
+
+
+def _write_surface_release(corpus_root, version, surface, as_pom):
+    release_dir = corpus_root / "org.fixture:p" / version
+    release_dir.mkdir(parents=True)
+    if as_pom:
+        (release_dir / "pom.xml").write_text(
+            f"<project><groupId>org.fixture</groupId><artifactId>p</artifactId><version>{version}</version></project>")
+        (release_dir / "api_surface.json").write_text(json.dumps(surface))
+        return None
+    doc = json.loads(encode_snapshot(make_snapshot("p", version=version, timestamp=100 * int(version[0]))))
+    doc["api_surface"] = surface
+    text = json.dumps(doc)
+    (release_dir / "snapshot.json").write_text(text)
+    return text
+
+
+@pytest.mark.parametrize("as_pom", [False, True], ids=["snapshot.json", "api_surface.json"])
+@pytest.mark.parametrize("callees", list(_CHANGED_CALLEES.values()), ids=list(_CHANGED_CALLEES))
+def test_repeated_method_with_changed_callees_decodes_as_alone(tmp_path, callees, as_pom):
+    changed = {**_FIRST_SURFACE, "p.A.f()V": callees}
+    _write_surface_release(tmp_path / "both", "1.0", _FIRST_SURFACE, as_pom)
+    _write_surface_release(tmp_path / "both", "2.0", changed, as_pom)
+    text = _write_surface_release(tmp_path / "alone", "2.0", changed, as_pom)
+    both = load_corpus(tmp_path / "both", None)
+    alone = load_corpus(tmp_path / "alone", None)
+
+    project = coord("p")
+    assert both.failed[project] == alone.failed[project]
+    assert both.snapshots[project][1:] == alone.snapshots[project]
+    if callees == _CHANGED_CALLEES["an extra callee"]:
+        assert both.failed[project] == []
+        assert both.snapshots[project][1].api_surface.methods["p.A.f()V"] == {"p.A.g()V", "p.A.h()V"}
+    elif as_pom:
+        reason = "api_surface.json['p.A.f()V']: must be an array of strings"
+        assert both.failed[project] == [FailedRelease("2.0", reason)]
+    else:
+        with pytest.raises(SnapshotFormatError) as excinfo:
+            parse_snapshot_json(text)
+        assert both.failed[project] == [FailedRelease("2.0", str(excinfo.value))]
 
 
 # Small pools, so that releases repeat method identities, callee sets and
@@ -731,24 +823,48 @@ def _pooled_corpora(draw):
             for project in projects for version in ("1", "2", "3")[:draw(st.integers(1, 3))]]
 
 
+# Callee lists a release may give a method identity in place of the one
+# encode_snapshot writes, so that a later release repeats an identity with
+# a changed list: invalid ones, and valid ones that differ from the sorted
+# lists of the pools (another order, a duplicate, a callee of no pool).
+_changed_callees = st.sampled_from([
+    None, "p.A.f()V", {"p.A.f()V": []}, [1], ["p.A.f()V", 2], ["p.A.f()V", None],
+    ["q.B.k()V", "p.A.f()V"], ["p.A.f()V", "p.A.f()V"], ["x.Y.z()V"],
+])
+
+
 @settings(max_examples=100, deadline=None)
-@given(_pooled_corpora(), st.lists(st.integers(0, 9), min_size=6, max_size=6))
-def test_shared_load_equals_per_file_decode(releases, bugs):
+@given(_pooled_corpora(), st.lists(st.integers(0, 9), min_size=6, max_size=6),
+       st.lists(st.dictionaries(_pool_methods, _changed_callees, max_size=2), min_size=6, max_size=6))
+def test_shared_load_equals_per_file_decode(releases, bugs, changes):
     history = [ReleaseHistoryRow(s.coordinate.key(), s.version_label, s.timestamp, b)
                for s, b in zip(releases, bugs)]
+    expected: dict[ProjectCoordinate, list[ReleaseSnapshot]] = {}
+    failed: dict[ProjectCoordinate, list[FailedRelease]] = {}
+    warnings = []
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch)
-        expected = {}
-        for snapshot, row in zip(releases, history):
-            text = encode_snapshot(snapshot)
+        for snapshot, row, change in zip(releases, history, changes):
+            doc = json.loads(encode_snapshot(snapshot))
+            if doc["api_surface"] is not None:
+                doc["api_surface"].update(change)
+            text = json.dumps(doc)
             release_dir = root / row.project_key / row.version_label
             release_dir.mkdir(parents=True)
             (release_dir / "snapshot.json").write_text(text, encoding="utf-8")
-            decoded = dataclasses.replace(parse_snapshot_json(text), bugs_fixed=row.bugs_fixed)
-            expected.setdefault(snapshot.coordinate, []).append(decoded)
+            parsed = expected.setdefault(snapshot.coordinate, [])
+            failures = failed.setdefault(snapshot.coordinate, [])
+            try:
+                parsed.append(dataclasses.replace(parse_snapshot_json(text), bugs_fixed=row.bugs_fixed))
+            except SnapshotFormatError as exc:
+                failures.append(FailedRelease(row.version_label, str(exc)))
+                warnings.append(f"failed release {row.project_key}/{row.version_label}: {exc}")
         corpus = load_corpus(root, history)
 
     for snapshots in expected.values():
         snapshots.sort(key=lambda s: (s.timestamp, s.version_label))
-    assert corpus.warnings == []
+    # load_corpus walks project and release directories by name; the pool's
+    # keys all have one length, so sorted warning texts are in that order.
+    assert corpus.warnings == sorted(warnings)
     assert corpus.snapshots == expected
+    assert corpus.failed == failed

@@ -7,7 +7,9 @@ from icmetrics.model import (
     ApiSurface,
     DependencyDecl,
     ProjectCoordinate,
+    ProjectManifest,
     ReleaseSnapshot,
+    UsageRecord,
     validate_snapshot,
 )
 
@@ -99,3 +101,46 @@ class TestValidateSnapshot:
     def test_deterministic(self):
         snapshot = make_snapshot("p", deps=[coord("a b"), coord("")], bugs=-3)
         assert validate_snapshot(snapshot) == validate_snapshot(snapshot)
+
+    def test_violation_text_and_order_are_pinned(self):
+        # Bad values of every kind in every place a coordinate is checked: the
+        # exact list, so that no check may skip, reorder or reword a message.
+        p = ProjectCoordinate
+        root = ProjectManifest(
+            p("org.x", "p"),  # equal to the project coordinate, not the same object
+            "1",
+            (
+                DependencyDecl(p("org.d", "ok")),
+                DependencyDecl(p("org.d", " lead")),
+                DependencyDecl(p("", "empty-group")),
+                DependencyDecl(p("org.d", 7)),
+                DependencyDecl(p("org.d", "tab\there")),
+                DependencyDecl(p(" g", "ok")),
+                DependencyDecl(p(" ", "")),
+            ),
+            frozenset({p("org.x", "m b"), p("org.x", ""), p("org.w", None), p("org.x", "mod"), p("org.z", "ok")}),
+        )
+        module = ProjectManifest(p("org.x", "mod"), "1", (DependencyDecl(p(None, "a")),), frozenset({p("org.x", "mod")}))
+        stray = ProjectManifest(p("org.y", "stray "), "1")
+        usage = UsageRecord(frozenset({p("u", "fine"), p("u", "a b"), p("u", ""), p("v", 3), p("w\n", "x")}))
+        snapshot = ReleaseSnapshot(p("org.x", "p"), "1", 0, (root, module, stray), usage=usage)
+        assert validate_snapshot(snapshot) == [
+            "manifests[0].submodule[org.w:None].artifact: must be a non-empty string",
+            "manifests[0].submodule[org.x:].artifact: must be a non-empty string",
+            "manifests[0].submodule[org.x:m b].artifact: must not contain whitespace",
+            "manifests[0].dependencies[1].target.artifact: must not contain whitespace",
+            "manifests[0].dependencies[2].target.group: must be a non-empty string",
+            "manifests[0].dependencies[3].target.artifact: must be a non-empty string",
+            "manifests[0].dependencies[4].target.artifact: must not contain whitespace",
+            "manifests[0].dependencies[5].target.group: must not contain whitespace",
+            "manifests[0].dependencies[6].target.group: must not contain whitespace",
+            "manifests[0].dependencies[6].target.artifact: must be a non-empty string",
+            "manifests[1].submodule_coordinates: manifest lists itself as a submodule",
+            "manifests[1].dependencies[0].target.group: must be a non-empty string",
+            "manifests[2].coordinate.artifact: must not contain whitespace",
+            "manifests[2].coordinate: org.y:stray  is neither the project coordinate nor a declared submodule",
+            "usage[u:].artifact: must be a non-empty string",
+            "usage[u:a b].artifact: must not contain whitespace",
+            "usage[v:3].artifact: must be a non-empty string",
+            "usage[w\n:x].group: must not contain whitespace",
+        ]

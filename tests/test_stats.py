@@ -125,6 +125,31 @@ def test_affine_invariance(values, magnitude, sign, b):
         assert scaled == pytest.approx(math.copysign(1.0, a) * base, abs=1e-9)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(-10**6, 10**6), min_size=3, max_size=30),
+    st.lists(st.integers(-10**6, 10**6), min_size=30, max_size=30),
+    st.integers(0, 1000),
+    st.booleans(),
+)
+def test_power_of_two_scaling_keeps_r_bit_identical(xs, ys, k, scale_both):
+    # Large k takes the scaled series past the overflow guard and back.
+    xs = [float(x) for x in xs]
+    ys = [float(y) for y in ys[:len(xs)]]
+    base = pearson_r(xs, ys)
+    factor = 2.0 ** k
+    scaled = pearson_r([x * factor for x in xs], [y * factor for y in ys] if scale_both else ys)
+    assert math.isnan(scaled) if math.isnan(base) else scaled == base
+
+
+def test_huge_finite_series_do_not_overflow():
+    xs = [1.0, 2.0, 3.0, 5.0, 8.0]
+    ys = [3e300, 1e300, 4e300, 1e300, 5e300]
+    r = pearson_r(xs, ys)
+    assert r == pearson_r(xs, [y / 2.0 ** 1000 for y in ys])
+    assert r == pytest.approx(oracle_pearson(xs, ys), abs=1e-12)
+
+
 # --------------------------------------------------------------------------
 # p_two_tailed / t distribution
 
