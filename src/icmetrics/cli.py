@@ -19,7 +19,9 @@ from .ingest import (
     load_corpus,
     load_release_history,
 )
+from .model import ProjectCoordinate
 from .pipeline import (
+    ProjectSeries,
     build_series,
     classify_activity,
     correlate_pooled,
@@ -114,17 +116,29 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _load_inputs(args: argparse.Namespace) -> Corpus:
+def _load_series(args: argparse.Namespace) -> tuple[Corpus, dict[ProjectCoordinate, ProjectSeries]]:
+    """Load the corpus and history, create ``--out``, and build every
+    project's series; warn about load problems, then about vector errors.
+
+    Raises OSError, HistoryFormatError or CorpusError on a fatal input error.
+    """
     history = None
     if args.history:
         history = load_release_history(_path(args.history).read_text(encoding="utf-8"))
     corpus = load_corpus(args.corpus, history, args.loc_ext)
+    del history  # joined into the corpus; free the rows before the series build
     # The corpus is immutable and lives until exit; keep the cyclic GC
     # from rescanning it on every older-generation pass.
     gc.freeze()
     for message in corpus.warnings:
         _warn(message)
-    return corpus
+    args.out.mkdir(parents=True, exist_ok=True)
+
+    vector_errors: list[str] = []
+    series_map = build_series(corpus, args.exclude_scopes, vector_errors)
+    for message in vector_errors:
+        _warn(message)
+    return corpus, series_map
 
 
 def _write(path: Path, text: str) -> None:
@@ -133,15 +147,9 @@ def _write(path: Path, text: str) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
-        corpus = _load_inputs(args)
-        args.out.mkdir(parents=True, exist_ok=True)
+        corpus, series_map = _load_series(args)
     except (OSError, HistoryFormatError, CorpusError) as exc:
         return _fail(str(exc))
-
-    vector_errors: list[str] = []
-    series_map = build_series(corpus, args.exclude_scopes, vector_errors)
-    for message in vector_errors:
-        _warn(message)
 
     selected, rejected = select_projects(corpus)
     for coordinate in sorted(rejected):
@@ -189,19 +197,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     try:
-        corpus = _load_inputs(args)
-        args.out.mkdir(parents=True, exist_ok=True)
-    except (OSError, HistoryFormatError, CorpusError) as exc:
-        return _fail(str(exc))
-
-    vector_errors: list[str] = []
-    series_map = build_series(corpus, args.exclude_scopes, vector_errors)
-    for message in vector_errors:
-        _warn(message)
-
-    try:
+        _, series_map = _load_series(args)
         _write(args.out / "metrics.jsonl", emit_metrics_jsonl(series_map.values()))
-    except OSError as exc:
+    except (OSError, HistoryFormatError, CorpusError) as exc:
         return _fail(str(exc))
     return 0
 

@@ -25,7 +25,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
@@ -91,8 +91,10 @@ class Corpus:
 # snapshot.json
 
 
-# Error paths are formatted only when a check fails: a hot check reads
-# ``_coordinate(value, shared) or _coordinate_from_json(value, f"...", shared)``.
+# Each input rule has one checker. It tests the raw JSON value and returns
+# the decoded value; only for a failing value does it format the JSON path,
+# passed in as a prefix plus an optional index, and raise naming the first
+# broken part. So the success path formats no path.
 
 
 class _Shared(SharedValues):
@@ -127,25 +129,19 @@ def _fail(path: str, message: str) -> NoReturn:
     raise SnapshotFormatError(f"{path}: {message}")
 
 
-def _coordinate(value: Any, shared: _Shared) -> ProjectCoordinate | None:
-    """The coordinate a JSON value names, or None when it names none."""
+def _where(path: str, index: int | None) -> str:
+    return path if index is None else f"{path}[{index}]"
+
+
+def _coordinate(value: Any, shared: _Shared, path: str, index: int | None = None) -> ProjectCoordinate:
+    """The coordinate a JSON object names; SnapshotFormatError at ``path[index]`` when it names none."""
     if isinstance(value, dict):
         group, artifact = value.get("group"), value.get("artifact")
         if isinstance(group, str) and group and isinstance(artifact, str) and artifact:
             return shared.coordinate(group, artifact)
-    return None
-
-
-def _coordinate_from_json(value: Any, path: str, shared: _Shared) -> ProjectCoordinate:
-    """``_coordinate``, raising SnapshotFormatError at ``path`` when it is None."""
-    coordinate = _coordinate(value, shared)
-    if coordinate is None:
-        if not isinstance(value, dict):
-            _fail(path, "must be an object")
-        group = value.get("group")
-        _fail(f"{path}.{'artifact' if isinstance(group, str) and group else 'group'}",
+        _fail(f"{_where(path, index)}.{'artifact' if isinstance(group, str) and group else 'group'}",
               "must be a non-empty string")
-    return coordinate
+    _fail(_where(path, index), "must be an object")
 
 
 def _is_count(value: Any) -> bool:
@@ -188,14 +184,12 @@ def _usage_from_json(value: Any, path: str, shared: _Shared) -> UsageRecord | No
         return None
     if not isinstance(value, list):
         _fail(path, "must be an array or null")
-    return UsageRecord(frozenset(
-        _coordinate(item, shared) or _coordinate_from_json(item, f"{path}[{i}]", shared)
-        for i, item in enumerate(value)
-    ))
+    return UsageRecord(frozenset(_coordinate(item, shared, path, i) for i, item in enumerate(value)))
 
 
-def _dependency(value: Any, shared: _Shared) -> DependencyDecl | None:
-    """The dependency a JSON value declares, or None when it is not one."""
+def _dependency(value: Any, shared: _Shared, path: str, index: int) -> DependencyDecl:
+    """The dependency a JSON object declares; SnapshotFormatError at ``path[index]``
+    naming the first wrong part (target, version, scope) when it declares none."""
     if isinstance(value, dict):
         group, artifact = value.get("group"), value.get("artifact")
         version, scope = value.get("version"), value.get("scope")
@@ -203,33 +197,22 @@ def _dependency(value: Any, shared: _Shared) -> DependencyDecl | None:
                 and (version is None or isinstance(version, str))
                 and (scope is None or isinstance(scope, str))):
             return shared.dependency(group, artifact, version, scope)
-    return None
-
-
-def _dependency_from_json(value: Any, path: str, shared: _Shared) -> DependencyDecl:
-    """``_dependency``, raising SnapshotFormatError at ``path`` when it is None."""
-    dependency = _dependency(value, shared)
-    if dependency is None:
-        _coordinate_from_json(value, path, shared)
-        version = value.get("version")
-        if not (version is None or isinstance(version, str)):
-            _fail(f"{path}.version", "must be a string or null")
-        _fail(f"{path}.scope", "must be a string or null")
-    return dependency
+    _coordinate(value, shared, path, index)  # raises unless value is an object naming a target
+    where = _where(path, index)
+    if not (version is None or isinstance(version, str)):
+        _fail(f"{where}.version", "must be a string or null")
+    _fail(f"{where}.scope", "must be a string or null")
 
 
 def _manifest_from_json(item: Any, path: str, shared: _Shared) -> ProjectManifest:
-    coordinate = _coordinate_from_json(item, path, shared)
+    coordinate = _coordinate(item, shared, path)
     if not isinstance(item.get("version"), str):
         _fail(f"{path}.version", "must be a string")
-    deps = tuple(
-        _dependency(dep, shared) or _dependency_from_json(dep, f"{path}.dependencies[{j}]", shared)
-        for j, dep in enumerate(_array(item.get("dependencies", []), f"{path}.dependencies"))
-    )
-    submodules = frozenset(
-        _coordinate(sub, shared) or _coordinate_from_json(sub, f"{path}.submodules[{k}]", shared)
-        for k, sub in enumerate(_array(item.get("submodules", []), f"{path}.submodules"))
-    )
+    deps_path, subs_path = f"{path}.dependencies", f"{path}.submodules"
+    deps = tuple(_dependency(dep, shared, deps_path, j)
+                 for j, dep in enumerate(_array(item.get("dependencies", []), deps_path)))
+    submodules = frozenset(_coordinate(sub, shared, subs_path, k)
+                           for k, sub in enumerate(_array(item.get("submodules", []), subs_path)))
     return ProjectManifest(coordinate, item["version"], deps, submodules)
 
 
@@ -238,8 +221,9 @@ def parse_snapshot_json(text: str) -> ReleaseSnapshot:
     return _snapshot_from_json(text, _Shared())
 
 
-def _snapshot_from_json(text: str, shared: _Shared) -> ReleaseSnapshot:
-    """``parse_snapshot_json``, sharing equal values through ``shared``."""
+def _snapshot_from_json(text: str, shared: _Shared, row: ReleaseHistoryRow | None = None) -> ReleaseSnapshot:
+    """``parse_snapshot_json``, sharing equal values through ``shared``; a
+    history ``row`` replaces the document's bug count (it is still checked)."""
     try:
         raw = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -247,7 +231,7 @@ def _snapshot_from_json(text: str, shared: _Shared) -> ReleaseSnapshot:
     if not isinstance(raw, dict):
         _fail(".", "document root must be an object")
 
-    coordinate = _coordinate_from_json(raw.get("project"), ".project", shared)
+    coordinate = _coordinate(raw.get("project"), shared, ".project")
     if not (isinstance(raw.get("version"), str) and raw["version"]):
         _fail(".version", "must be a non-empty string")
     if not (isinstance(raw.get("timestamp"), int) and not isinstance(raw.get("timestamp"), bool)):
@@ -278,7 +262,7 @@ def _snapshot_from_json(text: str, shared: _Shared) -> ReleaseSnapshot:
         api_surface=api_surface,
         usage=usage,
         loc=loc,
-        bugs_fixed=bugs,
+        bugs_fixed=bugs if row is None else row.bugs_fixed,
     )
     violations = validate_snapshot(snapshot)
     if violations:
@@ -342,7 +326,8 @@ def load_release_history(csv_text: str) -> list[ReleaseHistoryRow]:
     """Parse the release/bug history table.
 
     Header must be exactly ``project,version,timestamp,bugs_fixed``;
-    (project, version) pairs must be unique.
+    (project, version) pairs must be unique; a bug count must be a
+    non-negative integer that a float can hold.
     """
     reader = csv.reader(io.StringIO(csv_text))
     try:
@@ -372,6 +357,12 @@ def load_release_history(csv_text: str) -> list[ReleaseHistoryRow]:
             raise HistoryFormatError(f"line {lineno}: bugs_fixed must be an integer, got {bugs_text!r}") from None
         if bugs < 0:
             raise HistoryFormatError(f"line {lineno}: bugs_fixed must be non-negative, got {bugs}")
+        try:
+            float(bugs)  # the statistics take bug counts as floats
+        except OverflowError:
+            raise HistoryFormatError(
+                f"line {lineno}: bugs_fixed must convert to a float (below about 1.8e308),"
+                f" got a {len(bugs_text)}-digit number") from None
         key = (project_key, version)
         if key in seen:
             raise HistoryFormatError(f"line {lineno}: duplicate (project, version) pair {key}")
@@ -515,12 +506,14 @@ def _read_sidecar(entry: os.DirEntry[str]) -> Any:
 
 
 def _load_pom_release(release_dir: os.DirEntry[str], loc_suffixes: tuple[str, ...],
-                      warnings: list[str], shared: _Shared) -> ReleaseSnapshot | None:
+                      warnings: list[str], shared: _Shared,
+                      row: ReleaseHistoryRow | None) -> ReleaseSnapshot | None:
     """Assemble a snapshot from pom.xml files plus optional sidecar files.
 
     One walk of the release directory finds the manifests (every pom.xml,
     ordered by depth, then path), the sidecars and the LOC files under
-    ``src/``. Returns None when the directory holds no pom.xml.
+    ``src/``. The timestamp and bug count come from the history ``row``
+    (0 without one). Returns None when the directory holds no pom.xml.
     """
     top: dict[str, os.DirEntry[str]] = {}
     pom_paths: list[tuple[int, str]] = []
@@ -557,11 +550,12 @@ def _load_pom_release(release_dir: os.DirEntry[str], loc_suffixes: tuple[str, ..
     return ReleaseSnapshot(
         coordinate=manifests[0].coordinate,
         version_label=release_dir.name,
-        timestamp=0,  # filled from the history join
+        timestamp=0 if row is None else row.timestamp,
         manifests=manifests,
         api_surface=api_surface,
         usage=usage,
         loc=loc,
+        bugs_fixed=0 if row is None else row.bugs_fixed,
     )
 
 
@@ -577,9 +571,7 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
     if not root.is_dir():
         raise CorpusError(f"corpus root is not a readable directory: {root}")
 
-    history_index: dict[tuple[str, str], ReleaseHistoryRow] = {}
-    for row in history or ():
-        history_index[(row.project_key, row.version_label)] = row
+    history_index = {(row.project_key, row.version_label): row for row in history or ()}
 
     corpus = Corpus()
     shared = _Shared()
@@ -600,13 +592,14 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
             version_label = release_dir.name
             key = (project_dir.name, version_label)
             seen_releases.add(key)
+            row = history_index.get(key)
             snapshot_path = os.path.join(release_dir.path, "snapshot.json")
             try:
                 from_json = os.path.isfile(snapshot_path)
                 if from_json:
-                    snapshot = _snapshot_from_json(_read_utf8(snapshot_path, "."), shared)
+                    snapshot = _snapshot_from_json(_read_utf8(snapshot_path, "."), shared, row)
                 else:
-                    snapshot = _load_pom_release(release_dir, loc_suffixes, corpus.warnings, shared)
+                    snapshot = _load_pom_release(release_dir, loc_suffixes, corpus.warnings, shared, row)
                 if snapshot is None:
                     raise _RejectedRelease("no snapshot.json or pom.xml")
                 if snapshot.coordinate != coordinate:
@@ -623,11 +616,7 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
                 corpus.warnings.append(f"failed release {project_dir.name}/{version_label}: {exc}")
                 continue
 
-            row = history_index.get(key)
-            if row is not None:
-                snapshot = replace(snapshot, timestamp=snapshot.timestamp if from_json else row.timestamp,
-                                   bugs_fixed=row.bugs_fixed)
-            elif history is not None:
+            if row is None and history is not None:
                 corpus.warnings.append(
                     f"no history row for {project_dir.name}/{version_label};"
                     f" bugs_fixed defaults to {snapshot.bugs_fixed}"

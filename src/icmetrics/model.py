@@ -143,27 +143,25 @@ class MetricVector:
     loc: int | None = None
 
 
-def _check_coordinate(coordinate: ProjectCoordinate, path: str, out: list[str]) -> None:
-    for name in ("group", "artifact"):
-        value = getattr(coordinate, name)
-        if not isinstance(value, str) or not value:
-            out.append(f"{path}.{name}: must be a non-empty string")
-        elif value.split() != [value]:  # str.split and str.isspace agree on whitespace
-            out.append(f"{path}.{name}: must not contain whitespace")
-
-
 _TARGET = attrgetter("target")
 
 
-def _is_valid(coordinate: ProjectCoordinate) -> bool:
-    """True when ``_check_coordinate`` reports nothing for ``coordinate``.
+def _coordinate_violations(coordinate: ProjectCoordinate) -> tuple[str, ...]:
+    """The coordinate rule: group and artifact are non-empty strings without
+    whitespace (str.split and str.isspace agree on whitespace).
 
-    The success path of ``validate_snapshot`` asks only this, so that it
-    formats no path string.
+    Returns one ``.field: message`` per broken field, or () when
+    ``coordinate`` keeps the rule; so ``any(map(...))`` is the success test,
+    and a caller formats its path prefix only for a message it gets.
     """
     group, artifact = coordinate.group, coordinate.artifact
-    return (isinstance(group, str) and group.split() == [group]
-            and isinstance(artifact, str) and artifact.split() == [artifact])
+    if (isinstance(group, str) and group.split() == [group]
+            and isinstance(artifact, str) and artifact.split() == [artifact]):
+        return ()
+    return tuple(f".{name}: must not contain whitespace" if isinstance(value, str) and value
+                 else f".{name}: must be a non-empty string"
+                 for name, value in (("group", group), ("artifact", artifact))
+                 if not (isinstance(value, str) and value.split() == [value]))
 
 
 def validate_snapshot(snapshot: ReleaseSnapshot) -> list[str]:
@@ -174,8 +172,8 @@ def validate_snapshot(snapshot: ReleaseSnapshot) -> list[str]:
     """
     violations: list[str] = []
     project = snapshot.coordinate
-    if not _is_valid(project):
-        _check_coordinate(project, "coordinate", violations)
+    for problem in _coordinate_violations(project):
+        violations.append(f"coordinate{problem}")
 
     if not isinstance(snapshot.timestamp, int):
         violations.append("timestamp: must be an integer (UTC seconds)")
@@ -193,12 +191,12 @@ def validate_snapshot(snapshot: ReleaseSnapshot) -> list[str]:
     # only for a manifest that is not the project's own coordinate object.
     allowed: set[ProjectCoordinate] | None = None
 
-    # Each check below appends only for a value that fails it, so a path is
-    # formatted, and a set sorted, only when there is a violation to report.
+    # A path is formatted, and a set sorted, only when a value fails the
+    # coordinate rule.
     for i, manifest in enumerate(snapshot.manifests):
         coordinate, submodules = manifest.coordinate, manifest.submodule_coordinates
-        if not _is_valid(coordinate):
-            _check_coordinate(coordinate, f"manifests[{i}].coordinate", violations)
+        for problem in _coordinate_violations(coordinate):
+            violations.append(f"manifests[{i}].coordinate{problem}")
         if submodules and coordinate in submodules:
             violations.append(f"manifests[{i}].submodule_coordinates: manifest lists itself as a submodule")
         if coordinate is not project:
@@ -209,17 +207,19 @@ def validate_snapshot(snapshot: ReleaseSnapshot) -> list[str]:
                     f"manifests[{i}].coordinate: {coordinate.key()} is neither the project"
                     " coordinate nor a declared submodule"
                 )
-        if submodules and not all(map(_is_valid, submodules)):
+        if any(map(_coordinate_violations, submodules)):
             for sub in sorted(submodules):
-                _check_coordinate(sub, f"manifests[{i}].submodule[{sub.key()}]", violations)
+                for problem in _coordinate_violations(sub):
+                    violations.append(f"manifests[{i}].submodule[{sub.key()}]{problem}")
         dependencies = manifest.declared_dependencies
-        if not all(map(_is_valid, map(_TARGET, dependencies))):
+        if any(map(_coordinate_violations, map(_TARGET, dependencies))):
             for j, dep in enumerate(dependencies):
-                if not _is_valid(dep.target):
-                    _check_coordinate(dep.target, f"manifests[{i}].dependencies[{j}].target", violations)
+                for problem in _coordinate_violations(dep.target):
+                    violations.append(f"manifests[{i}].dependencies[{j}].target{problem}")
 
-    if snapshot.usage is not None and not all(map(_is_valid, snapshot.usage.referenced_coordinates)):
+    if snapshot.usage is not None and any(map(_coordinate_violations, snapshot.usage.referenced_coordinates)):
         for ref in sorted(snapshot.usage.referenced_coordinates):
-            _check_coordinate(ref, f"usage[{ref.key()}]", violations)
+            for problem in _coordinate_violations(ref):
+                violations.append(f"usage[{ref.key()}]{problem}")
 
     return violations

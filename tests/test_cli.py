@@ -179,6 +179,19 @@ def test_huge_finite_bug_counts_analyze_without_a_traceback(tmp_path, capsys):
     assert len(combined.splitlines()) == 8
 
 
+@pytest.mark.parametrize("command", ["analyze", "metrics"])
+def test_bug_count_a_float_cannot_hold_is_a_fatal_history_error(tmp_path, capsys, command):
+    bugs = [3] * 12
+    bugs[2] = 2**1100
+    corpus, history, _, _ = _write_fixture_corpus(tmp_path, bugs=bugs)
+    rc = main([command, "--corpus", str(corpus), "--history", str(history), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: line 4: bugs_fixed must convert to a float (below about 1.8e308), got a 332-digit number\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_exclude_scopes_flag_changes_the_graph(tmp_path):
     from icmetrics.model import DependencyDecl
     from conftest import coord

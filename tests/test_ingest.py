@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import string
+import sys
 import tempfile
 from pathlib import Path
 
@@ -172,6 +173,14 @@ def test_non_integer_bugs_is_an_error():
 def test_negative_bugs_is_an_error():
     with pytest.raises(HistoryFormatError, match="non-negative"):
         load_release_history("project,version,timestamp,bugs_fixed\ng:a,1.0,100,-1\n")
+
+
+def test_bugs_a_float_cannot_hold_is_an_error():
+    header = "project,version,timestamp,bugs_fixed\n"
+    [row] = load_release_history(f"{header}g:a,1.0,100,{int(sys.float_info.max)}\n")
+    assert row.bugs_fixed == int(sys.float_info.max)
+    with pytest.raises(HistoryFormatError, match=r"^line 3: bugs_fixed must convert to a float"):
+        load_release_history(f"{header}g:a,1.0,100,1\ng:a,2.0,200,{2**1024}\n")
 
 
 def test_missing_column_is_an_error():
@@ -442,6 +451,14 @@ def _snapshot_doc(**manifest_fields):
     return json.dumps(doc).encode()
 
 
+def _snapshot_with(**fields):
+    doc = json.loads(MINIMAL_SNAPSHOT)
+    doc.update(fields)
+    return json.dumps(doc).encode()
+
+
+_MANIFEST = json.loads(MINIMAL_SNAPSHOT)["manifests"][0]
+_DEPENDENCY = {"group": "x", "artifact": "y", "version": "1", "scope": "compile"}
 _POM_FILES = {"pom.xml": ROOT_POM.encode(), "core/pom.xml": CORE_POM.encode()}
 
 CRASH_CASES = {
@@ -488,6 +505,74 @@ CRASH_CASES = {
     "usage.json nests too deep to decode": (
         {**_POM_FILES, "usage.json": b"[" * 100_000},
         "usage.json: invalid JSON: maximum recursion depth exceeded",
+    ),
+    "usage.json item is not an object": (
+        {**_POM_FILES, "usage.json": b'[{"group": "x", "artifact": "y"}, 7]'},
+        "usage.json[1]: must be an object",
+    ),
+    "project is a string": (
+        {"snapshot.json": _snapshot_with(project="g:a")},
+        ".project: must be an object",
+    ),
+    "project group is empty": (
+        {"snapshot.json": _snapshot_with(project={"group": "", "artifact": "a"})},
+        ".project.group: must be a non-empty string",
+    ),
+    "project artifact is an int": (
+        {"snapshot.json": _snapshot_with(project={"group": "g", "artifact": 3})},
+        ".project.artifact: must be a non-empty string",
+    ),
+    "manifest is a list": (
+        {"snapshot.json": _snapshot_with(manifests=[_MANIFEST, ["g", "b"]])},
+        ".manifests[1]: must be an object",
+    ),
+    "manifest lacks group": (
+        {"snapshot.json": _snapshot_with(manifests=[_MANIFEST, {"artifact": "b", "version": "1"}])},
+        ".manifests[1].group: must be a non-empty string",
+    ),
+    "manifest artifact is empty": (
+        {"snapshot.json": _snapshot_with(manifests=[_MANIFEST, {"group": "g", "artifact": "", "version": "1"}])},
+        ".manifests[1].artifact: must be a non-empty string",
+    ),
+    "dependency is a string": (
+        {"snapshot.json": _snapshot_doc(dependencies=[_DEPENDENCY, "x:y"])},
+        ".manifests[0].dependencies[1]: must be an object",
+    ),
+    "dependency group is an int": (
+        {"snapshot.json": _snapshot_doc(dependencies=[_DEPENDENCY, {**_DEPENDENCY, "group": 1}])},
+        ".manifests[0].dependencies[1].group: must be a non-empty string",
+    ),
+    "dependency artifact is null": (
+        {"snapshot.json": _snapshot_doc(dependencies=[_DEPENDENCY, {**_DEPENDENCY, "artifact": None}])},
+        ".manifests[0].dependencies[1].artifact: must be a non-empty string",
+    ),
+    "dependency version is a float": (
+        {"snapshot.json": _snapshot_doc(dependencies=[_DEPENDENCY, {**_DEPENDENCY, "version": 1.5}])},
+        ".manifests[0].dependencies[1].version: must be a string or null",
+    ),
+    "dependency scope is a list": (
+        {"snapshot.json": _snapshot_doc(dependencies=[_DEPENDENCY, {**_DEPENDENCY, "scope": ["test"]}])},
+        ".manifests[0].dependencies[1].scope: must be a string or null",
+    ),
+    "dependency version and scope are both wrong": (
+        {"snapshot.json": _snapshot_doc(dependencies=[{**_DEPENDENCY, "version": 1, "scope": 2}])},
+        ".manifests[0].dependencies[0].version: must be a string or null",
+    ),
+    "dependency group and version are both wrong": (
+        {"snapshot.json": _snapshot_doc(dependencies=[{**_DEPENDENCY, "group": "", "version": 1}])},
+        ".manifests[0].dependencies[0].group: must be a non-empty string",
+    ),
+    "submodule lacks artifact": (
+        {"snapshot.json": _snapshot_doc(submodules=[{"group": "g", "artifact": "s"}, {"group": "g"}])},
+        ".manifests[0].submodules[1].artifact: must be a non-empty string",
+    ),
+    "usage item lacks group": (
+        {"snapshot.json": _snapshot_with(usage=[{"group": "x", "artifact": "y"}, {"artifact": "z"}])},
+        ".usage[1].group: must be a non-empty string",
+    ),
+    "usage item is an int": (
+        {"snapshot.json": _snapshot_with(usage=[7])},
+        ".usage[0]: must be an object",
     ),
 }
 
