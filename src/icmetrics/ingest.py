@@ -47,6 +47,11 @@ DEFAULT_LOC_EXTENSIONS = frozenset({".java"})
 
 HISTORY_COLUMNS = ("project", "version", "timestamp", "bugs_fixed")
 
+# The statistics take bug counts and LOC as floats; float(n) overflows from
+# this n on. The one bound on a count, in releases.csv and snapshot.json.
+_FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
+_FLOAT_RULE = "must convert to a float (below about 1.8e308)"
+
 
 class SnapshotFormatError(ValueError):
     """snapshot.json violates the schema; message names the JSON path."""
@@ -144,8 +149,15 @@ def _coordinate(value: Any, shared: _Shared, path: str, index: int | None = None
     _fail(_where(path, index), "must be an object")
 
 
-def _is_count(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+def _count(value: Any, path: str, rule: str) -> int:
+    """``value`` if it is a non-negative integer that a float can hold;
+    otherwise SnapshotFormatError at ``path``, naming ``rule`` for a wrong
+    type or sign and the float bound for a count too large."""
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= 0):
+        _fail(path, rule)
+    if value >= _FLOAT_OVERFLOW:
+        _fail(path, _FLOAT_RULE)
+    return value
 
 
 def _array(value: Any, path: str) -> list:
@@ -226,7 +238,7 @@ def _snapshot_from_json(text: str, shared: _Shared, row: ReleaseHistoryRow | Non
     history ``row`` replaces the document's bug count (it is still checked)."""
     try:
         raw = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also an integer of over 4300 digits
         raise SnapshotFormatError(f".: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         _fail(".", "document root must be an object")
@@ -247,12 +259,9 @@ def _snapshot_from_json(text: str, shared: _Shared, row: ReleaseHistoryRow | Non
     usage = _usage_from_json(raw.get("usage"), ".usage", shared)
 
     loc = raw.get("loc")
-    if loc is not None and not _is_count(loc):
-        _fail(".loc", "must be a non-negative integer or null")
-
-    bugs = raw.get("bugs_fixed", 0)
-    if not _is_count(bugs):
-        _fail(".bugs_fixed", "must be a non-negative integer")
+    if loc is not None:
+        _count(loc, ".loc", "must be a non-negative integer or null")
+    bugs = _count(raw.get("bugs_fixed", 0), ".bugs_fixed", "must be a non-negative integer")
 
     snapshot = ReleaseSnapshot(
         coordinate=coordinate,
@@ -357,12 +366,8 @@ def load_release_history(csv_text: str) -> list[ReleaseHistoryRow]:
             raise HistoryFormatError(f"line {lineno}: bugs_fixed must be an integer, got {bugs_text!r}") from None
         if bugs < 0:
             raise HistoryFormatError(f"line {lineno}: bugs_fixed must be non-negative, got {bugs}")
-        try:
-            float(bugs)  # the statistics take bug counts as floats
-        except OverflowError:
-            raise HistoryFormatError(
-                f"line {lineno}: bugs_fixed must convert to a float (below about 1.8e308),"
-                f" got a {len(bugs_text)}-digit number") from None
+        if bugs >= _FLOAT_OVERFLOW:
+            raise HistoryFormatError(f"line {lineno}: bugs_fixed {_FLOAT_RULE}, got a {len(bugs_text)}-digit number")
         key = (project_key, version)
         if key in seen:
             raise HistoryFormatError(f"line {lineno}: duplicate (project, version) pair {key}")
@@ -501,7 +506,9 @@ def _read_sidecar(entry: os.DirEntry[str]) -> Any:
     """
     try:
         return json.loads(_read_utf8(entry.path, entry.name))
-    except RecursionError as exc:
+    except json.JSONDecodeError:
+        raise
+    except (RecursionError, ValueError) as exc:  # ValueError: an integer of over 4300 digits
         raise SnapshotFormatError(f"{entry.name}: invalid JSON: {exc}") from None
 
 

@@ -16,9 +16,12 @@ from __future__ import annotations
 
 from .model import ApiSurface, MetricVector, ProjectCoordinate, UsageRecord
 
+# Row order of the correlation tables.
 METRIC_ORDER = ("IC-NOC", "IC-DIT", "IC-LCOM1", "IC-WMC", "IC-RFC", "IC-CBO", "LOC")
 
-_VECTOR_FIELDS = {
+# Report name -> MetricVector field, in field order; every report column
+# and key for the per-release metrics is derived from it.
+METRIC_FIELDS = {
     "IC-WMC": "wmc",
     "IC-DIT": "dit",
     "IC-NOC": "noc",
@@ -30,7 +33,7 @@ _VECTOR_FIELDS = {
 
 
 def vector_value(vector: MetricVector, metric_name: str) -> int | None:
-    return getattr(vector, _VECTOR_FIELDS[metric_name])
+    return getattr(vector, METRIC_FIELDS[metric_name])
 
 
 def ic_rfc(surface: ApiSurface) -> int:

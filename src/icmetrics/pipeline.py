@@ -80,10 +80,11 @@ def build_series(corpus: Corpus,
 
     Each release is measured against the ecosystem at its timestamp: every
     other project's latest snapshot at or before it (its earliest when none
-    precede), with the release itself as its own project's entry. One sweep
-    over all snapshots in timestamp order keeps that state in a persistent
-    adjacency over dense node ids, and computes only the released project's
-    vector.
+    precede), with the release itself as its own project's entry. Of a
+    project's releases that share a timestamp (ties), the latest is the
+    last in list order. One sweep over all snapshots in timestamp order
+    keeps that state in a persistent adjacency over dense node ids, and
+    computes only the released project's vector.
 
     The sweep memoizes each node's chain (DIT + 1, as a sum of component
     sizes) and component size. A node's values depend only on what it
@@ -165,23 +166,19 @@ def build_series(corpus: Corpus,
             if index == 0:
                 apply(node, target_ids)
             events.append((snapshot.timestamp, coordinate, node, index, snapshot, targets, target_ids))
-    events.sort(key=itemgetter(0))  # stable: ties keep (coordinate, list) order
+    events.sort(key=itemgetter(0))  # stable: a project's ties stay adjacent, in list order
 
-    # At each timestamp every project's last tie is applied first, as
-    # bisect_right on the timestamps would choose. An earlier tie stands in
-    # for it only while the tie itself is measured.
+    # A timestamp's events are all applied first, leaving each project at its
+    # last tie. Measuring a tie re-applies it and leaves it: the project's
+    # next tie re-applies its own, and its last tie is what the first pass set.
     for _, group in groupby(events, key=itemgetter(0)):
         group = list(group)
-        applied = {node: target_ids for _, _, node, _, _, _, target_ids in group}
-        for node, target_ids in applied.items():
+        for _, _, node, _, _, _, target_ids in group:
             apply(node, target_ids)
         for _, coordinate, node, index, snapshot, targets, target_ids in group:
             try:
                 apply(node, target_ids)
-                try:
-                    dit, cbo = measure(node)
-                finally:
-                    apply(node, applied[node])
+                dit, cbo = measure(node)
                 vector = MetricVector(
                     wmc=len(targets),
                     dit=dit,

@@ -1,28 +1,30 @@
 """Deterministic report emitters: CSV tables, JSON-lines dump, text tables.
 
-Every emitter is a pure function from already-sorted inputs to text, so
-output bytes never depend on worker count or filesystem ordering.
+Every emitter is a pure function from its inputs to text. The tables keep
+the row order their caller sorted (correlation rows follow METRIC_ORDER);
+emit_metrics_jsonl sorts its input itself. So output bytes never depend on
+filesystem ordering. Every per-release column and key comes from
+METRIC_FIELDS.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from operator import attrgetter
 from typing import Iterable
 
-from .metrics import METRIC_ORDER
+from .metrics import METRIC_FIELDS, METRIC_ORDER
 from .pipeline import ProjectSeries, ProjectSummary
 from .stats import CorrelationResult
 
 COMBINED_HEADER = "metric,correlation,p_value,n"
-PER_PROJECT_HEADER = "project,metric,correlation,p_value,n"
-SUMMARIES_HEADER = (
-    "project,n_releases,n_bugs,activity,median_wmc,median_dit,median_noc,"
-    "median_cbo,median_rfc,median_lcom1,median_loc"
-)
-SERIES_HEADER = "version,timestamp,bugs_fixed,wmc,dit,noc,cbo,rfc,lcom1,loc"
+PER_PROJECT_HEADER = "project," + COMBINED_HEADER
+SUMMARIES_HEADER = "project,n_releases,n_bugs,activity," + ",".join(
+    f"median_{field}" for field in METRIC_FIELDS.values())
+SERIES_HEADER = "version,timestamp,bugs_fixed," + ",".join(METRIC_FIELDS.values())
 
-_SUMMARY_MEDIAN_ORDER = ("IC-WMC", "IC-DIT", "IC-NOC", "IC-CBO", "IC-RFC", "IC-LCOM1", "LOC")
+_VECTOR_VALUES = attrgetter(*METRIC_FIELDS.values())
 
 
 def format_correlation(r: float) -> str:
@@ -52,58 +54,43 @@ def _ordered(results: Iterable[CorrelationResult]) -> list[CorrelationResult]:
     return [by_name[name] for name in METRIC_ORDER if name in by_name]
 
 
+def _csv(header: str, rows: Iterable[str]) -> str:
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _correlation_row(result: CorrelationResult) -> str:
+    return f"{result.metric_name},{format_correlation(result.r)},{format_p(result.p_two_tailed)},{result.n}"
+
+
 def emit_combined_table(results: Iterable[CorrelationResult]) -> str:
     """Pooled correlation table, one row per metric in fixed report order."""
-    lines = [COMBINED_HEADER]
-    for result in _ordered(results):
-        lines.append(
-            f"{result.metric_name},{format_correlation(result.r)},{format_p(result.p_two_tailed)},{result.n}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(COMBINED_HEADER, map(_correlation_row, _ordered(results)))
 
 
 def emit_per_project_table(per_project: Iterable[tuple[str, Iterable[CorrelationResult]]]) -> str:
     """Per-project correlation rows; projects pre-sorted by the caller's key."""
-    lines = [PER_PROJECT_HEADER]
-    for project_key, results in per_project:
-        for result in _ordered(results):
-            lines.append(
-                f"{project_key},{result.metric_name},"
-                f"{format_correlation(result.r)},{format_p(result.p_two_tailed)},{result.n}"
-            )
-    return "\n".join(lines) + "\n"
+    return _csv(PER_PROJECT_HEADER, (
+        f"{project_key},{_correlation_row(result)}"
+        for project_key, results in per_project
+        for result in _ordered(results)
+    ))
 
 
 def emit_summaries_table(summaries: Iterable[ProjectSummary]) -> str:
-    lines = [SUMMARIES_HEADER]
-    for summary in summaries:
-        medians = ",".join(_float_cell(summary.medians.get(name)) for name in _SUMMARY_MEDIAN_ORDER)
-        lines.append(
-            f"{summary.coordinate.key()},{summary.n_releases},{summary.n_bugs_total},"
-            f"{repr(summary.activity)},{medians}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(SUMMARIES_HEADER, (
+        f"{summary.coordinate.key()},{summary.n_releases},{summary.n_bugs_total},{repr(summary.activity)},"
+        + ",".join(_float_cell(summary.medians.get(name)) for name in METRIC_FIELDS)
+        for summary in summaries
+    ))
 
 
 def emit_series_csv(series: ProjectSeries) -> str:
     """Plot-ready per-release values for one project; absent metrics are empty cells."""
-    lines = [SERIES_HEADER]
-    for point in series.releases:
-        vector = point.vector
-        cells = [
-            point.version_label,
-            str(point.timestamp),
-            str(point.bugs_fixed),
-            str(vector.wmc),
-            str(vector.dit),
-            str(vector.noc),
-            str(vector.cbo),
-            "" if vector.rfc is None else str(vector.rfc),
-            "" if vector.lcom1 is None else str(vector.lcom1),
-            "" if vector.loc is None else str(vector.loc),
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _csv(SERIES_HEADER, (
+        f"{point.version_label},{point.timestamp},{point.bugs_fixed},"
+        + ",".join("" if value is None else str(value) for value in _VECTOR_VALUES(point.vector))
+        for point in series.releases
+    ))
 
 
 def series_filename(series: ProjectSeries) -> str:
@@ -119,13 +106,7 @@ def emit_metrics_jsonl(series_list: Iterable[ProjectSeries]) -> str:
                 "project": series.coordinate.key(),
                 "version": point.version_label,
                 "timestamp": point.timestamp,
-                "wmc": point.vector.wmc,
-                "dit": point.vector.dit,
-                "noc": point.vector.noc,
-                "cbo": point.vector.cbo,
-                "rfc": point.vector.rfc,
-                "lcom1": point.vector.lcom1,
-                "loc": point.vector.loc,
+                **dict(zip(METRIC_FIELDS.values(), _VECTOR_VALUES(point.vector))),
             }
             lines.append(json.dumps(record, sort_keys=False))
     return "\n".join(lines) + ("\n" if lines else "")
@@ -159,17 +140,14 @@ def render_combined_human(results: Iterable[CorrelationResult]) -> str:
 
 
 def render_summaries_human(summaries: Iterable[ProjectSummary]) -> str:
-    rows = []
-    for summary in summaries:
-        rows.append(
-            [summary.coordinate.key(), str(summary.n_releases), str(summary.n_bugs_total),
-             _human_float(summary.activity)]
-            + [
-                "" if summary.medians.get(name) is None else _human_float(summary.medians[name])
-                for name in _SUMMARY_MEDIAN_ORDER
-            ]
-        )
+    rows = [
+        [summary.coordinate.key(), str(summary.n_releases), str(summary.n_bugs_total),
+         _human_float(summary.activity)]
+        + ["" if summary.medians.get(name) is None else _human_float(summary.medians[name])
+           for name in METRIC_FIELDS]
+        for summary in summaries
+    ]
     return _render_table(
-        ["Project", "Releases", "Bugs", "Activity", "WMC", "DIT", "NOC", "CBO", "RFC", "LCOM1", "LOC"],
+        ["Project", "Releases", "Bugs", "Activity"] + [name.removeprefix("IC-") for name in METRIC_FIELDS],
         rows,
     )

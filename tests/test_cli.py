@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -192,6 +193,30 @@ def test_bug_count_a_float_cannot_hold_is_a_fatal_history_error(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field", ["loc", "bugs_fixed"])
+def test_snapshot_count_a_float_cannot_hold_is_a_failed_release(tmp_path, capsys, field):
+    assert main(["synth", "--out", str(tmp_path), "--projects", "3", "--releases", "11"]) == 0
+    release = tmp_path / "corpus" / "synth.example:lib00" / "0.3.0"
+    doc = json.loads((release / "snapshot.json").read_text())
+    doc[field] = 2**1100
+    (release / "snapshot.json").write_text(json.dumps(doc))
+    history = tmp_path / "releases.csv"
+    # The document's own bug count is used only where no history row matches.
+    history.write_text("".join(line for line in history.read_text().splitlines(keepends=True)
+                               if not line.startswith("synth.example:lib00,0.3.0,")))
+    capsys.readouterr()
+    rc = main(["analyze", "--corpus", str(tmp_path / "corpus"), "--history", str(history),
+               "--out", str(tmp_path / "report")])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert (f"warning: failed release synth.example:lib00/0.3.0: .{field}:"
+            " must convert to a float (below about 1.8e308)\n") in err
+    assert "Traceback" not in err
+    series = (tmp_path / "report" / "series_synth.example_lib00.csv").read_text()
+    versions = [line.split(",")[0] for line in series.splitlines()[1:]]
+    assert len(versions) == 10 and "0.3.0" not in versions
+
+
 def test_exclude_scopes_flag_changes_the_graph(tmp_path):
     from icmetrics.model import DependencyDecl
     from conftest import coord
@@ -257,3 +282,38 @@ def test_synth_overflowing_input_fails_before_writing(tmp_path, capsys, flags):
     assert err.startswith("error: ") and err.endswith("overflow the bug counts\n")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# sha256 of every output of `synth --seed 0` (default size) run through
+# `analyze --human` and `metrics`. A change to any report byte has to
+# change these on purpose.
+REPORT_DIGESTS = {
+    "combined.csv": "a64377aac559f65f25ac083b2a8e33768afb262a341343054745ffe58596b3c7",
+    "per_project.csv": "379dc5364f0acad13e8604fe9d82dfb849ef062bb117866e1cee5ce07a92b085",
+    "series_synth.example_lib00.csv": "1e8da1a425e39e439bed65042b3f18d8f07d519a8b1d0cb06c795aeecc697831",
+    "series_synth.example_lib01.csv": "adfd52ca329d58ee94bb83ccf22a0f7fbd1b096c9f1a1990e9eddcf45f885467",
+    "series_synth.example_lib02.csv": "392d4ef97eb6e596bcc9474e05e689fd52459f42c3b4345aa0fad7624a87dd73",
+    "series_synth.example_lib03.csv": "fdf436bbe6ed4e89a900d7129dc8745db54fb8bea2579af4a3fbe55a0c9c0b57",
+    "series_synth.example_lib04.csv": "a08148476ba8ad1ca309877879d8814c569d7445f3098e17382f77fd500bf84f",
+    "series_synth.example_lib05.csv": "fa911ba56f9d59cba40d502f5edeb4fa61e87a4a9e37782c81b297b668c1bbb9",
+    "series_synth.example_lib06.csv": "6312fa1b52dd56d7f0c8afe7b5939daa99dfe0ae2e60c4d80c62fb99abaf0823",
+    "series_synth.example_lib07.csv": "3a43def528f2571881feaeafbea72e0bd6c8b895a9bfc02139dc0e07c026ea4d",
+    "series_synth.example_lib08.csv": "e6ac477e45bdceda58ecbd0b86e588b8c03602653ef94df8e88483d36e12eb2d",
+    "series_synth.example_lib09.csv": "c730ed032ff991506060fbde259acf0b2f4e55932eae5c5f855dd4ae3b11d29f",
+    "summaries.csv": "e518980db47e228e2b88a6909a446f68e9a1778de3482df901707752b8b2070e",
+    "metrics.jsonl": "42f831327da0614a70dc0a170cf0da1eb2f58b975635a6a74d6991120ee8f696",
+    "stdout": "ca224f77047b7604f5632d6c5611d2cc155093ac3867eed42bee65fddfef2470",
+}
+
+
+def test_report_bytes_match_recorded_digests(tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "synth"), "--seed", "0"]) == 0
+    corpus = ["--corpus", str(tmp_path / "synth" / "corpus"), "--history", str(tmp_path / "synth" / "releases.csv")]
+    capsys.readouterr()
+    assert main(["analyze", *corpus, "--out", str(tmp_path / "report"), "--human"]) == 0
+    stdout = capsys.readouterr().out
+    assert main(["metrics", *corpus, "--out", str(tmp_path / "metrics")]) == 0
+    files = {path.name: path.read_bytes() for path in (tmp_path / "report").iterdir()}
+    files["metrics.jsonl"] = (tmp_path / "metrics" / "metrics.jsonl").read_bytes()
+    files["stdout"] = stdout.encode()
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in files.items()} == REPORT_DIGESTS

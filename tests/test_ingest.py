@@ -183,6 +183,17 @@ def test_bugs_a_float_cannot_hold_is_an_error():
         load_release_history(f"{header}g:a,1.0,100,1\ng:a,2.0,200,{2**1024}\n")
 
 
+def test_largest_count_a_float_holds_is_accepted_everywhere():
+    largest = 2**1024 - 2**970 - 1
+    snapshot = parse_snapshot_json(_snapshot_with(loc=largest, bugs_fixed=largest).decode())
+    assert snapshot.loc == snapshot.bugs_fixed == largest
+    header = "project,version,timestamp,bugs_fixed\n"
+    [row] = load_release_history(f"{header}g:a,1.0,100,{largest}\n")
+    assert row.bugs_fixed == largest
+    with pytest.raises(HistoryFormatError, match=r"^line 2: bugs_fixed must convert to a float"):
+        load_release_history(f"{header}g:a,1.0,100,{largest + 1}\n")
+
+
 def test_missing_column_is_an_error():
     with pytest.raises(HistoryFormatError, match="header"):
         load_release_history("project,version,bugs_fixed\ng:a,1.0,3\n")
@@ -573,6 +584,22 @@ CRASH_CASES = {
     "usage item is an int": (
         {"snapshot.json": _snapshot_with(usage=[7])},
         ".usage[0]: must be an object",
+    ),
+    "loc is too large for a float": (
+        {"snapshot.json": _snapshot_with(loc=2**1024 - 2**970)},
+        ".loc: must convert to a float (below about 1.8e308)",
+    ),
+    "loc has more digits than int() reads": (
+        {"snapshot.json": MINIMAL_SNAPSHOT.replace('"loc": null', '"loc": ' + "9" * 5000).encode()},
+        ".: invalid JSON: Exceeds the limit (4300 digits) for integer string conversion",
+    ),
+    "usage.json holds more digits than int() reads": (
+        {**_POM_FILES, "usage.json": b"[" + b"9" * 5000 + b"]"},
+        "usage.json: invalid JSON: Exceeds the limit (4300 digits) for integer string conversion",
+    ),
+    "bugs_fixed is too large for a float": (
+        {"snapshot.json": _snapshot_with(bugs_fixed=2**1100)},
+        ".bugs_fixed: must convert to a float (below about 1.8e308)",
     ),
 }
 

@@ -310,6 +310,19 @@ class TestSweepMatchesOracle:
         assert [(p.vector.cbo, p.vector.dit) for p in series[coord("b")].releases] == [(1, 1), (0, 1)]
         _assert_matches_oracle(corpus, series)
 
+    def test_later_project_in_the_group_sees_the_last_tie(self):
+        # b 1.0, b 2.0 and c 1.0 tie at t=100, and c depends on b. b's ties
+        # are measured one after the other, so c sees b 2.0 (b->d), not b 1.0.
+        corpus = make_corpus({
+            "b": [make_snapshot("b", version="1.0", timestamp=100),
+                  make_snapshot("b", deps=["d"], version="2.0", timestamp=100)],
+            "c": [make_snapshot("c", deps=["b"], version="1.0", timestamp=100)],
+            "d": [make_snapshot("d", version="1.0", timestamp=0)],
+        })
+        series = build_series(corpus)
+        assert series[coord("c")].releases[0].vector.dit == 2
+        _assert_matches_oracle(corpus, series)
+
     def test_failing_release_is_reported_not_fatal(self):
         class Broken:
             coordinate = coord("b")

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 import math
 
 from conftest import coord, make_snapshot, sweep_vectors
 
+from icmetrics.metrics import METRIC_FIELDS, METRIC_ORDER
+from icmetrics.model import MetricVector
 from icmetrics.pipeline import ProjectSeries, ReleasePoint, summarize_project
 from icmetrics.report import (
     COMBINED_HEADER,
@@ -163,3 +166,21 @@ class TestHumanRendering:
         assert header.startswith("Project")
         assert set(ruler) <= {"-", " "}
         assert row.startswith("org.fixture:p")
+
+
+class TestMetricCatalogue:
+    def test_catalogue_follows_the_vector_fields(self):
+        assert list(METRIC_FIELDS.values()) == [f.name for f in dataclasses.fields(MetricVector)]
+
+    def test_catalogue_names_are_the_correlation_rows(self):
+        assert set(METRIC_FIELDS) == set(METRIC_ORDER)
+        assert len(METRIC_FIELDS) == len(METRIC_ORDER)
+
+    def test_headers_are_the_published_strings(self):
+        assert COMBINED_HEADER == "metric,correlation,p_value,n"
+        assert PER_PROJECT_HEADER == "project,metric,correlation,p_value,n"
+        assert SUMMARIES_HEADER == (
+            "project,n_releases,n_bugs,activity,median_wmc,median_dit,median_noc,"
+            "median_cbo,median_rfc,median_lcom1,median_loc"
+        )
+        assert SERIES_HEADER == "version,timestamp,bugs_fixed,wmc,dit,noc,cbo,rfc,lcom1,loc"
