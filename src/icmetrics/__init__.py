@@ -8,6 +8,7 @@ from .ingest import (
     load_corpus,
     load_release_history,
     parse_snapshot_json,
+    release_facts,
 )
 from .metrics import ic_lcom1, ic_rfc
 from .model import (
@@ -16,6 +17,7 @@ from .model import (
     MetricVector,
     ProjectCoordinate,
     ProjectManifest,
+    ReleaseFacts,
     ReleaseSnapshot,
     UsageRecord,
     validate_snapshot,

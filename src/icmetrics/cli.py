@@ -7,7 +7,6 @@ flags. Warnings and progress go to stderr; report data goes to files only.
 from __future__ import annotations
 
 import argparse
-import gc
 import math
 import sys
 from pathlib import Path
@@ -125,17 +124,14 @@ def _load_series(args: argparse.Namespace) -> tuple[Corpus, dict[ProjectCoordina
     history = None
     if args.history:
         history = load_release_history(_path(args.history).read_text(encoding="utf-8"))
-    corpus = load_corpus(args.corpus, history, args.loc_ext)
+    corpus = load_corpus(args.corpus, history, args.loc_ext, args.exclude_scopes)
     del history  # joined into the corpus; free the rows before the series build
-    # The corpus is immutable and lives until exit; keep the cyclic GC
-    # from rescanning it on every older-generation pass.
-    gc.freeze()
     for message in corpus.warnings:
         _warn(message)
     args.out.mkdir(parents=True, exist_ok=True)
 
     vector_errors: list[str] = []
-    series_map = build_series(corpus, args.exclude_scopes, vector_errors)
+    series_map = build_series(corpus, vector_errors)
     for message in vector_errors:
         _warn(message)
     return corpus, series_map

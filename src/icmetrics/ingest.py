@@ -25,17 +25,20 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, NoReturn
 
+from .graph import DEFAULT_SCOPE_FILTER, effective_targets
+from .metrics import ic_lcom1, ic_rfc, response_set
 from .model import (
     ApiSurface,
     DependencyDecl,
     ProjectCoordinate,
     ProjectManifest,
+    ReleaseFacts,
     ReleaseSnapshot,
     SharedValues,
     UsageRecord,
@@ -85,9 +88,11 @@ class FailedRelease:
 
 @dataclass
 class Corpus:
-    """Everything load_corpus learned about a corpus tree."""
+    """Everything load_corpus learned about a corpus tree: per project, the
+    facts of each parsed release in (timestamp, version) order and each
+    failed release."""
 
-    snapshots: dict[ProjectCoordinate, list[ReleaseSnapshot]] = field(default_factory=dict)
+    snapshots: dict[ProjectCoordinate, list[ReleaseFacts]] = field(default_factory=dict)
     failed: dict[ProjectCoordinate, list[FailedRelease]] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
@@ -102,34 +107,6 @@ class Corpus:
 # broken part. So the success path formats no path.
 
 
-class _Shared(SharedValues):
-    """One object per distinct decoded value, for the life of one load.
-
-    Between releases most of a project's API surface and all of its
-    dependencies stay the same; decoding them through these tables keeps
-    one copy of each value instead of one per release, and checks an
-    API-surface entry again only when its raw callee list changed. The
-    tables:
-
-    - ``coordinates`` and ``dependencies`` (from SharedValues): each
-      ``ProjectCoordinate`` and ``DependencyDecl`` of the JSON decoders and
-      of ``parse_pom``;
-    - ``methods``: per method identity, the shared identity, the raw JSON
-      callee list last checked for it and that list's shared callee set;
-    - ``callees``: each distinct callee set.
-
-    Only equal immutable values are shared, and each value is checked on the
-    raw JSON before it is stored.
-    """
-
-    __slots__ = ("methods", "callees")
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.methods: dict[str, tuple[str, list[str], frozenset[str]]] = {}
-        self.callees: dict[frozenset[str], frozenset[str]] = {}
-
-
 def _fail(path: str, message: str) -> NoReturn:
     raise SnapshotFormatError(f"{path}: {message}")
 
@@ -138,7 +115,7 @@ def _where(path: str, index: int | None) -> str:
     return path if index is None else f"{path}[{index}]"
 
 
-def _coordinate(value: Any, shared: _Shared, path: str, index: int | None = None) -> ProjectCoordinate:
+def _coordinate(value: Any, shared: SharedValues, path: str, index: int | None = None) -> ProjectCoordinate:
     """The coordinate a JSON object names; SnapshotFormatError at ``path[index]`` when it names none."""
     if isinstance(value, dict):
         group, artifact = value.get("group"), value.get("artifact")
@@ -166,31 +143,30 @@ def _array(value: Any, path: str) -> list:
     return value
 
 
-def _api_surface_from_json(value: Any, path: str, shared: _Shared) -> ApiSurface | None:
-    """Decode an API surface, the ``api_surface`` field or api_surface.json."""
+def _api_surface_from_json(value: Any, path: str) -> tuple[dict[str, list[str]] | None, int | None]:
+    """Check an API surface, the ``api_surface`` field or api_surface.json:
+    the surface (method -> callee list) and its RFC, both None for null.
+
+    The whole object is tested in C: every value a list, then the response
+    set (JSON keys are strings) all strings. Only a failing surface is
+    walked method by method, to name the first bad one.
+    """
     if value is None:
-        return None
+        return None, None
     if not isinstance(value, dict):
         _fail(path, "must be an object or null")
-    memo, callee_sets = shared.methods, shared.callees
-    methods = {}
-    for method, callees in value.items():
-        entry = memo.get(method)
-        # No JSON value but a str equals a str, so a list equal to the one
-        # last checked for this method is a list of strings too.
-        if entry is None or entry[1] != callees:
-            if not (isinstance(callees, list) and all(map(isinstance, callees, repeat(str)))):
-                _fail(f"{path}[{method!r}]", "must be an array of strings")
-            callee_set = frozenset(callees)
-            callee_set = callee_sets.setdefault(callee_set, callee_set)
-            key = method if entry is None else entry[0]
-            entry = memo[key] = (key, callees, callee_set)
-        methods[entry[0]] = entry[2]
-    # ApiSurface's frozenset() of an exact frozenset is that same object.
-    return ApiSurface(methods)
+    try:
+        identities = response_set(value) if all(map(isinstance, value.values(), repeat(list))) else None
+    except TypeError:  # an unhashable callee
+        identities = None
+    if identities is None or not all(map(isinstance, identities, repeat(str))):
+        method = next(method for method, callees in value.items()
+                      if not (isinstance(callees, list) and all(map(isinstance, callees, repeat(str)))))
+        _fail(f"{path}[{method!r}]", "must be an array of strings")
+    return value, len(identities)
 
 
-def _usage_from_json(value: Any, path: str, shared: _Shared) -> UsageRecord | None:
+def _usage_from_json(value: Any, path: str, shared: SharedValues) -> UsageRecord | None:
     """Decode a usage record, the ``usage`` field or usage.json."""
     if value is None:
         return None
@@ -199,7 +175,7 @@ def _usage_from_json(value: Any, path: str, shared: _Shared) -> UsageRecord | No
     return UsageRecord(frozenset(_coordinate(item, shared, path, i) for i, item in enumerate(value)))
 
 
-def _dependency(value: Any, shared: _Shared, path: str, index: int) -> DependencyDecl:
+def _dependency(value: Any, shared: SharedValues, path: str, index: int) -> DependencyDecl:
     """The dependency a JSON object declares; SnapshotFormatError at ``path[index]``
     naming the first wrong part (target, version, scope) when it declares none."""
     if isinstance(value, dict):
@@ -216,7 +192,7 @@ def _dependency(value: Any, shared: _Shared, path: str, index: int) -> Dependenc
     _fail(f"{where}.scope", "must be a string or null")
 
 
-def _manifest_from_json(item: Any, path: str, shared: _Shared) -> ProjectManifest:
+def _manifest_from_json(item: Any, path: str, shared: SharedValues) -> ProjectManifest:
     coordinate = _coordinate(item, shared, path)
     if not isinstance(item.get("version"), str):
         _fail(f"{path}.version", "must be a string")
@@ -228,14 +204,37 @@ def _manifest_from_json(item: Any, path: str, shared: _Shared) -> ProjectManifes
     return ProjectManifest(coordinate, item["version"], deps, submodules)
 
 
+def _violations(snapshot: ReleaseSnapshot, shared: SharedValues) -> list[str]:
+    """``validate_snapshot(snapshot)`` for a release just decoded through
+    ``shared``, whose ``broken`` flag was cleared before the decode.
+
+    Each coordinate met the coordinate rule as it entered ``shared``, so
+    the full check runs only for a release that set the flag or fails the
+    cheap test below of the other rules (timestamp, bug count, manifest
+    coordinates); the full check then names every violation.
+    """
+    manifests = snapshot.manifests
+    allowed = {snapshot.coordinate}.union(*(m.submodule_coordinates for m in manifests))
+    if (shared.broken or not (isinstance(snapshot.timestamp, int) and isinstance(snapshot.bugs_fixed, int)
+                              and snapshot.bugs_fixed >= 0)
+            or any(m.coordinate in m.submodule_coordinates or m.coordinate not in allowed for m in manifests)):
+        return validate_snapshot(snapshot)
+    return []
+
+
 def parse_snapshot_json(text: str) -> ReleaseSnapshot:
     """Decode one snapshot.json document; the result always validates clean."""
-    return _snapshot_from_json(text, _Shared())
+    snapshot, surface, _ = _snapshot_from_json(text, SharedValues())
+    return snapshot if surface is None else replace(snapshot, api_surface=ApiSurface(surface))
 
 
-def _snapshot_from_json(text: str, shared: _Shared, row: ReleaseHistoryRow | None = None) -> ReleaseSnapshot:
-    """``parse_snapshot_json``, sharing equal values through ``shared``; a
-    history ``row`` replaces the document's bug count (it is still checked)."""
+def _snapshot_from_json(text: str, shared: SharedValues, row: ReleaseHistoryRow | None = None,
+                        ) -> tuple[ReleaseSnapshot, dict[str, list[str]] | None, int | None]:
+    """Decode and check one snapshot.json document, sharing equal values
+    through ``shared``: the snapshot without its API surface, the checked
+    surface and its RFC. A history ``row`` replaces the document's bug
+    count (it is still checked)."""
+    shared.broken = False
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:  # ValueError: also an integer of over 4300 digits
@@ -255,7 +254,7 @@ def _snapshot_from_json(text: str, shared: _Shared, row: ReleaseHistoryRow | Non
     manifests = tuple(_manifest_from_json(item, f".manifests[{i}]", shared)
                       for i, item in enumerate(manifests_raw))
 
-    api_surface = _api_surface_from_json(raw.get("api_surface"), ".api_surface", shared)
+    surface, rfc = _api_surface_from_json(raw.get("api_surface"), ".api_surface")
     usage = _usage_from_json(raw.get("usage"), ".usage", shared)
 
     loc = raw.get("loc")
@@ -268,15 +267,14 @@ def _snapshot_from_json(text: str, shared: _Shared, row: ReleaseHistoryRow | Non
         version_label=raw["version"],
         timestamp=raw["timestamp"],
         manifests=manifests,
-        api_surface=api_surface,
         usage=usage,
         loc=loc,
         bugs_fixed=bugs if row is None else row.bugs_fixed,
     )
-    violations = validate_snapshot(snapshot)
+    violations = _violations(snapshot, shared)
     if violations:
         raise SnapshotFormatError("snapshot violates invariants: " + "; ".join(violations))
-    return snapshot
+    return snapshot, surface, rfc
 
 
 def encode_snapshot(snapshot: ReleaseSnapshot) -> str:
@@ -363,7 +361,13 @@ def load_release_history(csv_text: str) -> list[ReleaseHistoryRow]:
         try:
             bugs = int(bugs_text)
         except ValueError:
-            raise HistoryFormatError(f"line {lineno}: bugs_fixed must be an integer, got {bugs_text!r}") from None
+            # int() also refuses a run of over 4300 digits, leading zeros
+            # included; past the float bound's digit count, it is too large.
+            unsigned = bugs_text.removeprefix("+")
+            if not (unsigned.isascii() and unsigned.isdigit()):
+                raise HistoryFormatError(f"line {lineno}: bugs_fixed must be an integer, got {bugs_text!r}") from None
+            digits = unsigned.lstrip("0")
+            bugs = _FLOAT_OVERFLOW if len(digits) > len(str(_FLOAT_OVERFLOW)) else int(digits or "0")
         if bugs < 0:
             raise HistoryFormatError(f"line {lineno}: bugs_fixed must be non-negative, got {bugs}")
         if bugs >= _FLOAT_OVERFLOW:
@@ -513,14 +517,15 @@ def _read_sidecar(entry: os.DirEntry[str]) -> Any:
 
 
 def _load_pom_release(release_dir: os.DirEntry[str], loc_suffixes: tuple[str, ...],
-                      warnings: list[str], shared: _Shared,
-                      row: ReleaseHistoryRow | None) -> ReleaseSnapshot | None:
-    """Assemble a snapshot from pom.xml files plus optional sidecar files.
+                      warnings: list[str], shared: SharedValues,
+                      row: ReleaseHistoryRow | None) -> tuple[ReleaseSnapshot, int | None]:
+    """Assemble a snapshot, without its API surface, from pom.xml files plus
+    optional sidecar files; return it with its RFC.
 
     One walk of the release directory finds the manifests (every pom.xml,
     ordered by depth, then path), the sidecars and the LOC files under
     ``src/``. The timestamp and bug count come from the history ``row``
-    (0 without one). Returns None when the directory holds no pom.xml.
+    (0 without one). The caller checks the snapshot with ``_violations``.
     """
     top: dict[str, os.DirEntry[str]] = {}
     pom_paths: list[tuple[int, str]] = []
@@ -536,14 +541,15 @@ def _load_pom_release(release_dir: os.DirEntry[str], loc_suffixes: tuple[str, ..
         if name == "pom.xml" and _is_file(entry):
             pom_paths.append((depth, entry.path))
     if not pom_paths:
-        return None
+        raise _RejectedRelease("no snapshot.json or pom.xml")
 
+    shared.broken = False
     manifests = tuple(parse_pom(_read(path), shared) for _, path in sorted(pom_paths))
 
-    api_surface = usage = loc = None
+    rfc = usage = loc = None
     surface_entry = top.get("api_surface.json")
     if surface_entry is not None and _is_file(surface_entry):
-        api_surface = _api_surface_from_json(_read_sidecar(surface_entry), surface_entry.name, shared)
+        _, rfc = _api_surface_from_json(_read_sidecar(surface_entry), surface_entry.name)
     usage_entry = top.get("usage.json")
     if usage_entry is not None and _is_file(usage_entry):
         usage = _usage_from_json(_read_sidecar(usage_entry), usage_entry.name, shared)
@@ -559,20 +565,47 @@ def _load_pom_release(release_dir: os.DirEntry[str], loc_suffixes: tuple[str, ..
         version_label=release_dir.name,
         timestamp=0 if row is None else row.timestamp,
         manifests=manifests,
-        api_surface=api_surface,
         usage=usage,
         loc=loc,
         bugs_fixed=0 if row is None else row.bugs_fixed,
+    ), rfc
+
+
+def _facts(snapshot: ReleaseSnapshot, rfc: int | None, scope_filter: frozenset[str] | set[str],
+           target_sets: dict[frozenset[ProjectCoordinate], frozenset[ProjectCoordinate]]) -> ReleaseFacts:
+    """The facts of a checked snapshot whose RFC is given; equal target sets
+    are shared through ``target_sets``."""
+    targets = effective_targets(snapshot, scope_filter)
+    targets = target_sets.setdefault(targets, targets)
+    return ReleaseFacts(
+        version_label=snapshot.version_label,
+        timestamp=snapshot.timestamp,
+        bugs_fixed=snapshot.bugs_fixed,
+        loc=snapshot.loc,
+        targets=targets,
+        rfc=rfc,
+        lcom1=None if snapshot.usage is None else ic_lcom1(targets, snapshot.usage),
     )
 
 
-def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
-                loc_extensions: frozenset[str] | set[str] = DEFAULT_LOC_EXTENSIONS) -> Corpus:
-    """Walk a corpus tree into per-project, time-ordered snapshot lists.
+def release_facts(snapshot: ReleaseSnapshot,
+                  scope_filter: frozenset[str] | set[str] = DEFAULT_SCOPE_FILTER) -> ReleaseFacts:
+    """What ``load_corpus`` keeps of a release, derived from its snapshot."""
+    return _facts(snapshot, None if snapshot.api_surface is None else ic_rfc(snapshot.api_surface),
+                  scope_filter, {})
 
-    ``history`` joins bug counts (and, for pom releases, timestamps) by
-    (project key, version label). Pass None to skip the join silently;
-    an empty list warns on every unmatched release.
+
+def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
+                loc_extensions: frozenset[str] | set[str] = DEFAULT_LOC_EXTENSIONS,
+                scope_filter: frozenset[str] | set[str] = DEFAULT_SCOPE_FILTER) -> Corpus:
+    """Walk a corpus tree into per-project, time-ordered lists of release facts.
+
+    Each release is decoded and checked once, and only its ``ReleaseFacts``
+    are kept: the out-edges left after ``scope_filter`` drops dependency
+    scopes, RFC, LCOM1, LOC, timestamp and bug count. ``history`` joins bug
+    counts (and, for pom releases, timestamps) by (project key, version
+    label). Pass None to skip the join silently; an empty list warns on
+    every unmatched release.
     """
     root = Path(root)
     if not root.is_dir():
@@ -581,7 +614,7 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
     history_index = {(row.project_key, row.version_label): row for row in history or ()}
 
     corpus = Corpus()
-    shared = _Shared()
+    shared = SharedValues()
     loc_suffixes = tuple(loc_extensions)
     seen_releases: set[tuple[str, str]] = set()
 
@@ -604,18 +637,16 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
             try:
                 from_json = os.path.isfile(snapshot_path)
                 if from_json:
-                    snapshot = _snapshot_from_json(_read_utf8(snapshot_path, "."), shared, row)
+                    snapshot, _, rfc = _snapshot_from_json(_read_utf8(snapshot_path, "."), shared, row)
                 else:
-                    snapshot = _load_pom_release(release_dir, loc_suffixes, corpus.warnings, shared, row)
-                if snapshot is None:
-                    raise _RejectedRelease("no snapshot.json or pom.xml")
+                    snapshot, rfc = _load_pom_release(release_dir, loc_suffixes, corpus.warnings, shared, row)
                 if snapshot.coordinate != coordinate:
                     raise _RejectedRelease(
                         f"manifest coordinate {snapshot.coordinate.key()} does not match"
                         f" project directory {project_dir.name}"
                     )
-                # parse_snapshot_json has already validated a snapshot.json release.
-                violations = [] if from_json else validate_snapshot(snapshot)
+                # _snapshot_from_json has already checked a snapshot.json release.
+                violations = [] if from_json else _violations(snapshot, shared)
                 if violations:
                     raise _RejectedRelease("invariant violations: " + "; ".join(violations))
             except (_RejectedRelease, PomError, SnapshotFormatError, json.JSONDecodeError, OSError) as exc:
@@ -628,7 +659,7 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
                     f"no history row for {project_dir.name}/{version_label};"
                     f" bugs_fixed defaults to {snapshot.bugs_fixed}"
                 )
-            parsed.append(snapshot)
+            parsed.append(_facts(snapshot, rfc, scope_filter, shared.targets))
 
         parsed.sort(key=lambda s: (s.timestamp, s.version_label))
 

@@ -14,6 +14,8 @@ release's own inputs.
 
 from __future__ import annotations
 
+from typing import Iterable, Mapping
+
 from .model import ApiSurface, MetricVector, ProjectCoordinate, UsageRecord
 
 # Row order of the correlation tables.
@@ -36,10 +38,14 @@ def vector_value(vector: MetricVector, metric_name: str) -> int | None:
     return getattr(vector, METRIC_FIELDS[metric_name])
 
 
+def response_set(methods: Mapping[str, Iterable[str]]) -> set[str]:
+    """(public method identities) union (all first-step callees)."""
+    return set(methods).union(*methods.values())
+
+
 def ic_rfc(surface: ApiSurface) -> int:
-    """Size of (public method identities) union (all first-step callees)."""
-    methods = surface.methods
-    return len(set(methods).union(*methods.values()))
+    """Size of the surface's response set."""
+    return len(response_set(surface.methods))
 
 
 def ic_lcom1(manifest_deps: frozenset[ProjectCoordinate] | set[ProjectCoordinate],

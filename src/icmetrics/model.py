@@ -3,7 +3,8 @@
 Construction never raises; ``validate_snapshot`` reports rule violations as
 plain strings so corpus loading can keep going and record failures instead
 of aborting. ``SharedValues`` lets the decoders of one corpus load hand out
-one object per distinct coordinate and dependency declaration.
+one object per distinct value, and checks each coordinate once.
+``ReleaseFacts`` is what a corpus load keeps of a release.
 """
 
 from __future__ import annotations
@@ -41,23 +42,37 @@ class DependencyDecl:
 
 
 class SharedValues:
-    """One object per distinct coordinate and dependency declaration.
+    """One object per distinct coordinate, dependency declaration and
+    effective target set.
 
     Decoders given the same instance return the same object for equal
     values, so a corpus load holds each value once however many manifests
-    repeat it. The tables only grow; they live as long as the instance.
+    repeat it; a load keeps its target sets through ``targets``. The tables
+    only grow; they live as long as the instance.
+
+    A coordinate is checked against the coordinate rule once, when it
+    enters the table. One that breaks the rule is never stored, nor is a
+    declaration naming it, so every lookup of it sets ``broken``: a caller
+    that clears the flag before decoding a release knows afterwards whether
+    any of its coordinates broke the rule.
     """
 
-    __slots__ = ("coordinates", "dependencies")
+    __slots__ = ("coordinates", "dependencies", "targets", "broken")
 
     def __init__(self) -> None:
         self.coordinates: dict[tuple[str, str], ProjectCoordinate] = {}
         self.dependencies: dict[tuple[str, str, str | None, str | None], DependencyDecl] = {}
+        self.targets: dict[frozenset[ProjectCoordinate], frozenset[ProjectCoordinate]] = {}
+        self.broken = False
 
     def coordinate(self, group: str, artifact: str) -> ProjectCoordinate:
         coordinate = self.coordinates.get((group, artifact))
         if coordinate is None:
-            coordinate = self.coordinates[group, artifact] = ProjectCoordinate(group, artifact)
+            coordinate = ProjectCoordinate(group, artifact)
+            if _coordinate_violations(coordinate):
+                self.broken = True
+            else:
+                self.coordinates[group, artifact] = coordinate
         return coordinate
 
     def dependency(self, group: str, artifact: str, version_text: str | None,
@@ -65,8 +80,9 @@ class SharedValues:
         key = (group, artifact, version_text, scope)
         dependency = self.dependencies.get(key)
         if dependency is None:
-            dependency = self.dependencies[key] = DependencyDecl(
-                self.coordinate(group, artifact), version_text, scope)
+            dependency = DependencyDecl(self.coordinate(group, artifact), version_text, scope)
+            if (group, artifact) in self.coordinates:
+                self.dependencies[key] = dependency
         return dependency
 
 
@@ -124,6 +140,24 @@ class ReleaseSnapshot:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "manifests", tuple(self.manifests))
+
+
+@dataclass(frozen=True, slots=True)
+class ReleaseFacts:
+    """What the metric sweep reads of one parsed release.
+
+    ``targets`` are the release's out-edges (``graph.effective_targets``);
+    ``rfc`` and ``lcom1`` are its class-local metrics, None when the release
+    has no API surface or usage record.
+    """
+
+    version_label: str
+    timestamp: int
+    bugs_fixed: int
+    loc: int | None
+    targets: frozenset[ProjectCoordinate]
+    rfc: int | None
+    lcom1: int | None
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
 
-from .graph import DEFAULT_SCOPE_FILTER, effective_targets, strongly_connected_components
+from .graph import strongly_connected_components
 from .ingest import Corpus
-from .metrics import METRIC_ORDER, ic_lcom1, ic_rfc, vector_value
+from .metrics import METRIC_ORDER, vector_value
 from .model import MetricVector, ProjectCoordinate
 from .stats import CorrelationResult, activity_ratio, correlate, median
 
@@ -66,25 +66,24 @@ def select_projects(corpus: Corpus) -> tuple[set[ProjectCoordinate], dict[Projec
             rejected[coordinate] = REJECT_MIN_VERSIONS
         elif len(parsed) / total < MIN_PARSE_RATIO:
             rejected[coordinate] = REJECT_PARSE_RATIO
-        elif sum(snapshot.bugs_fixed for snapshot in parsed) <= 0:
+        elif sum(release.bugs_fixed for release in parsed) <= 0:
             rejected[coordinate] = REJECT_ZERO_BUGS
         else:
             selected.add(coordinate)
     return selected, rejected
 
 
-def build_series(corpus: Corpus,
-                 scope_filter: frozenset[str] | set[str] = DEFAULT_SCOPE_FILTER,
-                 errors: list[str] | None = None) -> dict[ProjectCoordinate, ProjectSeries]:
+def build_series(corpus: Corpus, errors: list[str] | None = None) -> dict[ProjectCoordinate, ProjectSeries]:
     """One ProjectSeries per corpus project, in canonical order.
 
     Each release is measured against the ecosystem at its timestamp: every
-    other project's latest snapshot at or before it (its earliest when none
+    other project's latest release at or before it (its earliest when none
     precede), with the release itself as its own project's entry. Of a
     project's releases that share a timestamp (ties), the latest is the
-    last in list order. One sweep over all snapshots in timestamp order
+    last in list order. One sweep over all releases in timestamp order
     keeps that state in a persistent adjacency over dense node ids, and
-    computes only the released project's vector.
+    computes only the released project's graph metrics; RFC, LCOM1 and LOC
+    are the release's own facts.
 
     The sweep memoizes each node's chain (DIT + 1, as a sum of component
     sizes) and component size. A node's values depend only on what it
@@ -97,7 +96,6 @@ def build_series(corpus: Corpus,
     and "<key>/<version>: <reason>" is appended to `errors`, in
     (coordinate, list) order.
     """
-    scope_filter = frozenset(scope_filter)
     ids: dict[ProjectCoordinate, int] = {}
     # Current out-set per node id, sorted so that equal sets compare equal;
     # stubs stay empty.
@@ -148,24 +146,23 @@ def build_series(corpus: Corpus,
                     size[member] = len(component)
         return chain[node] - 1, size[node] - 1
 
-    # Each snapshot's out-set is computed once; a project's initial state is
-    # its earliest snapshot.
+    # Each distinct target set is mapped to node ids once; a project's
+    # initial state is its earliest release.
     outcomes: dict[ProjectCoordinate, list[ReleasePoint | str | None]] = {}
+    target_ids_of: dict[frozenset[ProjectCoordinate], tuple[int, ...]] = {}
     events = []
     for coordinate in sorted(corpus.snapshots):
-        snapshots = corpus.snapshots[coordinate]
-        outcomes[coordinate] = [None] * len(snapshots)
+        releases = corpus.snapshots[coordinate]
+        outcomes[coordinate] = [None] * len(releases)
         node = node_id(coordinate)
-        for index, snapshot in enumerate(snapshots):
-            try:
-                targets = effective_targets(snapshot, scope_filter)
-            except Exception as exc:  # recorded, never fatal for the run
-                outcomes[coordinate][index] = f"{coordinate.key()}/{snapshot.version_label}: {exc}"
-                continue
-            target_ids = tuple(sorted(map(node_id, targets)))
+        for index, release in enumerate(releases):
+            targets = release.targets
+            target_ids = target_ids_of.get(targets)
+            if target_ids is None:
+                target_ids = target_ids_of[targets] = tuple(sorted(map(node_id, targets)))
             if index == 0:
                 apply(node, target_ids)
-            events.append((snapshot.timestamp, coordinate, node, index, snapshot, targets, target_ids))
+            events.append((release.timestamp, coordinate, node, index, release, target_ids))
     events.sort(key=itemgetter(0))  # stable: a project's ties stay adjacent, in list order
 
     # A timestamp's events are all applied first, leaving each project at its
@@ -173,28 +170,28 @@ def build_series(corpus: Corpus,
     # next tie re-applies its own, and its last tie is what the first pass set.
     for _, group in groupby(events, key=itemgetter(0)):
         group = list(group)
-        for _, _, node, _, _, _, target_ids in group:
+        for _, _, node, _, _, target_ids in group:
             apply(node, target_ids)
-        for _, coordinate, node, index, snapshot, targets, target_ids in group:
+        for _, coordinate, node, index, release, target_ids in group:
             try:
                 apply(node, target_ids)
                 dit, cbo = measure(node)
                 vector = MetricVector(
-                    wmc=len(targets),
+                    wmc=len(target_ids),
                     dit=dit,
                     noc=len(preds[node]),
                     cbo=cbo,
-                    rfc=None if snapshot.api_surface is None else ic_rfc(snapshot.api_surface),
-                    lcom1=None if snapshot.usage is None else ic_lcom1(targets, snapshot.usage),
-                    loc=snapshot.loc,
+                    rfc=release.rfc,
+                    lcom1=release.lcom1,
+                    loc=release.loc,
                 )
             except Exception as exc:  # recorded, never fatal for the run
-                outcomes[coordinate][index] = f"{coordinate.key()}/{snapshot.version_label}: {exc}"
+                outcomes[coordinate][index] = f"{coordinate.key()}/{release.version_label}: {exc}"
                 continue
             outcomes[coordinate][index] = ReleasePoint(
-                version_label=snapshot.version_label,
-                timestamp=snapshot.timestamp,
-                bugs_fixed=snapshot.bugs_fixed,
+                version_label=release.version_label,
+                timestamp=release.timestamp,
+                bugs_fixed=release.bugs_fixed,
                 vector=vector,
             )
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from icmetrics.graph import DEFAULT_SCOPE_FILTER
-from icmetrics.ingest import Corpus, encode_snapshot
+from icmetrics.ingest import Corpus, FailedRelease, encode_snapshot, release_facts
 from icmetrics.model import (
     ApiSurface,
     DependencyDecl,
@@ -71,23 +71,30 @@ def sweep_vectors(snapshots, scope_filter=DEFAULT_SCOPE_FILTER) -> dict[ProjectC
     Each snapshot is its project's whole history, so every release is
     measured against all the others, whatever the timestamps.
     """
-    corpus = Corpus(snapshots={snapshot.coordinate: [snapshot] for snapshot in snapshots})
+    corpus = Corpus(snapshots={snapshot.coordinate: [release_facts(snapshot, scope_filter)]
+                               for snapshot in snapshots})
     assert len(corpus.snapshots) == len(snapshots), "one snapshot per project"
     errors: list[str] = []
-    series = build_series(corpus, scope_filter, errors=errors)
+    series = build_series(corpus, errors=errors)
     assert errors == []
     return {coordinate: project.releases[0].vector for coordinate, project in series.items()}
 
 
-def make_corpus(projects: dict[str, list[ReleaseSnapshot]],
-                failed: dict[str, int] | None = None) -> Corpus:
-    """In-memory corpus; `failed` counts unparsable releases per project name."""
-    from icmetrics.ingest import FailedRelease
+def snapshot_lists(projects: dict[str, list[ReleaseSnapshot]]) -> dict[ProjectCoordinate, list[ReleaseSnapshot]]:
+    """Each project's snapshots in the order load_corpus keeps releases."""
+    return {coord(name): sorted(snapshots, key=lambda s: (s.timestamp, s.version_label))
+            for name, snapshots in projects.items()}
 
+
+def make_corpus(projects: dict[str, list[ReleaseSnapshot]],
+                failed: dict[str, int] | None = None,
+                scope_filter=DEFAULT_SCOPE_FILTER) -> Corpus:
+    """In-memory corpus holding the facts load_corpus keeps of each snapshot;
+    `failed` counts unparsable releases per project name."""
     corpus = Corpus()
-    for name, snapshots in projects.items():
-        corpus.snapshots[coord(name)] = sorted(snapshots, key=lambda s: (s.timestamp, s.version_label))
-        corpus.failed.setdefault(coord(name), [])
+    for coordinate, snapshots in snapshot_lists(projects).items():
+        corpus.snapshots[coordinate] = [release_facts(snapshot, scope_filter) for snapshot in snapshots]
+        corpus.failed.setdefault(coordinate, [])
     for name, count in (failed or {}).items():
         corpus.snapshots.setdefault(coord(name), [])
         corpus.failed[coord(name)] = [FailedRelease(f"broken-{i}", "no snapshot.json or pom.xml") for i in range(count)]

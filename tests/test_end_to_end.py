@@ -1,0 +1,96 @@
+"""Whole analyze runs checked by the benchmark's independent oracle, and
+the facts a corpus load keeps checked against the snapshot decoders.
+
+``perfbench/corpora.py`` writes the three benchmark corpus shapes from
+``synth`` output and describes each release without the program's graph
+code; ``perfbench/oracle.py`` recomputes every report value from that
+description (bitset reachability, ``statistics.correlation``). Both are
+imported from ``perfbench/`` itself, so there is one copy of the oracle.
+"""
+
+import dataclasses
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from icmetrics.cli import main
+from icmetrics.graph import DEFAULT_SCOPE_FILTER
+from icmetrics.ingest import count_loc, load_corpus, load_release_history, parse_snapshot_json, release_facts
+from icmetrics.model import ApiSurface, ProjectCoordinate, ReleaseSnapshot, UsageRecord
+from icmetrics.pom import parse_pom
+from icmetrics.synth import synth_ecosystem
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import corpora  # noqa: E402
+import oracle  # noqa: E402
+
+# shape -> (projects, releases): small corpora whose projects still pass selection.
+SHAPES = {"aligned": (8, 12), "staggered": (8, 12), "pom-loc": (5, 12)}
+
+
+def _write_corpus(base: Path, shape: str, seed: int) -> list:
+    projects, releases = SHAPES[shape]
+    synth_ecosystem(base, seed, projects, releases, coupling=1.0, noise=1.0)
+    if shape == "pom-loc":
+        return corpora.to_pom(base, seed)
+    if shape == "staggered":
+        corpora.stagger(base, seed)
+    return corpora.read_json_corpus(base)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_analyze_report_matches_the_oracle(tmp_path, shape, seed):
+    releases = _write_corpus(tmp_path / "base", shape, seed)
+    expected = oracle.Expected(releases)
+    assert expected.selected, "the corpus must select at least one project"
+    out = tmp_path / "out"
+    code = main(["analyze", "--corpus", str(tmp_path / "base" / "corpus"),
+                 "--history", str(tmp_path / "base" / "releases.csv"), "--out", str(out)])
+    assert code == 0
+    assert oracle.check(expected, out) == []
+
+
+def _pom_snapshot(release_dir: Path, timestamp: int, bugs: int) -> ReleaseSnapshot:
+    """A pom release as parse_pom and the sidecar formats describe it."""
+    poms = sorted(release_dir.rglob("pom.xml"), key=lambda path: (len(path.parts), str(path)))
+    manifests = tuple(parse_pom(path.read_bytes()) for path in poms)
+    surface = json.loads((release_dir / "api_surface.json").read_text(encoding="utf-8"))
+    usage = json.loads((release_dir / "usage.json").read_text(encoding="utf-8"))
+    return ReleaseSnapshot(
+        coordinate=manifests[0].coordinate,
+        version_label=release_dir.name,
+        timestamp=timestamp,
+        manifests=manifests,
+        api_surface=ApiSurface(surface),
+        usage=UsageRecord(frozenset(ProjectCoordinate(item["group"], item["artifact"]) for item in usage)),
+        loc=count_loc(release_dir / "src"),
+        bugs_fixed=bugs,
+    )
+
+
+@pytest.mark.parametrize("scope_filter", [DEFAULT_SCOPE_FILTER, frozenset()], ids=["default-scopes", "no-scopes"])
+@pytest.mark.parametrize("shape", ["aligned", "pom-loc"])
+def test_loaded_facts_equal_the_snapshot_route(tmp_path, shape, scope_filter):
+    _write_corpus(tmp_path, shape, 0)
+    history = load_release_history((tmp_path / "releases.csv").read_text(encoding="utf-8"))
+    rows = {(row.project_key, row.version_label): row for row in history}
+    expected = {}
+    for release_dir in corpora.release_dirs(tmp_path / "corpus"):
+        row = rows[(release_dir.parent.name, release_dir.name)]
+        if shape == "pom-loc":
+            snapshot = _pom_snapshot(release_dir, row.timestamp, row.bugs_fixed)
+        else:
+            snapshot = parse_snapshot_json((release_dir / "snapshot.json").read_text(encoding="utf-8"))
+            snapshot = dataclasses.replace(snapshot, bugs_fixed=row.bugs_fixed)
+        expected.setdefault(snapshot.coordinate, []).append(release_facts(snapshot, scope_filter))
+    for releases in expected.values():
+        releases.sort(key=lambda facts: (facts.timestamp, facts.version_label))
+
+    corpus = load_corpus(tmp_path / "corpus", history, scope_filter=scope_filter)
+    assert corpus.warnings == []
+    assert corpus.snapshots == expected
+    assert any(facts.rfc and facts.lcom1 is not None for releases in expected.values() for facts in releases)

@@ -22,15 +22,19 @@ from icmetrics.ingest import (
     load_corpus,
     load_release_history,
     parse_snapshot_json,
+    release_facts,
 )
 from icmetrics.model import (
     ApiSurface,
     DependencyDecl,
     ProjectCoordinate,
     ProjectManifest,
+    ReleaseFacts,
     ReleaseSnapshot,
+    SharedValues,
     UsageRecord,
 )
+from icmetrics.pom import parse_pom
 
 # --------------------------------------------------------------------------
 # snapshot.json
@@ -181,6 +185,17 @@ def test_bugs_a_float_cannot_hold_is_an_error():
     assert row.bugs_fixed == int(sys.float_info.max)
     with pytest.raises(HistoryFormatError, match=r"^line 3: bugs_fixed must convert to a float"):
         load_release_history(f"{header}g:a,1.0,100,1\ng:a,2.0,200,{2**1024}\n")
+
+
+def test_bug_count_of_more_digits_than_int_reads_gets_the_float_bound_message():
+    header = "project,version,timestamp,bugs_fixed\n"
+    with pytest.raises(HistoryFormatError) as excinfo:
+        load_release_history(f"{header}g:a,1.0,100,{'9' * 5000}\n")
+    assert str(excinfo.value) == (
+        "line 2: bugs_fixed must convert to a float (below about 1.8e308), got a 5000-digit number")
+    # Leading zeros count toward int()'s digit limit, not toward the value.
+    [row] = load_release_history(f"{header}g:a,1.0,100,{'0' * 5000}7\n")
+    assert row.bugs_fixed == 7
 
 
 def test_largest_count_a_float_holds_is_accepted_everywhere():
@@ -368,6 +383,51 @@ def test_pom_invariant_violation_is_a_failed_release(tmp_path):
     assert corpus.failed[ProjectCoordinate("g", "a")] == [FailedRelease("1.0", reason)]
 
 
+def _pom(version, artifact):
+    return (f"<project><groupId>g</groupId><artifactId>a</artifactId><version>{version}</version>"
+            f"<dependencies><dependency><groupId>x</groupId><artifactId>{artifact}</artifactId>"
+            "</dependency></dependencies></project>")
+
+
+def test_every_release_that_breaks_a_rule_fails_with_the_full_check(tmp_path):
+    # Each bad value repeats in two releases, which must both fail.
+    bad_dependency = DependencyDecl(ProjectCoordinate("org.dep", "l ib"))
+    bad_usage = UsageRecord(frozenset({ProjectCoordinate("u", "a b")}))
+    for version in ("1.0", "2.0"):
+        write_release(tmp_path, make_snapshot("p", [bad_dependency], version=version, usage=bad_usage))
+        write_release(tmp_path, make_snapshot("q", version=version, manifests=[make_manifest("q", submodules=["q"])]))
+        (tmp_path / "g:a" / version).mkdir(parents=True)
+        (tmp_path / "g:a" / version / "pom.xml").write_text(_pom(version, "y z"))
+    write_release(tmp_path, make_snapshot("p", [DependencyDecl(ProjectCoordinate("org.dep", "lib"))], version="3.0"))
+    write_release(tmp_path, make_snapshot("p", version="4.0"))
+    for version in ("3.0", "4.0"):
+        (tmp_path / "g:a" / version).mkdir(parents=True)
+        (tmp_path / "g:a" / version / "pom.xml").write_text(_pom(version, "y"))
+    # Hand-made history rows the snapshot rules refuse.
+    history = [ReleaseHistoryRow("org.fixture:p", "4.0", 100, -1), ReleaseHistoryRow("g:a", "3.0", 100, -1),
+               ReleaseHistoryRow("g:a", "4.0", "100", 1)]
+
+    corpus = load_corpus(tmp_path, history)
+    dependency = "manifests[0].dependencies[0].target.artifact: must not contain whitespace"
+    assert corpus.failed == {
+        coord("p"): [
+            FailedRelease(version, f"snapshot violates invariants: {dependency}; usage[u:a b].artifact: must not"
+                                   " contain whitespace") for version in ("1.0", "2.0")
+        ] + [FailedRelease("4.0", "snapshot violates invariants: bugs_fixed: must be a non-negative integer")],
+        coord("q"): [
+            FailedRelease(version, "snapshot violates invariants: manifests[0].submodule_coordinates:"
+                                   " manifest lists itself as a submodule") for version in ("1.0", "2.0")
+        ],
+        ProjectCoordinate("g", "a"): [
+            FailedRelease("1.0", f"invariant violations: {dependency}"),
+            FailedRelease("2.0", f"invariant violations: {dependency}"),
+            FailedRelease("3.0", "invariant violations: bugs_fixed: must be a non-negative integer"),
+            FailedRelease("4.0", "invariant violations: timestamp: must be an integer (UTC seconds)"),
+        ],
+    }
+    assert [release.version_label for release in corpus.snapshots[coord("p")]] == ["3.0"]
+
+
 def test_pom_release_with_sidecar_files(tmp_path):
     release_dir = tmp_path / "g:a" / "1.0"
     module_dir = release_dir / "core"
@@ -389,14 +449,16 @@ def test_pom_release_with_sidecar_files(tmp_path):
 
     history = [ReleaseHistoryRow("g:a", "1.0", 1234, 9)]
     corpus = load_corpus(tmp_path, history)
-    snapshot = corpus.snapshots[ProjectCoordinate("g", "a")][0]
-    assert snapshot.timestamp == 1234
-    assert snapshot.bugs_fixed == 9
-    assert snapshot.loc == 2
-    assert len(snapshot.manifests) == 2
-    assert snapshot.manifests[0].coordinate == ProjectCoordinate("g", "a")
-    assert snapshot.api_surface.methods == {"A.f()V": frozenset({"A.g()V"})}
-    assert snapshot.usage.referenced_coordinates == frozenset({ProjectCoordinate("x", "y")})
+    assert corpus.failed[ProjectCoordinate("g", "a")] == []
+    [release] = corpus.snapshots[ProjectCoordinate("g", "a")]
+    assert release.version_label == "1.0"
+    assert release.timestamp == 1234
+    assert release.bugs_fixed == 9
+    assert release.loc == 2
+    # The module manifest's dependency is an edge of the release.
+    assert release.targets == frozenset({ProjectCoordinate("x", "y")})
+    assert release.rfc == 2
+    assert release.lcom1 == 0
 
 
 def test_directory_named_pom_xml_is_not_a_manifest(tmp_path):
@@ -407,8 +469,8 @@ def test_directory_named_pom_xml_is_not_a_manifest(tmp_path):
     )
     corpus = load_corpus(tmp_path, None)
     assert corpus.failed[ProjectCoordinate("g", "a")] == []
-    [snapshot] = corpus.snapshots[ProjectCoordinate("g", "a")]
-    assert [m.coordinate.artifact for m in snapshot.manifests] == ["a"]
+    [release] = corpus.snapshots[ProjectCoordinate("g", "a")]
+    assert release.targets == frozenset()
 
 
 def test_release_with_only_a_pom_xml_directory_fails(tmp_path):
@@ -471,6 +533,28 @@ def _snapshot_with(**fields):
 _MANIFEST = json.loads(MINIMAL_SNAPSHOT)["manifests"][0]
 _DEPENDENCY = {"group": "x", "artifact": "y", "version": "1", "scope": "compile"}
 _POM_FILES = {"pom.xml": ROOT_POM.encode(), "core/pom.xml": CORE_POM.encode()}
+
+# The third method is the first bad one: a callee list that is not a list
+# of strings, with a hashable or an unhashable wrong item.
+_BAD_CALLEES = {"an int callee": ["p.C()V", 3], "a list callee": ["p.C()V", ["p.D()V"]],
+                "a string": "p.C()V", "null": None}
+
+
+@pytest.mark.parametrize("callees", list(_BAD_CALLEES.values()), ids=list(_BAD_CALLEES))
+def test_surface_fails_at_its_first_bad_method(tmp_path, callees):
+    surface = {"p.A()V": ["p.B()V"], "p.B()V": [], "p.C()V": callees, "p.D()V": [1]}
+    doc = json.loads(MINIMAL_SNAPSHOT)
+    doc["api_surface"] = surface
+    with pytest.raises(SnapshotFormatError) as excinfo:
+        parse_snapshot_json(json.dumps(doc))
+    assert str(excinfo.value) == ".api_surface['p.C()V']: must be an array of strings"
+
+    _write_release_files(tmp_path / "json", {"snapshot.json": json.dumps(doc).encode()})
+    _write_release_files(tmp_path / "pom", {**_POM_FILES, "api_surface.json": json.dumps(surface).encode()})
+    for root, reason in (("json", str(excinfo.value)), ("pom", "api_surface.json['p.C()V']: must be an array of strings")):
+        corpus = load_corpus(tmp_path / root, None)
+        assert corpus.failed[ProjectCoordinate("g", "a")] == [FailedRelease("1.0", reason)]
+
 
 CRASH_CASES = {
     "usage.json is an object": (
@@ -624,9 +708,8 @@ def test_pom_in_declared_latin1_parses(tmp_path):
     })
     corpus = load_corpus(tmp_path, None)
     assert corpus.failed[ProjectCoordinate("g", "a")] == []
-    [snapshot] = corpus.snapshots[ProjectCoordinate("g", "a")]
-    [dependency] = snapshot.manifests[1].declared_dependencies
-    assert dependency.target == ProjectCoordinate("x", "caf\xe9")
+    [release] = corpus.snapshots[ProjectCoordinate("g", "a")]
+    assert release.targets == frozenset({ProjectCoordinate("x", "caf\xe9")})
 
 
 # The fuzz corpus: g:a/1.0 from POMs with sidecars and src/, g:a/2.0 and
@@ -654,7 +737,7 @@ _json_shapes = st.recursive(
 
 
 def _outcomes(corpus):
-    """(project key, version) -> the parsed snapshot or the FailedRelease."""
+    """(project key, version) -> the parsed release's facts or the FailedRelease."""
     outcomes = {}
     for coordinate, snapshots in corpus.snapshots.items():
         outcomes.update(((coordinate.key(), s.version_label), s) for s in snapshots)
@@ -678,7 +761,7 @@ def test_any_bytes_in_one_file_never_abort_the_load(target, data):
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(content)
         before = _outcomes(load_corpus(root, _HISTORY))
-        assert all(isinstance(outcome, ReleaseSnapshot) for outcome in before.values())
+        assert all(isinstance(outcome, ReleaseFacts) for outcome in before.values())
 
         (root / target[0] / target[1] / target[2]).write_bytes(data)
         after = _outcomes(load_corpus(root, _HISTORY))
@@ -707,7 +790,7 @@ def _rglob_loc(src_root, extensions):
     return total
 
 
-def test_release_walk_follows_the_rglob_rules(tmp_path):
+def test_release_walk_follows_the_rglob_rules(tmp_path, monkeypatch):
     outside = tmp_path / "outside"
     outside.mkdir()
     (outside / "Other.java").write_text("x\ny\nz\n")
@@ -736,12 +819,20 @@ def test_release_walk_follows_the_rglob_rules(tmp_path):
 
     assert _rglob_loc(linked_release / "src", {".java"}) == 6
 
+    real_read = ingest._read
+    manifests_read = []
+
+    def recording(path):
+        if path.endswith("pom.xml"):
+            manifests_read.append(Path(path).relative_to(tmp_path / "corpus" / "g:a").as_posix())
+        return real_read(path)
+
+    monkeypatch.setattr(ingest, "_read", recording)
     corpus = load_corpus(tmp_path / "corpus", None)
     assert corpus.failed[ProjectCoordinate("g", "a")] == []
-    snapshot, linked = corpus.snapshots[ProjectCoordinate("g", "a")]
-    assert [m.coordinate.artifact for m in snapshot.manifests] == ["a", "core", "gen"]
-    assert snapshot.loc == 6
-    assert [m.coordinate.artifact for m in linked.manifests] == ["a"]
+    assert manifests_read == [f"1.0/{path}" for path in expected_manifests] + ["2.0/pom.xml"]
+    release, linked = corpus.snapshots[ProjectCoordinate("g", "a")]
+    assert release.loc == 6
     assert linked.loc == 6
 
 
@@ -769,47 +860,48 @@ def _dependency(snapshot):
 def test_one_load_shares_equal_values_across_releases(tmp_path):
     _release_with_shared_values(tmp_path, "1.0", 100)
     _release_with_shared_values(tmp_path, "2.0", 200)
-    # A pom release's api_surface.json goes through the same tables.
+    # A pom release's manifests go through the same tables.
     release_dir = tmp_path / "org.fixture:p" / "3.0"
     release_dir.mkdir()
     (release_dir / "pom.xml").write_text(
         "<project><groupId>org.fixture</groupId><artifactId>p</artifactId><version>3.0</version>"
-        "<dependencies><dependency><groupId>org.dep</groupId><artifactId>lib</artifactId>"
-        "</dependency></dependencies></project>"
+        "<dependencies><dependency><groupId>org.dep</groupId><artifactId>lib</artifactId></dependency>"
+        "<dependency><groupId>org.dep</groupId><artifactId>other</artifactId></dependency>"
+        "</dependencies></project>"
     )
     (release_dir / "api_surface.json").write_text(json.dumps(_SHARED_SURFACE))
 
     corpus = load_corpus(tmp_path, None)
     assert corpus.failed[coord("p")] == []
-    by_version = {snapshot.version_label: snapshot for snapshot in corpus.snapshots[coord("p")]}
+    by_version = {release.version_label: release for release in corpus.snapshots[coord("p")]}
     first, second, from_pom = by_version["1.0"], by_version["2.0"], by_version["3.0"]
-    for other in (second, from_pom):
-        for method in _SHARED_SURFACE:
-            key, callees = _surface_entry(first, method)
-            other_key, other_callees = _surface_entry(other, method)
-            assert other_key is key
-            assert other_callees is callees
-    assert _dependency(second) is _dependency(first)
-    assert second.coordinate is first.coordinate
+    assert [release.rfc for release in (first, second, from_pom)] == [2, 2, 2]
+    [lib] = first.targets
+    assert lib == ProjectCoordinate("org.dep", "lib")
+    # Equal target sets are one object.
+    assert second.targets is first.targets
     # parse_pom goes through the load's coordinate table too.
-    assert _dependency(from_pom) is _dependency(first)
-    assert from_pom.coordinate is first.coordinate
+    assert from_pom.targets == {lib, ProjectCoordinate("org.dep", "other")}
+    assert next(target for target in from_pom.targets if target == lib) is lib
 
 
 def test_separate_loads_share_no_decoded_object(tmp_path):
     _release_with_shared_values(tmp_path, "1.0", 100)
     [one] = load_corpus(tmp_path, None).snapshots[coord("p")]
     [two] = load_corpus(tmp_path, None).snapshots[coord("p")]
+    assert one == two
+    assert two.targets is not one.targets
+    [lib], [lib_again] = one.targets, two.targets
+    assert lib_again is not lib
     text = (tmp_path / "org.fixture:p" / "1.0" / "snapshot.json").read_text()
     three, four = parse_snapshot_json(text), parse_snapshot_json(text)
-    for a, b in ((one, two), (three, four)):
-        assert a == b
-        key, callees = _surface_entry(a, "org.fixture.P.run()V")
-        other_key, other_callees = _surface_entry(b, "org.fixture.P.run()V")
-        assert other_key is not key
-        assert other_callees is not callees
-        assert _dependency(b) is not _dependency(a)
-        assert b.coordinate is not a.coordinate
+    assert three == four
+    key, callees = _surface_entry(three, "org.fixture.P.run()V")
+    other_key, other_callees = _surface_entry(four, "org.fixture.P.run()V")
+    assert other_key is not key
+    assert other_callees is not callees
+    assert _dependency(four) is not _dependency(three)
+    assert four.coordinate is not three.coordinate
 
 
 def _write_pom_release(corpus_root, version):
@@ -828,9 +920,10 @@ def _write_pom_release(corpus_root, version):
     )
 
 
-def _pom_values(snapshot):
-    """Every coordinate and dependency object of a snapshot's manifests."""
-    root, core = snapshot.manifests
+def _pom_values(release_dir, shared):
+    """Every coordinate and dependency object of a release's two manifests,
+    decoded through ``shared``."""
+    root, core = (parse_pom((release_dir / path).read_bytes(), shared) for path in ("pom.xml", "core/pom.xml"))
     [submodule] = root.submodule_coordinates
     return [root.coordinate, submodule, core.coordinate, *root.declared_dependencies,
             *core.declared_dependencies, root.declared_dependencies[0].target]
@@ -841,7 +934,14 @@ def test_pom_releases_share_coordinates_and_dependencies_within_one_load_only(tm
     _write_pom_release(tmp_path, "2.0")
     first, second = load_corpus(tmp_path, None).snapshots[ProjectCoordinate("g", "a")]
     [again, _] = load_corpus(tmp_path, None).snapshots[ProjectCoordinate("g", "a")]
-    values, later, other_load = _pom_values(first), _pom_values(second), _pom_values(again)
+    assert first.targets == again.targets == {ProjectCoordinate("x", "y")}
+    assert second.targets is first.targets
+    assert again.targets is not first.targets
+    # One load decodes every pom.xml through one table.
+    shared = SharedValues()
+    values = _pom_values(tmp_path / "g:a" / "1.0", shared)
+    later = _pom_values(tmp_path / "g:a" / "2.0", shared)
+    other_load = _pom_values(tmp_path / "g:a" / "1.0", SharedValues())
     assert values == later == other_load
     # Within one load, equal values are one object, across manifests and releases.
     assert values[1] is values[2]
@@ -891,7 +991,7 @@ def test_repeated_method_with_changed_callees_decodes_as_alone(tmp_path, callees
     assert both.snapshots[project][1:] == alone.snapshots[project]
     if callees == _CHANGED_CALLEES["an extra callee"]:
         assert both.failed[project] == []
-        assert both.snapshots[project][1].api_surface.methods["p.A.f()V"] == {"p.A.g()V", "p.A.h()V"}
+        assert both.snapshots[project][1].rfc == 3
     elif as_pom:
         reason = "api_surface.json['p.A.f()V']: must be an array of strings"
         assert both.failed[project] == [FailedRelease("2.0", reason)]
@@ -951,7 +1051,7 @@ _changed_callees = st.sampled_from([
 def test_shared_load_equals_per_file_decode(releases, bugs, changes):
     history = [ReleaseHistoryRow(s.coordinate.key(), s.version_label, s.timestamp, b)
                for s, b in zip(releases, bugs)]
-    expected: dict[ProjectCoordinate, list[ReleaseSnapshot]] = {}
+    expected: dict[ProjectCoordinate, list[ReleaseFacts]] = {}
     failed: dict[ProjectCoordinate, list[FailedRelease]] = {}
     warnings = []
     with tempfile.TemporaryDirectory() as scratch:
@@ -967,7 +1067,7 @@ def test_shared_load_equals_per_file_decode(releases, bugs, changes):
             parsed = expected.setdefault(snapshot.coordinate, [])
             failures = failed.setdefault(snapshot.coordinate, [])
             try:
-                parsed.append(dataclasses.replace(parse_snapshot_json(text), bugs_fixed=row.bugs_fixed))
+                parsed.append(release_facts(dataclasses.replace(parse_snapshot_json(text), bugs_fixed=row.bugs_fixed)))
             except SnapshotFormatError as exc:
                 failures.append(FailedRelease(row.version_label, str(exc)))
                 warnings.append(f"failed release {row.project_key}/{row.version_label}: {exc}")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coord, make_corpus, make_manifest, make_snapshot, sweep_vectors
+from conftest import coord, make_corpus, make_manifest, make_snapshot, snapshot_lists, sweep_vectors
 from test_graph import oracle_depth, oracle_reachability, oracle_scc_members
 
 from icmetrics.graph import DEFAULT_SCOPE_FILTER
@@ -101,13 +101,12 @@ class TestBuildSeries:
         assert series[coord("p")].failed_release_count == 1
 
     def test_vectors_match_independent_computation(self):
-        snapshots = {
+        projects = {
             "a": [make_snapshot("a", deps=["b"], version="1.0", timestamp=100, bugs=1)],
             "b": [make_snapshot("b", version="1.0", timestamp=50, bugs=2)],
         }
-        corpus = make_corpus(snapshots)
-        series = build_series(corpus)
-        expected = _oracle_vectors(corpus, DEFAULT_SCOPE_FILTER)[(coord("a"), "1.0")]
+        series = build_series(make_corpus(projects))
+        expected = _oracle_vectors(snapshot_lists(projects), DEFAULT_SCOPE_FILTER)[(coord("a"), "1.0")]
         assert series[coord("a")].releases[0].vector == expected
 
     def test_graph_uses_other_projects_snapshot_at_or_before(self):
@@ -182,7 +181,7 @@ def _corpora(draw):
         projects[name] = [draw(_release(name, f"{i}.0")) for i in range(count)]
     # A project with no parsed release is only ever a dependency target.
     failed = {name: 1 for name in PROJECT_NAMES if name not in names and draw(st.booleans())}
-    return make_corpus(projects, failed=failed)
+    return projects, failed
 
 
 def _oracle_out_set(snapshot, scope_filter):
@@ -197,14 +196,14 @@ def _oracle_out_set(snapshot, scope_filter):
     return declared - own
 
 
-def _oracle_vectors(corpus, scope_filter):
+def _oracle_vectors(snapshot_lists, scope_filter):
     """The ecosystem state per release by bisect (earliest snapshot when none
     precede), then every metric from that state's out-sets by brute force."""
     vectors = {}
-    for coordinate, snapshots in corpus.snapshots.items():
+    for coordinate, snapshots in snapshot_lists.items():
         for release in snapshots:
             state = {coordinate: release}
-            for other, others in corpus.snapshots.items():
+            for other, others in snapshot_lists.items():
                 if other == coordinate or not others:
                     continue
                 index = bisect.bisect_right([s.timestamp for s in others], release.timestamp)
@@ -229,12 +228,14 @@ def _oracle_vectors(corpus, scope_filter):
 class TestSweepMatchesOracle:
     @settings(max_examples=150, deadline=None)
     @given(_corpora(), st.sampled_from([DEFAULT_SCOPE_FILTER, frozenset(), frozenset({"runtime"})]))
-    def test_series_equals_per_release_graph_rebuild(self, corpus, scope_filter):
+    def test_series_equals_per_release_graph_rebuild(self, drawn, scope_filter):
+        projects, failed = drawn
+        corpus = make_corpus(projects, failed, scope_filter)
         errors = []
-        series = build_series(corpus, scope_filter, errors=errors)
+        series = build_series(corpus, errors=errors)
         assert errors == []
         assert list(series) == sorted(corpus.snapshots)
-        expected = _oracle_vectors(corpus, scope_filter)
+        expected = _oracle_vectors(snapshot_lists(projects), scope_filter)
         got = {
             (coordinate, point.version_label): point.vector
             for coordinate, project in series.items()
@@ -249,15 +250,15 @@ class TestSweepMatchesOracle:
     def test_same_timestamp_ties_apply_before_measuring(self):
         # b's two releases and a's release share t=100: a sees b's last tie
         # (b 2.0, which depends on c), and b 1.0 is measured as itself.
-        corpus = make_corpus({
+        projects = {
             "a": [make_snapshot("a", deps=["b"], version="1.0", timestamp=100)],
             "b": [
                 make_snapshot("b", version="1.0", timestamp=100),
                 make_snapshot("b", deps=["c"], version="2.0", timestamp=100),
             ],
             "c": [make_snapshot("c", deps=["a"], version="1.0", timestamp=500)],
-        })
-        series = build_series(corpus)
+        }
+        series = build_series(make_corpus(projects))
         a = series[coord("a")].releases[0].vector
         assert (a.dit, a.cbo) == (2, 2)  # c's earliest snapshot closes a->b->c->a
         b1, b2 = series[coord("b")].releases
@@ -267,68 +268,67 @@ class TestSweepMatchesOracle:
     def test_low_out_set_change_reaches_untouched_ancestor(self):
         # Only c changes (t=200); a and b keep their out-sets, yet a's next
         # release sees the longer chain a->b->c->d.
-        corpus = make_corpus({
+        projects = {
             "a": [make_snapshot("a", deps=["b"], version="1.0", timestamp=100),
                   make_snapshot("a", deps=["b"], version="2.0", timestamp=300)],
             "b": [make_snapshot("b", deps=["c"], version="1.0", timestamp=50)],
             "c": [make_snapshot("c", version="1.0", timestamp=0),
                   make_snapshot("c", deps=["d"], version="2.0", timestamp=200)],
             "d": [make_snapshot("d", version="1.0", timestamp=0)],
-        })
-        series = build_series(corpus)
+        }
+        series = build_series(make_corpus(projects))
         assert [p.vector.dit for p in series[coord("a")].releases] == [2, 3]
         assert [p.vector.dit for p in series[coord("c")].releases] == [0, 1]
-        _assert_matches_oracle(corpus, series)
+        _assert_matches_oracle(projects, series)
 
     def test_cycle_closed_then_opened_again(self):
         # b's t=200 release closes a->b->a; its t=400 release opens it.
-        corpus = make_corpus({
+        projects = {
             "a": [make_snapshot("a", deps=["b"], version=f"{i}.0", timestamp=t)
                   for i, t in enumerate((100, 300, 500))],
             "b": [make_snapshot("b", version="1.0", timestamp=0),
                   make_snapshot("b", deps=["a"], version="2.0", timestamp=200),
                   make_snapshot("b", version="3.0", timestamp=400)],
-        })
-        series = build_series(corpus)
+        }
+        series = build_series(make_corpus(projects))
         assert [(p.vector.cbo, p.vector.dit) for p in series[coord("a")].releases] == [(0, 1), (1, 1), (0, 1)]
         assert [(p.vector.cbo, p.vector.noc) for p in series[coord("b")].releases] == [(0, 1), (1, 1), (0, 1)]
-        _assert_matches_oracle(corpus, series)
+        _assert_matches_oracle(projects, series)
 
     def test_tie_inside_a_cycle_is_measured_then_undone(self):
         # b 1.0 and b 2.0 tie at t=100. b 1.0 closes a->b->a only for its
         # own measurement; b 2.0 (the applied tie) and a's later release
         # see b->c.
-        corpus = make_corpus({
+        projects = {
             "a": [make_snapshot("a", deps=["b"], version="1.0", timestamp=100),
                   make_snapshot("a", deps=["b"], version="2.0", timestamp=200)],
             "b": [make_snapshot("b", deps=["a"], version="1.0", timestamp=100),
                   make_snapshot("b", deps=["c"], version="2.0", timestamp=100)],
             "c": [make_snapshot("c", version="1.0", timestamp=0)],
-        })
-        series = build_series(corpus)
+        }
+        series = build_series(make_corpus(projects))
         assert [(p.vector.cbo, p.vector.dit) for p in series[coord("a")].releases] == [(0, 2), (0, 2)]
         assert [(p.vector.cbo, p.vector.dit) for p in series[coord("b")].releases] == [(1, 1), (0, 1)]
-        _assert_matches_oracle(corpus, series)
+        _assert_matches_oracle(projects, series)
 
     def test_later_project_in_the_group_sees_the_last_tie(self):
         # b 1.0, b 2.0 and c 1.0 tie at t=100, and c depends on b. b's ties
         # are measured one after the other, so c sees b 2.0 (b->d), not b 1.0.
-        corpus = make_corpus({
+        projects = {
             "b": [make_snapshot("b", version="1.0", timestamp=100),
                   make_snapshot("b", deps=["d"], version="2.0", timestamp=100)],
             "c": [make_snapshot("c", deps=["b"], version="1.0", timestamp=100)],
             "d": [make_snapshot("d", version="1.0", timestamp=0)],
-        })
-        series = build_series(corpus)
+        }
+        series = build_series(make_corpus(projects))
         assert series[coord("c")].releases[0].vector.dit == 2
-        _assert_matches_oracle(corpus, series)
+        _assert_matches_oracle(projects, series)
 
     def test_failing_release_is_reported_not_fatal(self):
-        class Broken:
-            coordinate = coord("b")
+        class Broken:  # facts without rfc, lcom1 or loc
             version_label = "9.9"
             timestamp = 100
-            manifests = None
+            targets = frozenset()
 
         corpus = make_corpus({"a": _release_run("a", 2, bugs=1), "b": _release_run("b", 2, bugs=1)})
         corpus.snapshots[coord("b")].append(Broken())
@@ -339,9 +339,9 @@ class TestSweepMatchesOracle:
         assert len(series[coord("b")].releases) == 2
 
 
-def _assert_matches_oracle(corpus, series):
+def _assert_matches_oracle(projects, series):
     got = {(c, p.version_label): p.vector for c, project in series.items() for p in project.releases}
-    assert got == _oracle_vectors(corpus, DEFAULT_SCOPE_FILTER)
+    assert got == _oracle_vectors(snapshot_lists(projects), DEFAULT_SCOPE_FILTER)
 
 
 def _series(name, metric_values, bug_values, rfc_values=None, loc_values=None):
