@@ -54,6 +54,9 @@ HISTORY_COLUMNS = ("project", "version", "timestamp", "bugs_fixed")
 # this n on. The one bound on a count, in releases.csv and snapshot.json.
 _FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
 _FLOAT_RULE = "must convert to a float (below about 1.8e308)"
+# 10**309, the smallest count with more digits than the float bound: a
+# negative history count this long is quoted by its digit count.
+_LONG_COUNT = 10 ** len(str(_FLOAT_OVERFLOW))
 
 
 class SnapshotFormatError(ValueError):
@@ -204,22 +207,12 @@ def _manifest_from_json(item: Any, path: str, shared: SharedValues) -> ProjectMa
     return ProjectManifest(coordinate, item["version"], deps, submodules)
 
 
-def _violations(snapshot: ReleaseSnapshot, shared: SharedValues) -> list[str]:
-    """``validate_snapshot(snapshot)`` for a release just decoded through
-    ``shared``, whose ``broken`` flag was cleared before the decode.
-
-    Each coordinate met the coordinate rule as it entered ``shared``, so
-    the full check runs only for a release that set the flag or fails the
-    cheap test below of the other rules (timestamp, bug count, manifest
-    coordinates); the full check then names every violation.
-    """
-    manifests = snapshot.manifests
-    allowed = {snapshot.coordinate}.union(*(m.submodule_coordinates for m in manifests))
-    if (shared.broken or not (isinstance(snapshot.timestamp, int) and isinstance(snapshot.bugs_fixed, int)
-                              and snapshot.bugs_fixed >= 0)
-            or any(m.coordinate in m.submodule_coordinates or m.coordinate not in allowed for m in manifests)):
-        return validate_snapshot(snapshot)
-    return []
+def _decode_json(text: str, where: str) -> Any:
+    """The JSON value of ``text``; SnapshotFormatError at ``where`` when it has none."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # ValueError: also an integer of over 4300 digits
+        raise SnapshotFormatError(f"{where}: invalid JSON: {exc}") from exc
 
 
 def parse_snapshot_json(text: str) -> ReleaseSnapshot:
@@ -234,11 +227,7 @@ def _snapshot_from_json(text: str, shared: SharedValues, row: ReleaseHistoryRow 
     through ``shared``: the snapshot without its API surface, the checked
     surface and its RFC. A history ``row`` replaces the document's bug
     count (it is still checked)."""
-    shared.broken = False
-    try:
-        raw = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # ValueError: also an integer of over 4300 digits
-        raise SnapshotFormatError(f".: invalid JSON: {exc}") from exc
+    raw = _decode_json(text, ".")
     if not isinstance(raw, dict):
         _fail(".", "document root must be an object")
 
@@ -271,7 +260,7 @@ def _snapshot_from_json(text: str, shared: SharedValues, row: ReleaseHistoryRow 
         loc=loc,
         bugs_fixed=bugs if row is None else row.bugs_fixed,
     )
-    violations = _violations(snapshot, shared)
+    violations = validate_snapshot(snapshot)
     if violations:
         raise SnapshotFormatError("snapshot violates invariants: " + "; ".join(violations))
     return snapshot, surface, rfc
@@ -362,16 +351,21 @@ def load_release_history(csv_text: str) -> list[ReleaseHistoryRow]:
             bugs = int(bugs_text)
         except ValueError:
             # int() also refuses a run of over 4300 digits, leading zeros
-            # included; past the float bound's digit count, it is too large.
-            unsigned = bugs_text.removeprefix("+")
+            # included; past the float bound's digit count, only its length
+            # and sign matter.
+            negative = bugs_text.startswith("-")
+            unsigned = bugs_text[1:] if negative else bugs_text.removeprefix("+")
             if not (unsigned.isascii() and unsigned.isdigit()):
                 raise HistoryFormatError(f"line {lineno}: bugs_fixed must be an integer, got {bugs_text!r}") from None
             digits = unsigned.lstrip("0")
-            bugs = _FLOAT_OVERFLOW if len(digits) > len(str(_FLOAT_OVERFLOW)) else int(digits or "0")
-        if bugs < 0:
-            raise HistoryFormatError(f"line {lineno}: bugs_fixed must be non-negative, got {bugs}")
-        if bugs >= _FLOAT_OVERFLOW:
-            raise HistoryFormatError(f"line {lineno}: bugs_fixed {_FLOAT_RULE}, got a {len(bugs_text)}-digit number")
+            bugs = int(digits or "0") if len(digits) < len(str(_LONG_COUNT)) else _LONG_COUNT
+            bugs = -bugs if negative else bugs
+        if bugs < 0 or bugs >= _FLOAT_OVERFLOW:
+            length = f"a {sum(map(str.isdigit, bugs_text))}-digit"
+            if bugs >= 0:
+                raise HistoryFormatError(f"line {lineno}: bugs_fixed {_FLOAT_RULE}, got {length} number")
+            got = bugs if bugs > -_LONG_COUNT else f"{length} negative number"
+            raise HistoryFormatError(f"line {lineno}: bugs_fixed must be non-negative, got {got}")
         key = (project_key, version)
         if key in seen:
             raise HistoryFormatError(f"line {lineno}: duplicate (project, version) pair {key}")
@@ -504,16 +498,8 @@ def _read_utf8(path: str, where: str) -> str:
 
 
 def _read_sidecar(entry: os.DirEntry[str]) -> Any:
-    """The JSON value of api_surface.json or usage.json.
-
-    A syntax error keeps json's own message as the failure reason.
-    """
-    try:
-        return json.loads(_read_utf8(entry.path, entry.name))
-    except json.JSONDecodeError:
-        raise
-    except (RecursionError, ValueError) as exc:  # ValueError: an integer of over 4300 digits
-        raise SnapshotFormatError(f"{entry.name}: invalid JSON: {exc}") from None
+    """The JSON value of api_surface.json or usage.json."""
+    return _decode_json(_read_utf8(entry.path, entry.name), entry.name)
 
 
 def _load_pom_release(release_dir: os.DirEntry[str], loc_suffixes: tuple[str, ...],
@@ -525,7 +511,7 @@ def _load_pom_release(release_dir: os.DirEntry[str], loc_suffixes: tuple[str, ..
     One walk of the release directory finds the manifests (every pom.xml,
     ordered by depth, then path), the sidecars and the LOC files under
     ``src/``. The timestamp and bug count come from the history ``row``
-    (0 without one). The caller checks the snapshot with ``_violations``.
+    (0 without one). The caller checks the snapshot with ``validate_snapshot``.
     """
     top: dict[str, os.DirEntry[str]] = {}
     pom_paths: list[tuple[int, str]] = []
@@ -543,7 +529,6 @@ def _load_pom_release(release_dir: os.DirEntry[str], loc_suffixes: tuple[str, ..
     if not pom_paths:
         raise _RejectedRelease("no snapshot.json or pom.xml")
 
-    shared.broken = False
     manifests = tuple(parse_pom(_read(path), shared) for _, path in sorted(pom_paths))
 
     rfc = usage = loc = None
@@ -646,10 +631,9 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
                         f" project directory {project_dir.name}"
                     )
                 # _snapshot_from_json has already checked a snapshot.json release.
-                violations = [] if from_json else _violations(snapshot, shared)
-                if violations:
+                if not from_json and (violations := validate_snapshot(snapshot)):
                     raise _RejectedRelease("invariant violations: " + "; ".join(violations))
-            except (_RejectedRelease, PomError, SnapshotFormatError, json.JSONDecodeError, OSError) as exc:
+            except (_RejectedRelease, PomError, SnapshotFormatError, OSError) as exc:
                 failed.append(FailedRelease(version_label, str(exc)))
                 corpus.warnings.append(f"failed release {project_dir.name}/{version_label}: {exc}")
                 continue

@@ -1,22 +1,26 @@
 """Shared domain types: immutable containers plus one invariant checker.
 
-Construction never raises; ``validate_snapshot`` reports rule violations as
-plain strings so corpus loading can keep going and record failures instead
-of aborting. ``SharedValues`` lets the decoders of one corpus load hand out
-one object per distinct value, and checks each coordinate once.
-``ReleaseFacts`` is what a corpus load keeps of a release.
+Construction never raises; ``validate_snapshot`` is the one statement of
+the snapshot rules and reports violations as plain strings, so corpus
+loading can keep going and record failures instead of aborting.
+``SharedValues`` lets the decoders of one corpus load hand out one object
+per distinct value. ``ReleaseFacts`` is what a corpus load keeps of a
+release.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class ProjectCoordinate:
-    """Version-blind identity of a project: (group, artifact)."""
+class ProjectCoordinate(NamedTuple):
+    """Version-blind identity of a project: (group, artifact).
+
+    A named tuple, so equality, hashing and order are those of the field
+    tuple and run in C.
+    """
 
     group: str
     artifact: str
@@ -48,31 +52,21 @@ class SharedValues:
     Decoders given the same instance return the same object for equal
     values, so a corpus load holds each value once however many manifests
     repeat it; a load keeps its target sets through ``targets``. The tables
-    only grow; they live as long as the instance.
-
-    A coordinate is checked against the coordinate rule once, when it
-    enters the table. One that breaks the rule is never stored, nor is a
-    declaration naming it, so every lookup of it sets ``broken``: a caller
-    that clears the flag before decoding a release knows afterwards whether
-    any of its coordinates broke the rule.
+    only grow; they live as long as the instance. Nothing is checked here:
+    a decoded release is checked with ``validate_snapshot``.
     """
 
-    __slots__ = ("coordinates", "dependencies", "targets", "broken")
+    __slots__ = ("coordinates", "dependencies", "targets")
 
     def __init__(self) -> None:
         self.coordinates: dict[tuple[str, str], ProjectCoordinate] = {}
         self.dependencies: dict[tuple[str, str, str | None, str | None], DependencyDecl] = {}
         self.targets: dict[frozenset[ProjectCoordinate], frozenset[ProjectCoordinate]] = {}
-        self.broken = False
 
     def coordinate(self, group: str, artifact: str) -> ProjectCoordinate:
         coordinate = self.coordinates.get((group, artifact))
         if coordinate is None:
-            coordinate = ProjectCoordinate(group, artifact)
-            if _coordinate_violations(coordinate):
-                self.broken = True
-            else:
-                self.coordinates[group, artifact] = coordinate
+            coordinate = self.coordinates[group, artifact] = ProjectCoordinate(group, artifact)
         return coordinate
 
     def dependency(self, group: str, artifact: str, version_text: str | None,
@@ -80,9 +74,8 @@ class SharedValues:
         key = (group, artifact, version_text, scope)
         dependency = self.dependencies.get(key)
         if dependency is None:
-            dependency = DependencyDecl(self.coordinate(group, artifact), version_text, scope)
-            if (group, artifact) in self.coordinates:
-                self.dependencies[key] = dependency
+            dependency = self.dependencies[key] = DependencyDecl(self.coordinate(group, artifact),
+                                                                 version_text, scope)
         return dependency
 
 
@@ -202,7 +195,8 @@ def validate_snapshot(snapshot: ReleaseSnapshot) -> list[str]:
     """Check every type invariant of a snapshot; return violations as data.
 
     An empty list means the snapshot is well formed. The result is a pure
-    function of the snapshot (deterministic ordering).
+    function of the snapshot (deterministic ordering). ``load_corpus`` runs
+    it once on every release it decodes, from JSON or from POMs.
     """
     violations: list[str] = []
     project = snapshot.coordinate

@@ -6,14 +6,20 @@ the facts a corpus load keeps checked against the snapshot decoders.
 code; ``perfbench/oracle.py`` recomputes every report value from that
 description (bitset reachability, ``statistics.correlation``). Both are
 imported from ``perfbench/`` itself, so there is one copy of the oracle.
+The oracle compares r and n; the p-values are checked here against
+``scipy.stats.t``.
 """
 
 import dataclasses
 import json
+import math
+import re
+import statistics
 import sys
 from pathlib import Path
 
 import pytest
+from scipy.stats import t as student_t
 
 from icmetrics.cli import main
 from icmetrics.graph import DEFAULT_SCOPE_FILTER
@@ -41,6 +47,50 @@ def _write_corpus(base: Path, shape: str, seed: int) -> list:
     return corpora.read_json_corpus(base)
 
 
+_P_CELL = re.compile(r"^\d\.\d\de-?\d+$")
+
+
+def _reference_p(xs: list[float], ys: list[float], n: int) -> float:
+    """Two-tailed p of the Pearson r of ``xs`` and ``ys`` from Student's t
+    with n - 2 degrees of freedom; 1.0 where r is undefined or n < 3."""
+    try:
+        r = statistics.correlation(xs, ys)
+    except statistics.StatisticsError:  # constant input
+        return 1.0
+    if n < 3:
+        return 1.0
+    if abs(r) >= 1.0:
+        return 0.0
+    return float(2.0 * student_t.sf(abs(r) * math.sqrt((n - 2) / (1.0 - r * r)), n - 2))
+
+
+def _p_problems(expected, out: Path) -> list[str]:
+    """Every p_value cell of combined.csv and per_project.csv that is not
+    written as d.dde[-]x or is off its reference p by more than half a unit
+    of its third significant digit."""
+    def series(rows, metric):
+        pairs = [(float(values[metric]), float(release.bugs)) for release, values in rows if values[metric] is not None]
+        return [list(column) for column in zip(*pairs)]
+
+    pooled = [row for project in expected.selected for row in expected.rows[project]]
+    points = {("combined.csv", metric): series(pooled, metric) for metric in oracle.METRIC_ORDER}
+    points.update({(project, metric): series(expected.rows[project], metric)
+                   for project in expected.selected for metric in oracle.METRIC_ORDER})
+    cells = [("combined.csv", *line.split(",")) for line in (out / "combined.csv").read_text().splitlines()[1:]]
+    cells += [line.split(",") for line in (out / "per_project.csv").read_text().splitlines()[1:]]
+    problems = []
+    for where, metric, _, cell, n in cells:
+        reference = _reference_p(*points[where, metric], int(n))
+        if reference == 0.0:
+            close = cell == "0.00e0"
+        else:
+            half_unit = 0.5 * 10.0 ** (math.floor(math.log10(reference)) - 2)
+            close = abs(float(cell) - reference) <= half_unit * (1 + 1e-9)
+        if not (_P_CELL.match(cell) and close):
+            problems.append(f"{where} {metric}: p={cell}, reference {reference:.6g}")
+    return problems
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_analyze_report_matches_the_oracle(tmp_path, shape, seed):
@@ -52,6 +102,7 @@ def test_analyze_report_matches_the_oracle(tmp_path, shape, seed):
                  "--history", str(tmp_path / "base" / "releases.csv"), "--out", str(out)])
     assert code == 0
     assert oracle.check(expected, out) == []
+    assert _p_problems(expected, out) == []
 
 
 def _pom_snapshot(release_dir: Path, timestamp: int, bugs: int) -> ReleaseSnapshot:

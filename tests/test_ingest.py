@@ -33,6 +33,7 @@ from icmetrics.model import (
     ReleaseSnapshot,
     SharedValues,
     UsageRecord,
+    validate_snapshot,
 )
 from icmetrics.pom import parse_pom
 
@@ -196,6 +197,27 @@ def test_bug_count_of_more_digits_than_int_reads_gets_the_float_bound_message():
     # Leading zeros count toward int()'s digit limit, not toward the value.
     [row] = load_release_history(f"{header}g:a,1.0,100,{'0' * 5000}7\n")
     assert row.bugs_fixed == 7
+
+
+def test_too_long_negative_bug_count_is_quoted_by_its_digit_count():
+    header = "project,version,timestamp,bugs_fixed\n"
+
+    def reason(bugs_text):
+        with pytest.raises(HistoryFormatError) as excinfo:
+            load_release_history(f"{header}g:a,1.0,100,1\ng:a,2.0,200,{bugs_text}\n")
+        return str(excinfo.value)
+
+    assert reason("-" + "9" * 5000) == "line 3: bugs_fixed must be non-negative, got a 5000-digit negative number"
+    assert reason("-" + "9" * 400) == "line 3: bugs_fixed must be non-negative, got a 400-digit negative number"
+    assert reason(str(-10 ** 309)) == "line 3: bugs_fixed must be non-negative, got a 310-digit negative number"
+    # Up to the float bound's 309 digits, a negative count is quoted whole.
+    assert reason(str(1 - 10 ** 309)) == f"line 3: bugs_fixed must be non-negative, got {1 - 10 ** 309}"
+    assert reason("-5") == "line 3: bugs_fixed must be non-negative, got -5"
+    # The digit count leaves out the sign.
+    assert reason("+" + "9" * 5000) == (
+        "line 3: bugs_fixed must convert to a float (below about 1.8e308), got a 5000-digit number")
+    assert reason("+" + "9" * 400) == (
+        "line 3: bugs_fixed must convert to a float (below about 1.8e308), got a 400-digit number")
 
 
 def test_largest_count_a_float_holds_is_accepted_everywhere():
@@ -428,6 +450,37 @@ def test_every_release_that_breaks_a_rule_fails_with_the_full_check(tmp_path):
     assert [release.version_label for release in corpus.snapshots[coord("p")]] == ["3.0"]
 
 
+def test_every_decoded_release_is_checked_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(snapshot):
+        calls.append((snapshot.coordinate, snapshot.version_label))
+        return validate_snapshot(snapshot)
+
+    monkeypatch.setattr(ingest, "validate_snapshot", counted)
+    # Decoded and clean: two snapshot.json and two pom releases.
+    for version in ("1.0", "2.0"):
+        write_release(tmp_path, make_snapshot("p", version=version))
+        (tmp_path / "g:a" / version).mkdir(parents=True)
+        (tmp_path / "g:a" / version / "pom.xml").write_text(_pom(version, "y"))
+    # Decoded, then refused by the snapshot rules: one of each kind.
+    write_release(tmp_path, make_snapshot("p", version="3.0", manifests=[make_manifest("p", submodules=["p"])]))
+    (tmp_path / "g:a" / "3.0").mkdir()
+    (tmp_path / "g:a" / "3.0" / "pom.xml").write_text(_pom("3.0", "y z"))
+    # Never decoded: bad JSON, bad XML, no manifest at all.
+    (tmp_path / "org.fixture:p" / "4.0").mkdir()
+    (tmp_path / "org.fixture:p" / "4.0" / "snapshot.json").write_text("{")
+    (tmp_path / "g:a" / "4.0").mkdir()
+    (tmp_path / "g:a" / "4.0" / "pom.xml").write_text("<project>")
+    (tmp_path / "g:a" / "5.0").mkdir()
+
+    corpus = load_corpus(tmp_path, None)
+    assert [len(releases) for releases in corpus.snapshots.values()] == [2, 2]
+    assert [len(failures) for failures in corpus.failed.values()] == [3, 2]
+    assert sorted(calls) == sorted({(coordinate, version) for coordinate in (coord("p"), ProjectCoordinate("g", "a"))
+                                    for version in ("1.0", "2.0", "3.0")})
+
+
 def test_pom_release_with_sidecar_files(tmp_path):
     release_dir = tmp_path / "g:a" / "1.0"
     module_dir = release_dir / "core"
@@ -596,6 +649,18 @@ CRASH_CASES = {
     "snapshot.json nests too deep to decode": (
         {"snapshot.json": b"[" * 100_000},
         ".: invalid JSON: maximum recursion depth exceeded",
+    ),
+    "snapshot.json is not JSON": (
+        {"snapshot.json": b"{"},
+        ".: invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+    ),
+    "api_surface.json is not JSON": (
+        {**_POM_FILES, "api_surface.json": b"{"},
+        "api_surface.json: invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+    ),
+    "usage.json is not JSON": (
+        {**_POM_FILES, "usage.json": b"{"},
+        "usage.json: invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
     ),
     "usage.json nests too deep to decode": (
         {**_POM_FILES, "usage.json": b"[" * 100_000},

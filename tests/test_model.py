@@ -1,4 +1,3 @@
-import dataclasses
 
 import pytest
 from conftest import coord, make_manifest, make_snapshot
@@ -33,7 +32,9 @@ class TestProjectCoordinate:
             ProjectCoordinate.from_key("no-colon-here")
 
     def test_frozen(self):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        # A named tuple's fields are read-only properties; assigning one raises
+        # AttributeError, the base class of dataclasses.FrozenInstanceError.
+        with pytest.raises(AttributeError):
             coord("x").group = "other"
 
 
