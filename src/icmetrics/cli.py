@@ -123,7 +123,11 @@ def _load_series(args: argparse.Namespace) -> tuple[Corpus, dict[ProjectCoordina
     """
     history = None
     if args.history:
-        history = load_release_history(_path(args.history).read_text(encoding="utf-8"))
+        path = _path(args.history)
+        try:
+            history = load_release_history(path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:  # from read_text; the parser takes str
+            raise HistoryFormatError(f"{path}: invalid UTF-8: {exc}") from None
     corpus = load_corpus(args.corpus, history, args.loc_ext, args.exclude_scopes)
     del history  # joined into the corpus; free the rows before the series build
     for message in corpus.warnings:
@@ -148,8 +152,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return _fail(str(exc))
 
     selected, rejected = select_projects(corpus)
-    for coordinate in sorted(rejected):
-        _info(f"rejected {coordinate.key()} ({rejected[coordinate]})")
+    for coordinate, reason in rejected.items():
+        _info(f"rejected {coordinate.key()} ({reason})")
 
     selected_series = [series_map[c] for c in sorted(selected)]
     # series_filename joins group and artifact with "_", so two keys can

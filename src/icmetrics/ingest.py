@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Iterable, NoReturn
+from typing import Any, Iterable, Iterator, NoReturn
 
 from .graph import DEFAULT_SCOPE_FILTER, effective_targets
 from .metrics import ic_lcom1, ic_rfc, response_set
@@ -93,7 +93,8 @@ class FailedRelease:
 class Corpus:
     """Everything load_corpus learned about a corpus tree: per project, the
     facts of each parsed release in (timestamp, version) order and each
-    failed release."""
+    failed release. That order is the only statement of release order;
+    the series, statistics and reports keep it."""
 
     snapshots: dict[ProjectCoordinate, list[ReleaseFacts]] = field(default_factory=dict)
     failed: dict[ProjectCoordinate, list[FailedRelease]] = field(default_factory=dict)
@@ -318,6 +319,14 @@ def encode_snapshot(snapshot: ReleaseSnapshot) -> str:
 # releases.csv
 
 
+def _records(reader: Any) -> Iterator[list[str]]:
+    """A csv reader's rows; one it cannot split (say, a too-long field) is a HistoryFormatError."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise HistoryFormatError(f"line {reader.line_num}: {exc}") from None
+
+
 def load_release_history(csv_text: str) -> list[ReleaseHistoryRow]:
     """Parse the release/bug history table.
 
@@ -325,7 +334,7 @@ def load_release_history(csv_text: str) -> list[ReleaseHistoryRow]:
     (project, version) pairs must be unique; a bug count must be a
     non-negative integer that a float can hold.
     """
-    reader = csv.reader(io.StringIO(csv_text))
+    reader = _records(csv.reader(io.StringIO(csv_text)))
     try:
         header = next(reader)
     except StopIteration:

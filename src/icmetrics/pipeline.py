@@ -35,9 +35,10 @@ class ReleasePoint:
 
 @dataclass(frozen=True)
 class ProjectSeries:
+    """One project's measured releases, in list order: (timestamp, version)."""
+
     coordinate: ProjectCoordinate
     releases: tuple[ReleasePoint, ...]
-    failed_release_count: int = 0
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,8 @@ def select_projects(corpus: Corpus) -> tuple[set[ProjectCoordinate], dict[Projec
 
 
 def build_series(corpus: Corpus, errors: list[str] | None = None) -> dict[ProjectCoordinate, ProjectSeries]:
-    """One ProjectSeries per corpus project, in canonical order.
+    """One ProjectSeries per corpus project, by coordinate, each holding
+    the project's measured releases in list order.
 
     Each release is measured against the ecosystem at its timestamp: every
     other project's latest release at or before it (its earliest when none
@@ -148,31 +150,31 @@ def build_series(corpus: Corpus, errors: list[str] | None = None) -> dict[Projec
 
     # Each distinct target set is mapped to node ids once; a project's
     # initial state is its earliest release.
-    outcomes: dict[ProjectCoordinate, list[ReleasePoint | str | None]] = {}
+    points: dict[ProjectCoordinate, list[ReleasePoint]] = {}
+    failures: dict[ProjectCoordinate, list[str]] = {}
     target_ids_of: dict[frozenset[ProjectCoordinate], tuple[int, ...]] = {}
     events = []
     for coordinate in sorted(corpus.snapshots):
-        releases = corpus.snapshots[coordinate]
-        outcomes[coordinate] = [None] * len(releases)
+        points[coordinate], failures[coordinate] = [], []
         node = node_id(coordinate)
-        for index, release in enumerate(releases):
+        for index, release in enumerate(corpus.snapshots[coordinate]):
             targets = release.targets
             target_ids = target_ids_of.get(targets)
             if target_ids is None:
                 target_ids = target_ids_of[targets] = tuple(sorted(map(node_id, targets)))
             if index == 0:
                 apply(node, target_ids)
-            events.append((release.timestamp, coordinate, node, index, release, target_ids))
-    events.sort(key=itemgetter(0))  # stable: a project's ties stay adjacent, in list order
+            events.append((release.timestamp, coordinate, node, release, target_ids))
+    events.sort(key=itemgetter(0))  # stable: each project's releases stay in list order
 
     # A timestamp's events are all applied first, leaving each project at its
     # last tie. Measuring a tie re-applies it and leaves it: the project's
     # next tie re-applies its own, and its last tie is what the first pass set.
     for _, group in groupby(events, key=itemgetter(0)):
         group = list(group)
-        for _, _, node, _, _, target_ids in group:
+        for _, _, node, _, target_ids in group:
             apply(node, target_ids)
-        for _, coordinate, node, index, release, target_ids in group:
+        for _, coordinate, node, release, target_ids in group:
             try:
                 apply(node, target_ids)
                 dit, cbo = measure(node)
@@ -186,45 +188,35 @@ def build_series(corpus: Corpus, errors: list[str] | None = None) -> dict[Projec
                     loc=release.loc,
                 )
             except Exception as exc:  # recorded, never fatal for the run
-                outcomes[coordinate][index] = f"{coordinate.key()}/{release.version_label}: {exc}"
+                failures[coordinate].append(f"{coordinate.key()}/{release.version_label}: {exc}")
                 continue
-            outcomes[coordinate][index] = ReleasePoint(
+            points[coordinate].append(ReleasePoint(
                 version_label=release.version_label,
                 timestamp=release.timestamp,
                 bugs_fixed=release.bugs_fixed,
                 vector=vector,
-            )
+            ))
 
-    series = {}
-    for coordinate, results in outcomes.items():
-        points = []
-        for outcome in results:
-            if isinstance(outcome, ReleasePoint):
-                points.append(outcome)
-            elif errors is not None:
-                errors.append(outcome)
-        series[coordinate] = ProjectSeries(
-            coordinate=coordinate,
-            releases=tuple(sorted(points, key=lambda p: (p.timestamp, p.version_label))),
-            failed_release_count=len(corpus.failed.get(coordinate, [])),
-        )
-    return series
+    if errors is not None:
+        for messages in failures.values():
+            errors.extend(messages)
+    return {coordinate: ProjectSeries(coordinate, tuple(releases)) for coordinate, releases in points.items()}
 
 
 def correlate_project(series: ProjectSeries) -> list[CorrelationResult]:
     """Per-metric correlation against the project's own bug series.
 
     A metric missing from any release of the series is skipped entirely.
+    Release order does not matter: pearson_r sums with math.fsum.
     """
     if len(series.releases) < 2:
         raise ValueError(
             f"series for {series.coordinate.key()} has {len(series.releases)} releases; need at least 2"
         )
-    points = sorted(series.releases, key=lambda p: (p.timestamp, p.version_label))
-    bugs = [float(p.bugs_fixed) for p in points]
+    bugs = [float(p.bugs_fixed) for p in series.releases]
     results = []
     for name in METRIC_ORDER:
-        values = [vector_value(p.vector, name) for p in points]
+        values = [vector_value(p.vector, name) for p in series.releases]
         if any(v is None for v in values):
             continue
         results.append(correlate(name, [float(v) for v in values], bugs))
@@ -235,14 +227,14 @@ def correlate_pooled(all_series: list[ProjectSeries] | tuple[ProjectSeries, ...]
     """One pooled correlation per metric over every project's releases.
 
     Releases where the metric is absent are skipped point-by-point; a
-    metric with no usable points at all is omitted from the result.
+    metric with no usable points at all is omitted from the result. As in
+    correlate_project, the order of series and releases does not matter.
     """
-    ordered = sorted(all_series, key=lambda s: s.coordinate)
     results = []
     for name in METRIC_ORDER:
         xs: list[float] = []
         ys: list[float] = []
-        for series in ordered:
+        for series in all_series:
             for point in series.releases:
                 value = vector_value(point.vector, name)
                 if value is None:
@@ -276,13 +268,12 @@ def summarize_project(series: ProjectSeries) -> ProjectSummary:
 
 def classify_activity(summaries: list[ProjectSummary] | tuple[ProjectSummary, ...],
                       threshold: float) -> tuple[tuple[ProjectSummary, ...], tuple[ProjectSummary, ...]]:
-    """Partition summaries by activity: below threshold first, rest second.
+    """Partition summaries by activity, in input order: below threshold first, rest second.
 
     The low-activity set is where metric/bug correlations carry meaning.
     """
     if threshold <= 0:
         raise ValueError(f"activity threshold must be positive, got {threshold}")
-    ordered = sorted(summaries, key=lambda s: s.coordinate)
-    low = tuple(s for s in ordered if s.activity < threshold)
-    rest = tuple(s for s in ordered if s.activity >= threshold)
+    low = tuple(s for s in summaries if s.activity < threshold)
+    rest = tuple(s for s in summaries if s.activity >= threshold)
     return low, rest

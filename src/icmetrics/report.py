@@ -1,10 +1,10 @@
 """Deterministic report emitters: CSV tables, JSON-lines dump, text tables.
 
-Every emitter is a pure function from its inputs to text. The tables keep
-the row order their caller sorted (correlation rows follow METRIC_ORDER);
-emit_metrics_jsonl sorts its input itself. So output bytes never depend on
-filesystem ordering. Every per-release column and key comes from
-METRIC_FIELDS.
+Every emitter is a pure function from its inputs to text, and keeps the
+order of projects and releases it is given (correlation rows follow
+METRIC_ORDER): by coordinate, then (timestamp, version), as the pipeline
+builds them. So output bytes never depend on filesystem ordering. Every
+per-release column and key comes from METRIC_FIELDS.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def emit_combined_table(results: Iterable[CorrelationResult]) -> str:
 
 
 def emit_per_project_table(per_project: Iterable[tuple[str, Iterable[CorrelationResult]]]) -> str:
-    """Per-project correlation rows; projects pre-sorted by the caller's key."""
+    """Per-project correlation rows, projects in the order given."""
     return _csv(PER_PROJECT_HEADER, (
         f"{project_key},{_correlation_row(result)}"
         for project_key, results in per_project
@@ -98,10 +98,10 @@ def series_filename(series: ProjectSeries) -> str:
 
 
 def emit_metrics_jsonl(series_list: Iterable[ProjectSeries]) -> str:
-    """One JSON object per (project, release), sorted by (coordinate, timestamp)."""
+    """One JSON object per (project, release), in the order given."""
     lines = []
-    for series in sorted(series_list, key=lambda s: s.coordinate):
-        for point in sorted(series.releases, key=lambda p: (p.timestamp, p.version_label)):
+    for series in series_list:
+        for point in series.releases:
             record = {
                 "project": series.coordinate.key(),
                 "version": point.version_label,

@@ -2,7 +2,7 @@
 
 Everything here is pure, reentrant, and implemented directly on floats so
 results are reproducible bit-for-bit across runs and worker counts. The
-Student-t CDF goes through the regularized incomplete beta function,
+Student-t tail goes through the regularized incomplete beta function,
 evaluated with the continued-fraction method.
 """
 
@@ -139,15 +139,6 @@ def _student_t_upper_tail(t: float, df: float) -> float:
         return 0.5
     x = df / (df + t * t)
     return 0.5 * regularized_incomplete_beta(df / 2.0, 0.5, x)
-
-
-def student_t_cdf(t: float, df: float) -> float:
-    """CDF of Student's t with `df` degrees of freedom."""
-    if t == 0.0:
-        return 0.5
-    if t > 0.0:
-        return 1.0 - _student_t_upper_tail(t, df)
-    return _student_t_upper_tail(-t, df)
 
 
 def p_two_tailed(r: float, n: int) -> float:

@@ -193,6 +193,26 @@ def test_bug_count_a_float_cannot_hold_is_a_fatal_history_error(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("case", ["not-utf-8", "oversized-cell"])
+def test_unreadable_history_is_a_fatal_history_error(tmp_path, capsys, case):
+    corpus, history, _, _ = _write_fixture_corpus(tmp_path)
+    data = history.read_bytes()
+    if case == "not-utf-8":
+        data = data.replace(b"org.fixture:proj,02.0,", b"org.fixture:proj,02\xff0,")
+        position = data.index(b"\xff")
+        reason = (f"{history.resolve()}: invalid UTF-8: 'utf-8' codec can't decode byte 0xff"
+                  f" in position {position}: invalid start byte")
+    else:
+        # One more character than the csv module's default field limit.
+        data = data.replace(b"org.fixture:proj,00.0,", b'org.fixture:proj,"' + b"x" * 131073 + b'",')
+        reason = "line 2: field larger than field limit (131072)"
+    history.write_bytes(data)
+    rc = main(["analyze", "--corpus", str(corpus), "--history", str(history), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("field", ["loc", "bugs_fixed"])
 def test_snapshot_count_a_float_cannot_hold_is_a_failed_release(tmp_path, capsys, field):
     assert main(["synth", "--out", str(tmp_path), "--projects", "3", "--releases", "11"]) == 0

@@ -3,7 +3,8 @@ the facts a corpus load keeps checked against the snapshot decoders.
 
 ``perfbench/corpora.py`` writes the three benchmark corpus shapes from
 ``synth`` output and describes each release without the program's graph
-code; ``perfbench/oracle.py`` recomputes every report value from that
+code (a fourth shape, ``ties``, is rewritten here from synth output);
+``perfbench/oracle.py`` recomputes every report value from that
 description (bitset reachability, ``statistics.correlation``). Both are
 imported from ``perfbench/`` itself, so there is one copy of the oracle.
 The oracle compares r and n; the p-values are checked here against
@@ -23,7 +24,14 @@ from scipy.stats import t as student_t
 
 from icmetrics.cli import main
 from icmetrics.graph import DEFAULT_SCOPE_FILTER
-from icmetrics.ingest import count_loc, load_corpus, load_release_history, parse_snapshot_json, release_facts
+from icmetrics.ingest import (
+    count_loc,
+    encode_snapshot,
+    load_corpus,
+    load_release_history,
+    parse_snapshot_json,
+    release_facts,
+)
 from icmetrics.model import ApiSurface, ProjectCoordinate, ReleaseSnapshot, UsageRecord
 from icmetrics.pom import parse_pom
 from icmetrics.synth import synth_ecosystem
@@ -34,7 +42,33 @@ import corpora  # noqa: E402
 import oracle  # noqa: E402
 
 # shape -> (projects, releases): small corpora whose projects still pass selection.
-SHAPES = {"aligned": (8, 12), "staggered": (8, 12), "pom-loc": (5, 12)}
+SHAPES = {"aligned": (8, 12), "staggered": (8, 12), "pom-loc": (5, 12), "ties": (8, 12)}
+_DAY = 86_400
+
+
+def _tie_releases(base: Path) -> None:
+    """Move each even release t >= 2 of every synth project to the timestamp
+    of release t - 1, in snapshot.json and releases.csv alike.
+
+    Synth releases are one day apart, and release t is labelled 0.t.0. So
+    each project gets ties within itself, and 0.10.0 ties with 0.9.0 and
+    sorts before it by label.
+    """
+    def moved(version: str, timestamp: int) -> int:
+        step = int(version.split(".")[1])
+        return timestamp - _DAY if step >= 2 and step % 2 == 0 else timestamp
+
+    for release_dir in corpora.release_dirs(base / "corpus"):
+        path = release_dir / "snapshot.json"
+        snapshot = parse_snapshot_json(path.read_text(encoding="utf-8"))
+        snapshot = dataclasses.replace(snapshot, timestamp=moved(snapshot.version_label, snapshot.timestamp))
+        path.write_text(encode_snapshot(snapshot), encoding="utf-8")
+    history = base / "releases.csv"
+    header, *rows = history.read_text(encoding="utf-8").splitlines()
+    for i, row in enumerate(rows):
+        project, version, timestamp, bugs = row.split(",")
+        rows[i] = f"{project},{version},{moved(version, int(timestamp))},{bugs}"
+    history.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
 
 
 def _write_corpus(base: Path, shape: str, seed: int) -> list:
@@ -44,6 +78,8 @@ def _write_corpus(base: Path, shape: str, seed: int) -> list:
         return corpora.to_pom(base, seed)
     if shape == "staggered":
         corpora.stagger(base, seed)
+    if shape == "ties":
+        _tie_releases(base)
     return corpora.read_json_corpus(base)
 
 

@@ -1,5 +1,6 @@
 import bisect
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -92,13 +93,11 @@ class TestBuildSeries:
         corpus = make_corpus({"p": [make_snapshot("p", bugs=2)]})
         series = build_series(corpus)
         assert len(series[coord("p")].releases) == 1
-        assert series[coord("p")].failed_release_count == 0
 
-    def test_failed_releases_only_bump_the_counter(self):
+    def test_failed_releases_stay_out_of_the_series(self):
         corpus = make_corpus({"p": _release_run("p", 2, bugs=1)}, failed={"p": 1})
         series = build_series(corpus)
-        assert len(series[coord("p")].releases) == 2
-        assert series[coord("p")].failed_release_count == 1
+        assert [point.version_label for point in series[coord("p")].releases] == ["0.0", "1.0"]
 
     def test_vectors_match_independent_computation(self):
         projects = {
@@ -399,9 +398,24 @@ class TestCorrelateProject:
             correlate_project(series)
 
     def test_input_order_is_canonicalized(self):
-        series = _series("p", [1, 2, 3, 5], [2, 1, 4, 9])
-        reversed_series = ProjectSeries(series.coordinate, tuple(reversed(series.releases)))
-        assert correlate_project(series) == correlate_project(reversed_series)
+        # Bug counts of mixed magnitude: a plain float sum over them depends
+        # on the order of its terms, a correctly rounded one does not. So
+        # no stage needs to sort releases or series before the statistics.
+        big = 2 ** 60
+        all_series = [
+            _series("p", [1, 2, 3, 5, 4, 6], [big, 3, big + 512, 7, big + 1024, 5], loc_values=[9, 4, 7, 1, 8, 2]),
+            _series("q", [2, 1, 4, 3, 6, 5], [3, big + 256, 1, big, 9, big + 768], loc_values=[3, 8, 1, 9, 2, 6]),
+            _series("r", [1, 2, 3, 5], [2, 1, 4, 9], loc_values=[5, 5, 6, 7]),
+        ]
+        rng = random.Random(0)
+        for _ in range(10):
+            permuted = [ProjectSeries(series.coordinate, tuple(rng.sample(series.releases, len(series.releases))))
+                        for series in all_series]
+            for series, shuffled in zip(all_series, permuted):
+                assert correlate_project(shuffled) == correlate_project(series)
+                assert summarize_project(shuffled) == summarize_project(series)
+            rng.shuffle(permuted)
+            assert correlate_pooled(permuted) == correlate_pooled(all_series)
 
     def test_results_satisfy_invariants(self):
         series = _series("p", [1, 2, 2, 1], [3, 1, 4, 1])

@@ -15,7 +15,6 @@ from icmetrics.stats import (
     p_two_tailed,
     pearson_r,
     regularized_incomplete_beta,
-    student_t_cdf,
 )
 
 
@@ -185,17 +184,6 @@ def test_p_monotone_decreasing_in_n():
     for r in (0.1, 0.5, 0.9):
         values = [p_two_tailed(r, n) for n in range(3, 120, 7)]
         assert values == sorted(values, reverse=True)
-
-
-def test_t_cdf_at_zero_is_exactly_half():
-    for df in (1, 2, 18, 100):
-        assert student_t_cdf(0.0, df) == 0.5
-
-
-def test_t_cdf_symmetry():
-    for df in (1, 3, 18, 60):
-        for t in (0.1, 0.7, 1.5, 3.0, 8.0):
-            assert student_t_cdf(t, df) + student_t_cdf(-t, df) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_incomplete_beta_edges():
