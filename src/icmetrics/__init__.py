@@ -33,6 +33,15 @@ from .pipeline import (
     select_projects,
 )
 from .stats import CorrelationResult, activity_ratio, median, p_two_tailed, pearson_r
-from .synth import synth_ecosystem
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # synth_ecosystem is imported on first use, so importing the package
+    # (as every analyze run does) does not load the generator.
+    if name == "synth_ecosystem":
+        from .synth import synth_ecosystem
+
+        return synth_ecosystem
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -37,7 +37,6 @@ from .report import (
     render_summaries_human,
     series_filename,
 )
-from .synth import synth_ecosystem
 
 
 def _comma_set(text: str) -> frozenset[str]:
@@ -205,6 +204,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import synth_ecosystem  # here, so analyze and metrics runs never import it
+
     try:
         corpus_dir, history_path = synth_ecosystem(
             args.out, args.seed, args.projects, args.releases, args.coupling, args.noise,

@@ -25,11 +25,11 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Iterable, Iterator, NoReturn
+from typing import Any, Iterable, Iterator, NamedTuple, NoReturn
 
 from .graph import DEFAULT_SCOPE_FILTER, effective_targets
 from .metrics import ic_lcom1, ic_rfc, response_set
@@ -75,30 +75,34 @@ class _RejectedRelease(ValueError):
     """A release directory that yields no usable snapshot; the message is the reason."""
 
 
-@dataclass(frozen=True)
-class ReleaseHistoryRow:
+class ReleaseHistoryRow(NamedTuple):
     project_key: str
     version_label: str
     timestamp: int
     bugs_fixed: int
 
 
-@dataclass(frozen=True)
-class FailedRelease:
+class FailedRelease(NamedTuple):
     version_label: str
     reason: str
 
 
-@dataclass
 class Corpus:
     """Everything load_corpus learned about a corpus tree: per project, the
     facts of each parsed release in (timestamp, version) order and each
     failed release. That order is the only statement of release order;
-    the series, statistics and reports keep it."""
+    the series, statistics and reports keep it.
 
-    snapshots: dict[ProjectCoordinate, list[ReleaseFacts]] = field(default_factory=dict)
-    failed: dict[ProjectCoordinate, list[FailedRelease]] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
+    A plain mutable class: load_corpus fills one instance per run."""
+
+    __slots__ = ("snapshots", "failed", "warnings")
+
+    def __init__(self, snapshots: dict[ProjectCoordinate, list[ReleaseFacts]] | None = None,
+                 failed: dict[ProjectCoordinate, list[FailedRelease]] | None = None,
+                 warnings: list[str] | None = None) -> None:
+        self.snapshots = {} if snapshots is None else snapshots
+        self.failed = {} if failed is None else failed
+        self.warnings = [] if warnings is None else warnings
 
 
 # --------------------------------------------------------------------------
@@ -108,7 +112,9 @@ class Corpus:
 # Each input rule has one checker. It tests the raw JSON value and returns
 # the decoded value; only for a failing value does it format the JSON path,
 # passed in as a prefix plus an optional index, and raise naming the first
-# broken part. So the success path formats no path.
+# broken part. A manifest's parts are checked with paths relative to the
+# manifest, and only a failure gets the manifest's own path in front. So
+# the success path formats no path.
 
 
 def _fail(path: str, message: str) -> NoReturn:
@@ -196,15 +202,20 @@ def _dependency(value: Any, shared: SharedValues, path: str, index: int) -> Depe
     _fail(f"{where}.scope", "must be a string or null")
 
 
-def _manifest_from_json(item: Any, path: str, shared: SharedValues) -> ProjectManifest:
-    coordinate = _coordinate(item, shared, path)
-    if not isinstance(item.get("version"), str):
-        _fail(f"{path}.version", "must be a string")
-    deps_path, subs_path = f"{path}.dependencies", f"{path}.submodules"
-    deps = tuple(_dependency(dep, shared, deps_path, j)
-                 for j, dep in enumerate(_array(item.get("dependencies", []), deps_path)))
-    submodules = frozenset(_coordinate(sub, shared, subs_path, k)
-                           for k, sub in enumerate(_array(item.get("submodules", []), subs_path)))
+def _manifest_from_json(item: Any, shared: SharedValues, path: str, index: int) -> ProjectManifest:
+    """The manifest a JSON object declares. Its parts are checked with paths
+    relative to the manifest; a failure's path gets ``path[index]`` in front
+    here."""
+    try:
+        coordinate = _coordinate(item, shared, "")
+        if not isinstance(item.get("version"), str):
+            _fail(".version", "must be a string")
+        deps = tuple(_dependency(dep, shared, ".dependencies", j)
+                     for j, dep in enumerate(_array(item.get("dependencies", []), ".dependencies")))
+        submodules = frozenset(_coordinate(sub, shared, ".submodules", k)
+                               for k, sub in enumerate(_array(item.get("submodules", []), ".submodules")))
+    except SnapshotFormatError as exc:
+        raise SnapshotFormatError(f"{_where(path, index)}{exc}") from None
     return ProjectManifest(coordinate, item["version"], deps, submodules)
 
 
@@ -241,8 +252,7 @@ def _snapshot_from_json(text: str, shared: SharedValues, row: ReleaseHistoryRow 
     manifests_raw = raw.get("manifests")
     if not (isinstance(manifests_raw, list) and manifests_raw):
         _fail(".manifests", "must be a non-empty array")
-    manifests = tuple(_manifest_from_json(item, f".manifests[{i}]", shared)
-                      for i, item in enumerate(manifests_raw))
+    manifests = tuple(_manifest_from_json(item, shared, ".manifests", i) for i, item in enumerate(manifests_raw))
 
     surface, rfc = _api_surface_from_json(raw.get("api_surface"), ".api_surface")
     usage = _usage_from_json(raw.get("usage"), ".usage", shared)
@@ -330,11 +340,12 @@ def _records(reader: Any) -> Iterator[list[str]]:
 def load_release_history(csv_text: str) -> list[ReleaseHistoryRow]:
     """Parse the release/bug history table.
 
-    Header must be exactly ``project,version,timestamp,bugs_fixed``;
-    (project, version) pairs must be unique; a bug count must be a
-    non-negative integer that a float can hold.
+    Header must be exactly ``project,version,timestamp,bugs_fixed``, after
+    one leading byte-order mark (U+FEFF), if any; (project, version) pairs
+    must be unique; a bug count must be a non-negative integer that a float
+    can hold.
     """
-    reader = _records(csv.reader(io.StringIO(csv_text)))
+    reader = _records(csv.reader(io.StringIO(csv_text.removeprefix("\ufeff"))))
     try:
         header = next(reader)
     except StopIteration:
@@ -388,6 +399,7 @@ def load_release_history(csv_text: str) -> list[ReleaseHistoryRow]:
 
 
 _NAME = attrgetter("name")
+_RELEASE_ORDER = attrgetter("timestamp", "version_label")
 _READ_CHUNK = 1 << 16
 
 
@@ -571,15 +583,8 @@ def _facts(snapshot: ReleaseSnapshot, rfc: int | None, scope_filter: frozenset[s
     are shared through ``target_sets``."""
     targets = effective_targets(snapshot, scope_filter)
     targets = target_sets.setdefault(targets, targets)
-    return ReleaseFacts(
-        version_label=snapshot.version_label,
-        timestamp=snapshot.timestamp,
-        bugs_fixed=snapshot.bugs_fixed,
-        loc=snapshot.loc,
-        targets=targets,
-        rfc=rfc,
-        lcom1=None if snapshot.usage is None else ic_lcom1(targets, snapshot.usage),
-    )
+    return ReleaseFacts(snapshot.version_label, snapshot.timestamp, snapshot.bugs_fixed, snapshot.loc,
+                        targets, rfc, None if snapshot.usage is None else ic_lcom1(targets, snapshot.usage))
 
 
 def release_facts(snapshot: ReleaseSnapshot,
@@ -654,7 +659,7 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
                 )
             parsed.append(_facts(snapshot, rfc, scope_filter, shared.targets))
 
-        parsed.sort(key=lambda s: (s.timestamp, s.version_label))
+        parsed.sort(key=_RELEASE_ORDER)
 
     for row in history or ():
         if (row.project_key, row.version_label) not in seen_releases:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .model import ApiSurface, MetricVector, ProjectCoordinate, UsageRecord
+from .model import ApiSurface, ProjectCoordinate, UsageRecord
 
 # Row order of the correlation tables.
 METRIC_ORDER = ("IC-NOC", "IC-DIT", "IC-LCOM1", "IC-WMC", "IC-RFC", "IC-CBO", "LOC")
@@ -32,10 +32,6 @@ METRIC_FIELDS = {
     "IC-LCOM1": "lcom1",
     "LOC": "loc",
 }
-
-
-def vector_value(vector: MetricVector, metric_name: str) -> int | None:
-    return getattr(vector, METRIC_FIELDS[metric_name])
 
 
 def response_set(methods: Mapping[str, Iterable[str]]) -> set[str]:

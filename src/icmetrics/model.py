@@ -1,5 +1,10 @@
 """Shared domain types: immutable containers plus one invariant checker.
 
+Every record is a ``typing.NamedTuple``: several times cheaper than a
+frozen dataclass both to create at import and to build, which every run
+pays for. ``ReleaseSnapshot`` and ``ProjectManifest`` stay frozen
+dataclasses, since callers rebuild them with ``dataclasses.replace``.
+
 Construction never raises; ``validate_snapshot`` is the one statement of
 the snapshot rules and reports violations as plain strings, so corpus
 loading can keep going and record failures instead of aborting.
@@ -12,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 
 class ProjectCoordinate(NamedTuple):
@@ -36,8 +41,7 @@ class ProjectCoordinate(NamedTuple):
         return cls(group, artifact)
 
 
-@dataclass(frozen=True)
-class DependencyDecl:
+class DependencyDecl(NamedTuple):
     """One declared dependency. version_text is kept verbatim, never parsed."""
 
     target: ProjectCoordinate
@@ -93,29 +97,35 @@ class ProjectManifest:
         object.__setattr__(self, "submodule_coordinates", frozenset(self.submodule_coordinates))
 
 
-@dataclass(frozen=True)
-class ApiSurface:
+class _ApiSurfaceFields(NamedTuple):
+    methods: Mapping[str, frozenset[str]]
+
+
+class ApiSurface(_ApiSurfaceFields):
     """Public methods keyed by identity, each mapped to its first-step callees.
 
     Callee identities may name methods that are not keys themselves
-    (private or external callees).
+    (private or external callees). Each callee collection is stored as a
+    frozenset.
     """
 
-    methods: Mapping[str, frozenset[str]]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        normalized = {name: frozenset(callees) for name, callees in self.methods.items()}
-        object.__setattr__(self, "methods", normalized)
+    def __new__(cls, methods: Mapping[str, Iterable[str]]) -> "ApiSurface":
+        return super().__new__(cls, {name: frozenset(callees) for name, callees in methods.items()})
 
 
-@dataclass(frozen=True)
-class UsageRecord:
-    """Coordinates whose symbols the project actually references."""
-
+class _UsageRecordFields(NamedTuple):
     referenced_coordinates: frozenset[ProjectCoordinate]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "referenced_coordinates", frozenset(self.referenced_coordinates))
+
+class UsageRecord(_UsageRecordFields):
+    """Coordinates whose symbols the project actually references, stored as a frozenset."""
+
+    __slots__ = ()
+
+    def __new__(cls, referenced_coordinates: Iterable[ProjectCoordinate]) -> "UsageRecord":
+        return super().__new__(cls, frozenset(referenced_coordinates))
 
 
 @dataclass(frozen=True)
@@ -135,8 +145,7 @@ class ReleaseSnapshot:
         object.__setattr__(self, "manifests", tuple(self.manifests))
 
 
-@dataclass(frozen=True, slots=True)
-class ReleaseFacts:
+class ReleaseFacts(NamedTuple):
     """What the metric sweep reads of one parsed release.
 
     ``targets`` are the release's out-edges (``graph.effective_targets``);
@@ -153,8 +162,7 @@ class ReleaseFacts:
     lcom1: int | None
 
 
-@dataclass(frozen=True)
-class MetricVector:
+class MetricVector(NamedTuple):
     """The six interaction-complexity values plus LOC for one release.
 
     rfc/lcom1/loc are None when their input was not available for the

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from operator import attrgetter
 from typing import Iterable
 
 from .metrics import METRIC_FIELDS, METRIC_ORDER
@@ -23,8 +22,6 @@ PER_PROJECT_HEADER = "project," + COMBINED_HEADER
 SUMMARIES_HEADER = "project,n_releases,n_bugs,activity," + ",".join(
     f"median_{field}" for field in METRIC_FIELDS.values())
 SERIES_HEADER = "version,timestamp,bugs_fixed," + ",".join(METRIC_FIELDS.values())
-
-_VECTOR_VALUES = attrgetter(*METRIC_FIELDS.values())
 
 
 def format_correlation(r: float) -> str:
@@ -88,7 +85,7 @@ def emit_series_csv(series: ProjectSeries) -> str:
     """Plot-ready per-release values for one project; absent metrics are empty cells."""
     return _csv(SERIES_HEADER, (
         f"{point.version_label},{point.timestamp},{point.bugs_fixed},"
-        + ",".join("" if value is None else str(value) for value in _VECTOR_VALUES(point.vector))
+        + ",".join("" if value is None else str(value) for value in point.vector)
         for point in series.releases
     ))
 
@@ -106,7 +103,7 @@ def emit_metrics_jsonl(series_list: Iterable[ProjectSeries]) -> str:
                 "project": series.coordinate.key(),
                 "version": point.version_label,
                 "timestamp": point.timestamp,
-                **dict(zip(METRIC_FIELDS.values(), _VECTOR_VALUES(point.vector))),
+                **dict(zip(METRIC_FIELDS.values(), point.vector)),
             }
             lines.append(json.dumps(record, sort_keys=False))
     return "\n".join(lines) + ("\n" if lines else "")

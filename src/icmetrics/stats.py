@@ -1,16 +1,15 @@
 """Numeric kernel: Pearson correlation, two-tailed significance, medians.
 
 Everything here is pure, reentrant, and implemented directly on floats so
-results are reproducible bit-for-bit across runs and worker counts. The
-Student-t tail goes through the regularized incomplete beta function,
-evaluated with the continued-fraction method.
+results are reproducible bit-for-bit across runs. The Student-t tail goes
+through the regularized incomplete beta function, evaluated with the
+continued-fraction method.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 NAN = float("nan")
 
@@ -23,8 +22,7 @@ _TINY = 1e-300
 _SAFE_MAGNITUDE = 2.0 ** 200
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     """One (metric, bug-count) correlation.
 
     r is NaN exactly when either series has zero variance or fewer than

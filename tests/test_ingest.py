@@ -164,6 +164,15 @@ def test_two_rows_parse_in_order():
     ]
 
 
+def test_a_leading_byte_order_mark_is_skipped():
+    # As spreadsheet tools save UTF-8 CSV; only one mark is skipped.
+    header = "project,version,timestamp,bugs_fixed\n"
+    rows = load_release_history(f"\ufeff{header}g:a,1.0,100,3\n")
+    assert rows == [ReleaseHistoryRow("g:a", "1.0", 100, 3)]
+    with pytest.raises(HistoryFormatError, match="^header must be"):
+        load_release_history(f"\ufeff\ufeff{header}")
+
+
 def test_duplicate_key_is_an_error():
     text = "project,version,timestamp,bugs_fixed\ng:a,1.0,100,3\ng:a,1.0,200,4\n"
     with pytest.raises(HistoryFormatError, match="duplicate"):

@@ -51,6 +51,25 @@ class TestSelectProjects:
         _, rejected = select_projects(corpus)
         assert rejected[coord("p")] == REJECT_PARSE_RATIO
 
+    @pytest.mark.parametrize("n_parsed, n_failed", [(9, 1), (8, 2), (12, 3)])
+    def test_at_the_thresholds_is_selected(self, n_parsed, n_failed):
+        # Exactly MIN_RELEASES counting failures (9 + 1), and a parse ratio
+        # of exactly MIN_PARSE_RATIO (8 of 10, 12 of 15), both pass.
+        corpus = make_corpus({"p": _release_run("p", n_parsed, bugs=2)}, failed={"p": n_failed})
+        selected, rejected = select_projects(corpus)
+        assert selected == {coord("p")}
+        assert rejected == {}
+
+    @pytest.mark.parametrize("n_parsed, n_failed, reason", [
+        (8, 1, REJECT_MIN_VERSIONS),  # 9 releases, counting the failure
+        (11, 3, REJECT_PARSE_RATIO),  # 11 of 14 is just under 0.80
+    ])
+    def test_just_past_the_thresholds_is_rejected(self, n_parsed, n_failed, reason):
+        corpus = make_corpus({"p": _release_run("p", n_parsed, bugs=2)}, failed={"p": n_failed})
+        selected, rejected = select_projects(corpus)
+        assert selected == set()
+        assert rejected == {coord("p"): reason}
+
     def test_zero_total_bugs_rejected(self):
         corpus = make_corpus({"p": _release_run("p", 12, bugs=0)})
         _, rejected = select_projects(corpus)
