@@ -11,7 +11,9 @@ import math
 import sys
 from pathlib import Path
 
+from .graph import DEFAULT_SCOPE_FILTER
 from .ingest import (
+    DEFAULT_LOC_EXTENSIONS,
     Corpus,
     CorpusError,
     HistoryFormatError,
@@ -71,10 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--history", required=history_required, metavar="FILE",
                          help="releases.csv with project,version,timestamp,bugs_fixed")
         sub.add_argument("--out", type=_path, required=True, metavar="DIR", help="output directory (created if absent)")
-        sub.add_argument("--exclude-scopes", type=_comma_set, default="test,provided", metavar="SCOPES",
-                         help="comma-separated dependency scopes to ignore (default: test,provided)")
-        sub.add_argument("--loc-ext", type=_comma_set, default=".java", metavar="EXTS",
-                         help="comma-separated source suffixes for LOC counting (default: .java)")
+        # argparse passes a non-string default through without calling type.
+        sub.add_argument("--exclude-scopes", type=_comma_set, default=DEFAULT_SCOPE_FILTER, metavar="SCOPES",
+                         help="comma-separated dependency scopes to ignore"
+                         f" (default: {','.join(sorted(DEFAULT_SCOPE_FILTER))})")
+        sub.add_argument("--loc-ext", type=_comma_set, default=DEFAULT_LOC_EXTENSIONS, metavar="EXTS",
+                         help="comma-separated source suffixes for LOC counting"
+                         f" (default: {','.join(sorted(DEFAULT_LOC_EXTENSIONS))})")
         sub.add_argument("--workers", type=int, default=1, metavar="N",
                          help="accepted for compatibility; has no effect")
 

@@ -230,7 +230,9 @@ def _decode_json(text: str, where: str) -> Any:
 def parse_snapshot_json(text: str) -> ReleaseSnapshot:
     """Decode one snapshot.json document; the result always validates clean."""
     snapshot, surface, _ = _snapshot_from_json(text, SharedValues())
-    return snapshot if surface is None else replace(snapshot, api_surface=ApiSurface(surface))
+    if surface is None:
+        return snapshot
+    return replace(snapshot, api_surface=ApiSurface({name: frozenset(callees) for name, callees in surface.items()}))
 
 
 def _snapshot_from_json(text: str, shared: SharedValues, row: ReleaseHistoryRow | None = None,

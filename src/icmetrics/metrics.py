@@ -51,4 +51,4 @@ def ic_lcom1(manifest_deps: frozenset[ProjectCoordinate] | set[ProjectCoordinate
     Referenced coordinates that were not declared (transitively supplied)
     are ignored; they cannot reduce the count below zero.
     """
-    return len(frozenset(manifest_deps) - usage.referenced_coordinates)
+    return len(manifest_deps - usage.referenced_coordinates)

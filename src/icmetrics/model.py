@@ -5,9 +5,11 @@ frozen dataclass both to create at import and to build, which every run
 pays for. ``ReleaseSnapshot`` and ``ProjectManifest`` stay frozen
 dataclasses, since callers rebuild them with ``dataclasses.replace``.
 
-Construction never raises; ``validate_snapshot`` is the one statement of
-the snapshot rules and reports violations as plain strings, so corpus
-loading can keep going and record failures instead of aborting.
+A record stores the objects it is given and converts none: its annotations
+are the contract, so a builder passes a tuple or a frozenset where one is
+annotated. Construction never raises; ``validate_snapshot`` is the one
+statement of the snapshot rules and reports violations as plain strings, so
+corpus loading can keep going and record failures instead of aborting.
 ``SharedValues`` lets the decoders of one corpus load hand out one object
 per distinct value. ``ReleaseFacts`` is what a corpus load keeps of a
 release.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 
 class ProjectCoordinate(NamedTuple):
@@ -92,40 +94,21 @@ class ProjectManifest:
     declared_dependencies: tuple[DependencyDecl, ...] = ()
     submodule_coordinates: frozenset[ProjectCoordinate] = frozenset()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "declared_dependencies", tuple(self.declared_dependencies))
-        object.__setattr__(self, "submodule_coordinates", frozenset(self.submodule_coordinates))
 
-
-class _ApiSurfaceFields(NamedTuple):
-    methods: Mapping[str, frozenset[str]]
-
-
-class ApiSurface(_ApiSurfaceFields):
+class ApiSurface(NamedTuple):
     """Public methods keyed by identity, each mapped to its first-step callees.
 
     Callee identities may name methods that are not keys themselves
-    (private or external callees). Each callee collection is stored as a
-    frozenset.
+    (private or external callees).
     """
 
-    __slots__ = ()
-
-    def __new__(cls, methods: Mapping[str, Iterable[str]]) -> "ApiSurface":
-        return super().__new__(cls, {name: frozenset(callees) for name, callees in methods.items()})
+    methods: Mapping[str, frozenset[str]]
 
 
-class _UsageRecordFields(NamedTuple):
+class UsageRecord(NamedTuple):
+    """Coordinates whose symbols the project actually references."""
+
     referenced_coordinates: frozenset[ProjectCoordinate]
-
-
-class UsageRecord(_UsageRecordFields):
-    """Coordinates whose symbols the project actually references, stored as a frozenset."""
-
-    __slots__ = ()
-
-    def __new__(cls, referenced_coordinates: Iterable[ProjectCoordinate]) -> "UsageRecord":
-        return super().__new__(cls, frozenset(referenced_coordinates))
 
 
 @dataclass(frozen=True)
@@ -140,9 +123,6 @@ class ReleaseSnapshot:
     usage: UsageRecord | None = None
     loc: int | None = None
     bugs_fixed: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "manifests", tuple(self.manifests))
 
 
 class ReleaseFacts(NamedTuple):

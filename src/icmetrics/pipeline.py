@@ -231,10 +231,10 @@ def correlate_pooled(all_series: list[ProjectSeries] | tuple[ProjectSeries, ...]
     results = []
     for name in METRIC_ORDER:
         values = columns[name]
-        if None in values:  # a complete column, the usual case, skips the filtering pass
+        if None in values:
             xs = [float(v) for v in values if v is not None]
             ys = [y for v, y in zip(values, all_ys) if v is not None]
-        else:
+        else:  # a complete column, the usual case, skips the filtering pass
             xs, ys = [float(v) for v in values], all_ys
         if xs:
             results.append(correlate(name, xs, ys))

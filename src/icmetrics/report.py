@@ -1,10 +1,11 @@
 """Deterministic report emitters: CSV tables, JSON-lines dump, text tables.
 
 Every emitter is a pure function from its inputs to text, and keeps the
-order of projects and releases it is given (correlation rows follow
-METRIC_ORDER): by coordinate, then (timestamp, version), as the pipeline
-builds them. So output bytes never depend on filesystem ordering. Every
-per-release column and key comes from METRIC_FIELDS.
+order of projects, releases and correlations it is given: projects by
+coordinate, releases by (timestamp, version) and correlation rows in
+METRIC_ORDER, as the pipeline builds them. So output bytes never depend on
+filesystem ordering. Every per-release column and key comes from
+METRIC_FIELDS.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import math
 from typing import Iterable
 
-from .metrics import METRIC_FIELDS, METRIC_ORDER
+from .metrics import METRIC_FIELDS
 from .pipeline import ProjectSeries, ProjectSummary
 from .stats import CorrelationResult
 
@@ -46,11 +47,6 @@ def _float_cell(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _ordered(results: Iterable[CorrelationResult]) -> list[CorrelationResult]:
-    by_name = {result.metric_name: result for result in results}
-    return [by_name[name] for name in METRIC_ORDER if name in by_name]
-
-
 def _csv(header: str, rows: Iterable[str]) -> str:
     return "\n".join([header, *rows]) + "\n"
 
@@ -60,16 +56,16 @@ def _correlation_row(result: CorrelationResult) -> str:
 
 
 def emit_combined_table(results: Iterable[CorrelationResult]) -> str:
-    """Pooled correlation table, one row per metric in fixed report order."""
-    return _csv(COMBINED_HEADER, map(_correlation_row, _ordered(results)))
+    """Pooled correlation table, one row per metric in the order given."""
+    return _csv(COMBINED_HEADER, map(_correlation_row, results))
 
 
 def emit_per_project_table(per_project: Iterable[tuple[str, Iterable[CorrelationResult]]]) -> str:
-    """Per-project correlation rows, projects in the order given."""
+    """Per-project correlation rows, projects and metrics in the order given."""
     return _csv(PER_PROJECT_HEADER, (
         f"{project_key},{_correlation_row(result)}"
         for project_key, results in per_project
-        for result in _ordered(results)
+        for result in results
     ))
 
 
@@ -131,7 +127,7 @@ def _human_float(value: float) -> str:
 def render_combined_human(results: Iterable[CorrelationResult]) -> str:
     rows = [
         [result.metric_name, _human_float(result.r), _human_float(result.p_two_tailed), str(result.n)]
-        for result in _ordered(results)
+        for result in results
     ]
     return _render_table(["Metric", "Correlation", "two-tailed p-value", "n"], rows)
 

@@ -152,7 +152,7 @@ def _pom_snapshot(release_dir: Path, timestamp: int, bugs: int) -> ReleaseSnapsh
         version_label=release_dir.name,
         timestamp=timestamp,
         manifests=manifests,
-        api_surface=ApiSurface(surface),
+        api_surface=ApiSurface({method: frozenset(callees) for method, callees in surface.items()}),
         usage=UsageRecord(frozenset(ProjectCoordinate(item["group"], item["artifact"]) for item in usage)),
         loc=count_loc(release_dir / "src"),
         bugs_fixed=bugs,

@@ -39,7 +39,7 @@ class TestProjectCoordinate:
 
 
 def test_api_surface_keeps_an_exact_frozenset_object():
-    # Shared callee sets stay shared: frozenset() of an exact frozenset is that object.
+    # A record stores the objects it is given, so a shared callee set stays shared.
     callees = frozenset({"A.g()V"})
     assert ApiSurface({"A.f()V": callees}).methods["A.f()V"] is callees
 

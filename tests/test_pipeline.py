@@ -10,6 +10,7 @@ from conftest import coord, make_corpus, make_manifest, make_snapshot, snapshot_
 from test_graph import oracle_depth, oracle_reachability, oracle_scc_members
 
 from icmetrics.graph import DEFAULT_SCOPE_FILTER
+from icmetrics.metrics import METRIC_ORDER
 from icmetrics.model import ApiSurface, DependencyDecl, MetricVector, UsageRecord
 from icmetrics.pipeline import (
     REJECT_MIN_VERSIONS,
@@ -447,7 +448,12 @@ class TestCorrelateProject:
 class TestCorrelatePooled:
     def test_single_project_equals_per_project(self):
         series = _series("p", [1, 2, 3, 5], [2, 1, 4, 9], rfc_values=[5, 6, 7, 8])
-        assert correlate_pooled([series]) == correlate_project(series)
+        pooled = correlate_pooled([series])
+        assert pooled == correlate_project(series)
+        # Report row order is set here: the emitters keep the order they get.
+        names = [result.metric_name for result in pooled]
+        assert names == [name for name in METRIC_ORDER if name in names] and len(names) == 5
+        assert [result.metric_name for result in summarize_project(series).correlations] == names
 
     def test_two_identical_projects_same_r_larger_n(self):
         a = _series("a", [1, 2, 3, 5], [2, 1, 4, 9])

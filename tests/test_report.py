@@ -80,16 +80,22 @@ class TestCombinedTable:
         table = emit_combined_table([CorrelationResult("IC-DIT", NAN, 1.0, 12)])
         assert table.splitlines()[1] == "IC-DIT,nan,1.00e0,12"
 
-    def test_fixed_metric_order(self):
+    def test_rows_keep_the_given_order(self):
+        # The pipeline yields METRIC_ORDER; the emitters only keep the order
+        # they are given, here one that is not METRIC_ORDER.
         results = [
             CorrelationResult("LOC", 0.439, 2.027e-31, 1000),
             CorrelationResult("IC-NOC", -0.0897, 0.060, 1000),
             CorrelationResult("IC-RFC", 0.598, 2.15e-17, 1000),
         ]
         lines = emit_combined_table(results).splitlines()
-        assert [line.split(",")[0] for line in lines[1:]] == ["IC-NOC", "IC-RFC", "LOC"]
-        assert lines[1] == "IC-NOC,-0.0897,6.00e-2,1000"
-        assert lines[2] == "IC-RFC,0.598,2.15e-17,1000"
+        assert [line.split(",")[0] for line in lines[1:]] == ["LOC", "IC-NOC", "IC-RFC"]
+        assert lines[2] == "IC-NOC,-0.0897,6.00e-2,1000"
+        assert lines[3] == "IC-RFC,0.598,2.15e-17,1000"
+        per_project = emit_per_project_table([("g:a", results)]).splitlines()
+        assert [line.split(",")[1] for line in per_project[1:]] == ["LOC", "IC-NOC", "IC-RFC"]
+        human = render_combined_human(results).splitlines()
+        assert [line.split()[0] for line in human[2:]] == ["LOC", "IC-NOC", "IC-RFC"]
 
 
 class TestPerProjectTable:
