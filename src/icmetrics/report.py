@@ -6,12 +6,18 @@ coordinate, releases by (timestamp, version) and correlation rows in
 METRIC_ORDER, as the pipeline builds them. So output bytes never depend on
 filesystem ordering. Every per-release column and key comes from
 METRIC_FIELDS.
+
+Every CSV table is RFC 4180 CSV with LF line ends: a cell holding `,`, `"`,
+CR or LF is double-quoted, with `"` doubled, and other cells are written as
+is. An absent value is an empty cell; a float is written as its repr.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
+from types import SimpleNamespace
 from typing import Iterable
 
 from .metrics import METRIC_FIELDS
@@ -43,16 +49,16 @@ def format_p(p: float) -> str:
     return f"{mantissa:.2f}e{exponent}"
 
 
-def _float_cell(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
+def _csv(header: str, rows: Iterable[Iterable[object]]) -> str:
+    # Python 3.11's writer quotes CR and LF only where its line terminator
+    # holds them, so records are written with CRLF, then cut to LF.
+    records: list[str] = []
+    csv.writer(SimpleNamespace(write=records.append), lineterminator="\r\n").writerows(rows)
+    return "\n".join([header, *(record[:-2] for record in records)]) + "\n"
 
 
-def _csv(header: str, rows: Iterable[str]) -> str:
-    return "\n".join([header, *rows]) + "\n"
-
-
-def _correlation_row(result: CorrelationResult) -> str:
-    return f"{result.metric_name},{format_correlation(result.r)},{format_p(result.p_two_tailed)},{result.n}"
+def _correlation_row(result: CorrelationResult) -> tuple[str, str, str, int]:
+    return result.metric_name, format_correlation(result.r), format_p(result.p_two_tailed), result.n
 
 
 def emit_combined_table(results: Iterable[CorrelationResult]) -> str:
@@ -62,28 +68,21 @@ def emit_combined_table(results: Iterable[CorrelationResult]) -> str:
 
 def emit_per_project_table(per_project: Iterable[tuple[str, Iterable[CorrelationResult]]]) -> str:
     """Per-project correlation rows, projects and metrics in the order given."""
-    return _csv(PER_PROJECT_HEADER, (
-        f"{project_key},{_correlation_row(result)}"
-        for project_key, results in per_project
-        for result in results
-    ))
+    return _csv(PER_PROJECT_HEADER, ((project_key, *_correlation_row(result))
+                                     for project_key, results in per_project for result in results))
 
 
 def emit_summaries_table(summaries: Iterable[ProjectSummary]) -> str:
     return _csv(SUMMARIES_HEADER, (
-        f"{summary.coordinate.key()},{summary.n_releases},{summary.n_bugs_total},{repr(summary.activity)},"
-        + ",".join(_float_cell(summary.medians.get(name)) for name in METRIC_FIELDS)
+        (summary.coordinate.key(), summary.n_releases, summary.n_bugs_total, summary.activity,
+         *map(summary.medians.get, METRIC_FIELDS))
         for summary in summaries
     ))
 
 
 def emit_series_csv(series: ProjectSeries) -> str:
-    """Plot-ready per-release values for one project; absent metrics are empty cells."""
-    return _csv(SERIES_HEADER, (
-        f"{point.version_label},{point.timestamp},{point.bugs_fixed},"
-        + ",".join("" if value is None else str(value) for value in point.vector)
-        for point in series.releases
-    ))
+    """Plot-ready rows, one per release: version, timestamp, bug count, vector."""
+    return _csv(SERIES_HEADER, (point[:3] + point.vector for point in series.releases))
 
 
 def series_filename(series: ProjectSeries) -> str:

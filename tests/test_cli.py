@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 
@@ -6,7 +7,14 @@ import pytest
 from conftest import make_snapshot, write_failed_release, write_history, write_release
 
 from icmetrics.cli import main
-from icmetrics.report import format_correlation, format_p
+from icmetrics.report import (
+    COMBINED_HEADER,
+    PER_PROJECT_HEADER,
+    SERIES_HEADER,
+    SUMMARIES_HEADER,
+    format_correlation,
+    format_p,
+)
 from icmetrics.stats import p_two_tailed, pearson_r
 
 
@@ -70,6 +78,34 @@ def test_empty_corpus_succeeds_with_header_only_reports(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "out" / "combined.csv").read_text() == "metric,correlation,p_value,n\n"
     assert (tmp_path / "out" / "per_project.csv").read_text().count("\n") == 1
+
+
+def test_labels_that_need_quoting_read_back_from_every_table(tmp_path):
+    # A project key holding "," and a version label holding "," and '"'.
+    corpus = tmp_path / "corpus"
+    labels = [f"{i:02d}.0" for i in range(11)] + ['1,"0']
+    rows = [("project", "version", "timestamp", "bugs_fixed")]
+    for i, label in enumerate(labels):
+        write_release(corpus, make_snapshot("p", deps=[f"d{j}" for j in range(i % 3 + 1)], version=label,
+                                            timestamp=1000 + i, group="org.x,y"))
+        rows.append(("org.x,y:p", label, 1000 + i, i % 4 + 1))
+    with open(tmp_path / "releases.csv", "w", newline="", encoding="utf-8") as history:
+        csv.writer(history, lineterminator="\n").writerows(rows)
+    out = tmp_path / "out"
+    assert main(["analyze", "--corpus", str(corpus), "--history", str(tmp_path / "releases.csv"),
+                 "--out", str(out)]) == 0
+
+    def table(name, header):
+        with open(out / name, newline="", encoding="utf-8") as f:
+            records = list(csv.reader(f))
+        assert records[0] == header.split(",")
+        assert all(len(record) == len(records[0]) for record in records), name
+        return records[1:]
+
+    table("combined.csv", COMBINED_HEADER)
+    assert {record[0] for record in table("per_project.csv", PER_PROJECT_HEADER)} == {"org.x,y:p"}
+    assert [record[0] for record in table("summaries.csv", SUMMARIES_HEADER)] == ["org.x,y:p"]
+    assert [record[0] for record in table("series_org.x,y_p.csv", SERIES_HEADER)] == labels
 
 
 def test_analyze_fixture_corpus_matches_stats_module(tmp_path):
@@ -283,6 +319,31 @@ def test_activity_threshold_must_be_finite_and_positive(tmp_path, capsys, thresh
     assert excinfo.value.code == 2
     assert "argument --activity-threshold: must be a finite number greater than 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_activity_threshold_must_be_a_number(tmp_path, capsys):
+    corpus, history, _, _ = _write_fixture_corpus(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze", "--corpus", str(corpus), "--history", str(history), "--out", str(out),
+              "--activity-threshold", "abc"])
+    assert excinfo.value.code == 2
+    assert "argument --activity-threshold: invalid float value: 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_activity_threshold_sets_the_low_activity_partition(tmp_path, capsys):
+    # The fixture project has 12 releases and 48 bugs: activity 0.25.
+    corpus, history, _, _ = _write_fixture_corpus(tmp_path)
+
+    def low_activity_lines(*flags):
+        assert main(["analyze", "--corpus", str(corpus), "--history", str(history),
+                     "--out", str(tmp_path / "out"), *flags]) == 0
+        return [line for line in capsys.readouterr().err.splitlines() if "low-activity" in line]
+
+    assert low_activity_lines() == []
+    assert low_activity_lines("--activity-threshold", "0.5") == [
+        "info: low-activity projects (activity < 0.5): org.fixture:proj"]
 
 
 @pytest.mark.parametrize("flags", [["--coupling", "inf"], ["--coupling", "nan"],

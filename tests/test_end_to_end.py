@@ -11,6 +11,7 @@ The oracle compares r and n; the p-values are checked here against
 ``scipy.stats.t``.
 """
 
+import csv
 import dataclasses
 import json
 import math
@@ -112,8 +113,11 @@ def _p_problems(expected, out: Path) -> list[str]:
     points = {("combined.csv", metric): series(pooled, metric) for metric in oracle.METRIC_ORDER}
     points.update({(project, metric): series(expected.rows[project], metric)
                    for project in expected.selected for metric in oracle.METRIC_ORDER})
-    cells = [("combined.csv", *line.split(",")) for line in (out / "combined.csv").read_text().splitlines()[1:]]
-    cells += [line.split(",") for line in (out / "per_project.csv").read_text().splitlines()[1:]]
+    def records(name):
+        with open(out / name, newline="", encoding="utf-8") as table:
+            return list(csv.reader(table))[1:]
+
+    cells = [("combined.csv", *record) for record in records("combined.csv")] + records("per_project.csv")
     problems = []
     for where, metric, _, cell, n in cells:
         reference = _reference_p(*points[where, metric], int(n))

@@ -245,6 +245,23 @@ def test_missing_column_is_an_error():
         load_release_history("project,version,bugs_fixed\ng:a,1.0,3\n")
 
 
+HISTORY_ERRORS = {
+    "empty file": ("", "history file is empty (missing header)"),
+    # A blank line is skipped but still counted.
+    "blank line": ("project,version,timestamp,bugs_fixed\n\ng:a,1,x,1\n",
+                   "line 3: timestamp must be an integer, got 'x'"),
+    "short row": ("project,version,timestamp,bugs_fixed\ng:a,1,100\n", "line 2: expected 4 columns, got 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HISTORY_ERRORS))
+def test_malformed_history_is_refused_with_its_reason(case):
+    text, reason = HISTORY_ERRORS[case]
+    with pytest.raises(HistoryFormatError) as excinfo:
+        load_release_history(text)
+    assert str(excinfo.value) == reason
+
+
 # --------------------------------------------------------------------------
 # count_loc
 
@@ -759,6 +776,26 @@ CRASH_CASES = {
         {"snapshot.json": _snapshot_with(bugs_fixed=2**1100)},
         ".bugs_fixed: must convert to a float (below about 1.8e308)",
     ),
+    "manifest version is an int": (
+        {"snapshot.json": _snapshot_doc(version=1)},
+        ".manifests[0].version: must be a string",
+    ),
+    "version is empty": (
+        {"snapshot.json": _snapshot_with(version="")},
+        ".version: must be a non-empty string",
+    ),
+    "timestamp is a string": (
+        {"snapshot.json": _snapshot_with(timestamp="1")},
+        ".timestamp: must be an integer",
+    ),
+    "timestamp is a boolean": (
+        {"snapshot.json": _snapshot_with(timestamp=True)},
+        ".timestamp: must be an integer",
+    ),
+    "pom dependency lacks artifactId": (
+        {**_POM_FILES, "core/pom.xml": CORE_POM.replace("<artifactId>y</artifactId>", "").encode()},
+        "incomplete coordinates: dependency #0 lacks groupId or artifactId",
+    ),
 }
 
 
@@ -770,7 +807,12 @@ def test_malformed_release_file_is_a_failed_release(tmp_path, case):
     assert corpus.snapshots[ProjectCoordinate("g", "a")] == []
     [failure] = corpus.failed[ProjectCoordinate("g", "a")]
     assert failure.version_label == "1.0"
-    assert failure.reason.startswith(reason)
+    # A decoder's own message, after "invalid JSON: " or "invalid UTF-8: ",
+    # is worded by the interpreter and is checked only as far as given.
+    if "invalid JSON: " in reason or "invalid UTF-8: " in reason:
+        assert failure.reason.startswith(reason)
+    else:
+        assert failure.reason == reason
     assert corpus.warnings == [f"failed release g:a/1.0: {failure.reason}"]
 
 

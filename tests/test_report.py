@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -130,6 +132,16 @@ class TestSeriesCsv:
         assert lines[0] == SERIES_HEADER
         assert lines[1] == "0.0,100,3,1,1,0,0,,,"
         assert len(lines) == 5
+
+    def test_cells_holding_a_comma_quote_or_line_end_are_quoted(self):
+        labels = ["1,0", '1"0', "1\r0", "1\n0", "1\r\n0", "1 0"]
+        series = ProjectSeries(coord("p"), tuple(_point("p", 1, 3, label, 100) for label in labels))
+        text = emit_series_csv(series)
+        cells = ['"1,0"', '"1""0"', '"1\r0"', '"1\n0"', '"1\r\n0"', "1 0"]
+        assert text == SERIES_HEADER + "\n" + "".join(f"{cell},100,3,1,1,0,0,,,\n" for cell in cells)
+        records = list(csv.reader(io.StringIO(text, newline="")))
+        assert [record[0] for record in records[1:]] == labels
+        assert {len(record) for record in records} == {len(SERIES_HEADER.split(","))}
 
     def test_series_filename(self):
         assert series_filename(_toy_series()) == "series_org.fixture_p.csv"
