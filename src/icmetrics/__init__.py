@@ -22,7 +22,6 @@ from .model import (
     UsageRecord,
     validate_snapshot,
 )
-from .pom import parse_pom
 from .pipeline import (
     ProjectSeries,
     ProjectSummary,
@@ -38,8 +37,13 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    # synth_ecosystem is imported on first use, so importing the package
-    # (as every analyze run does) does not load the generator.
+    # parse_pom and synth_ecosystem are imported on first use, so importing
+    # the package (as every analyze run does) loads neither the XML decoder
+    # nor the generator.
+    if name == "parse_pom":
+        from .pom import parse_pom
+
+        return parse_pom
     if name == "synth_ecosystem":
         from .synth import synth_ecosystem
 

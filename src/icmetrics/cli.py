@@ -7,6 +7,7 @@ flags. Warnings and progress go to stderr; report data goes to files only.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from pathlib import Path
@@ -129,9 +130,11 @@ def _load_series(args: argparse.Namespace) -> tuple[Corpus, dict[ProjectCoordina
     if args.history:
         path = _path(args.history)
         try:
-            history = load_release_history(path.read_text(encoding="utf-8"))
-        except UnicodeDecodeError as exc:  # from read_text; the parser takes str
+            # Decoded from bytes: text mode would turn a quoted CR into LF.
+            text = path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
             raise HistoryFormatError(f"{path}: invalid UTF-8: {exc}") from None
+        history = load_release_history(text)
     corpus = load_corpus(args.corpus, history, args.loc_ext, args.exclude_scopes)
     del history  # joined into the corpus; free the rows before the series build
     for message in corpus.warnings:
@@ -231,7 +234,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """The process entry point: run ``main`` and exit with its code.
+
+    Freezing the heap first moves every live object to the permanent
+    generation, so interpreter shutdown skips its collection passes over a
+    heap that holds no garbage. ``main`` itself leaves the heap collectable
+    for callers that run it many times in one process.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

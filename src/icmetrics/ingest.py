@@ -44,7 +44,6 @@ from .model import (
     UsageRecord,
     validate_snapshot,
 )
-from .pom import PomError, parse_pom
 
 DEFAULT_LOC_EXTENSIONS = frozenset({".java"})
 
@@ -345,11 +344,14 @@ def load_release_history(csv_text: str) -> list[ReleaseHistoryRow]:
     Header must be exactly ``project,version,timestamp,bugs_fixed``, after
     one leading byte-order mark (U+FEFF), if any; (project, version) pairs
     must be unique; a bug count must be a non-negative integer that a float
-    can hold.
+    can hold. ``csv_text`` is the file's text as decoded, newlines
+    untranslated: a quoted CR or LF stays in its cell, and LF, CRLF and CR
+    all end a record. An error names the physical line its record ends on.
     """
-    reader = _records(csv.reader(io.StringIO(csv_text.removeprefix("\ufeff"))))
+    reader = csv.reader(io.StringIO(csv_text.removeprefix("\ufeff"), newline=""))
+    records = _records(reader)
     try:
-        header = next(reader)
+        header = next(records)
     except StopIteration:
         raise HistoryFormatError("history file is empty (missing header)") from None
     if tuple(h.strip() for h in header) != HISTORY_COLUMNS:
@@ -359,9 +361,10 @@ def load_release_history(csv_text: str) -> list[ReleaseHistoryRow]:
 
     rows: list[ReleaseHistoryRow] = []
     seen: set[tuple[str, str]] = set()
-    for lineno, record in enumerate(reader, start=2):
+    for record in records:
         if not record:
             continue
+        lineno = reader.line_num
         if len(record) != len(HISTORY_COLUMNS):
             raise HistoryFormatError(f"line {lineno}: expected {len(HISTORY_COLUMNS)} columns, got {len(record)}")
         project_key, version, timestamp_text, bugs_text = (f.strip() for f in record)
@@ -552,7 +555,13 @@ def _load_pom_release(release_dir: os.DirEntry[str], loc_suffixes: tuple[str, ..
     if not pom_paths:
         raise _RejectedRelease("no snapshot.json or pom.xml")
 
-    manifests = tuple(parse_pom(_read(path), shared) for _, path in sorted(pom_paths))
+    # Imported here, so a load that reads no pom.xml never loads the XML decoder.
+    from .pom import PomError, parse_pom
+
+    try:
+        manifests = tuple(parse_pom(_read(path), shared) for _, path in sorted(pom_paths))
+    except PomError as exc:
+        raise _RejectedRelease(str(exc)) from None
 
     rfc = usage = loc = None
     surface_entry = top.get("api_surface.json")
@@ -649,7 +658,7 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
                 # _snapshot_from_json has already checked a snapshot.json release.
                 if not from_json and (violations := validate_snapshot(snapshot)):
                     raise _RejectedRelease("invariant violations: " + "; ".join(violations))
-            except (_RejectedRelease, PomError, SnapshotFormatError, OSError) as exc:
+            except (_RejectedRelease, SnapshotFormatError, OSError) as exc:
                 failed.append(FailedRelease(version_label, str(exc)))
                 corpus.warnings.append(f"failed release {project_dir.name}/{version_label}: {exc}")
                 continue

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
+import icmetrics
 from icmetrics.graph import DEFAULT_SCOPE_FILTER
 from icmetrics.ingest import Corpus, FailedRelease, encode_snapshot, release_facts
 from icmetrics.model import (
@@ -18,6 +20,12 @@ from icmetrics.model import (
 from icmetrics.pipeline import build_series
 
 FIXTURE_GROUP = "org.fixture"
+
+
+def child_env() -> dict[str, str]:
+    """The environment for a child Python process that imports the package under test."""
+    src = str(Path(icmetrics.__file__).parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def coord(name: str, group: str = FIXTURE_GROUP) -> ProjectCoordinate:

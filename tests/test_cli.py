@@ -1,10 +1,12 @@
 import csv
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
-from conftest import make_snapshot, write_failed_release, write_history, write_release
+from conftest import child_env, make_snapshot, write_failed_release, write_history, write_release
 
 from icmetrics.cli import main
 from icmetrics.report import (
@@ -227,6 +229,41 @@ def test_bug_count_a_float_cannot_hold_is_a_fatal_history_error(tmp_path, capsys
         "error: line 4: bugs_fixed must convert to a float (below about 1.8e308), got a 332-digit number\n"
     )
     assert not (tmp_path / "out").exists()
+
+
+def test_history_cell_holding_a_carriage_return_joins_its_release(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    write_release(corpus, make_snapshot("p", version="1\r0", timestamp=10, bugs=7))
+    with open(tmp_path / "releases.csv", "w", newline="", encoding="utf-8") as history:
+        csv.writer(history).writerows([("project", "version", "timestamp", "bugs_fixed"),
+                                       ("org.fixture:p", "1\r0", 10, 3)])
+    rc = main(["metrics", "--corpus", str(corpus), "--history", str(tmp_path / "releases.csv"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert capsys.readouterr().err == ""  # neither "no history row" nor "orphan history row"
+    assert json.loads((tmp_path / "out" / "metrics.jsonl").read_text())["version"] == "1\r0"
+
+
+def test_process_exit_keeps_every_output(tmp_path, capsys):
+    # The real entry point (run(), which freezes the heap before exiting)
+    # writes what an in-process main() writes.
+    assert main(["synth", "--out", str(tmp_path), "--projects", "3", "--releases", "11"]) == 0
+    args = ["analyze", "--corpus", str(tmp_path / "corpus"), "--history", str(tmp_path / "releases.csv"), "--human"]
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "in_process")]) == 0
+    expected = capsys.readouterr()
+    # Block-buffered stdout, as in a plain run, so output still buffered at exit would be lost.
+    env = {name: value for name, value in child_env().items() if name != "PYTHONUNBUFFERED"}
+    child = subprocess.run([sys.executable, "-m", "icmetrics.cli", *args, "--out", str(tmp_path / "process")],
+                           env=env, capture_output=True)
+    assert child.returncode == 0
+    assert (child.stdout, child.stderr) == (expected.out.encode(), expected.err.encode())
+
+    def reports(name):
+        return {path.name: path.read_bytes() for path in (tmp_path / name).iterdir()}
+
+    written = reports("process")
+    assert "combined.csv" in written and written == reports("in_process")
 
 
 @pytest.mark.parametrize("case", ["not-utf-8", "oversized-cell"])

@@ -173,6 +173,15 @@ def test_a_leading_byte_order_mark_is_skipped():
         load_release_history(f"\ufeff\ufeff{header}")
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_history_cells_keep_quoted_line_ends_whatever_ends_a_record(end):
+    text = end.join(["project,version,timestamp,bugs_fixed", 'g:a,"1\r0",100,3', 'g:a,"2\r\n0",200,0', ""])
+    assert load_release_history(text) == [
+        ReleaseHistoryRow("g:a", "1\r0", 100, 3),
+        ReleaseHistoryRow("g:a", "2\r\n0", 200, 0),
+    ]
+
+
 def test_duplicate_key_is_an_error():
     text = "project,version,timestamp,bugs_fixed\ng:a,1.0,100,3\ng:a,1.0,200,4\n"
     with pytest.raises(HistoryFormatError, match="duplicate"):
@@ -251,6 +260,9 @@ HISTORY_ERRORS = {
     "blank line": ("project,version,timestamp,bugs_fixed\n\ng:a,1,x,1\n",
                    "line 3: timestamp must be an integer, got 'x'"),
     "short row": ("project,version,timestamp,bugs_fixed\ng:a,1,100\n", "line 2: expected 4 columns, got 3"),
+    # A quoted cell spanning two lines: the error names the physical line.
+    "after a two-line cell": ('project,version,timestamp,bugs_fixed\ng:a,"x\ny",1,1\ng:b,2,x,1\n',
+                              "line 4: timestamp must be an integer, got 'x'"),
 }
 
 

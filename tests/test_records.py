@@ -6,14 +6,18 @@ A frozen dataclass costs several times a named tuple to create at import
 and to build, and every analyze run pays for both. A record stores what its
 builder gives it: no class converts its fields in ``__post_init__`` or
 ``__new__``. The synthetic-corpus generator is loaded only by the ``synth``
-command.
+command, and the POM decoder (with ``xml.etree``) only by the first
+``pom.xml`` release a load reads.
 """
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from conftest import child_env
 
 import icmetrics
 
@@ -71,12 +75,46 @@ def test_no_record_converts_its_fields():
     assert found == set()
 
 
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """A child Python's run of ``code`` against the package under test, its output captured."""
+    return subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True,
+                          check=True)
+
+
 def test_importing_the_cli_does_not_load_synth():
-    src = str(Path(icmetrics.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, icmetrics.cli; print('icmetrics.synth' in sys.modules, 'icmetrics.cli' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.split() == ["False", "True"]
+    assert run_python(code).stdout.split() == ["False", "True"]
+
+
+DECODER_LOADED = "print(*(name in sys.modules for name in ('icmetrics.pom', 'xml.etree.ElementTree')))"
+SNAPSHOT_JSON = ('{"project":{"group":"g","artifact":"a"},"version":"1.0","timestamp":1,'
+                 '"manifests":[{"group":"g","artifact":"a","version":"1.0"}]}')
+POM_XML = "<project><groupId>g</groupId><artifactId>a</artifactId><version>1.0</version></project>"
+
+
+def test_importing_the_cli_does_not_load_the_pom_decoder():
+    assert run_python(f"import sys, icmetrics.cli; {DECODER_LOADED}").stdout.split() == ["False", "False"]
+
+
+@pytest.mark.parametrize("name, text, loaded", [("snapshot.json", SNAPSHOT_JSON, "False"),
+                                                ("pom.xml", POM_XML, "True")], ids=["json", "pom"])
+def test_only_a_pom_release_loads_the_pom_decoder(tmp_path, name, text, loaded):
+    release = tmp_path / "corpus" / "g:a" / "1.0"
+    release.mkdir(parents=True)
+    (release / name).write_text(text, encoding="utf-8")
+    (tmp_path / "releases.csv").write_text("project,version,timestamp,bugs_fixed\ng:a,1.0,1,0\n")
+    argv = ["analyze", "--corpus", str(tmp_path / "corpus"), "--history", str(tmp_path / "releases.csv"),
+            "--out", str(tmp_path / "out")]
+    result = run_python(f"import sys; from icmetrics.cli import main; print(main({argv!r})); {DECODER_LOADED}")
+    assert result.stdout.split() == ["0", loaded, loaded]
+    assert "warning" not in result.stderr  # the release parsed and joined its history row
+
+
+def test_parse_pom_is_still_a_package_name():
+    from icmetrics import parse_pom
+    from icmetrics.pom import parse_pom as defined
+
+    assert parse_pom is defined
 
 
 def test_synth_ecosystem_is_still_a_package_name():
