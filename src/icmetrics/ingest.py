@@ -537,7 +537,8 @@ def _load_pom_release(release_dir: os.DirEntry[str], loc_suffixes: tuple[str, ..
     One walk of the release directory finds the manifests (every pom.xml,
     ordered by depth, then path), the sidecars and the LOC files under
     ``src/``. The timestamp and bug count come from the history ``row``
-    (0 without one). The caller checks the snapshot with ``validate_snapshot``.
+    (0 without one). A snapshot that ``validate_snapshot`` refuses rejects
+    the release.
     """
     top: dict[str, os.DirEntry[str]] = {}
     pom_paths: list[tuple[int, str]] = []
@@ -577,7 +578,7 @@ def _load_pom_release(release_dir: os.DirEntry[str], loc_suffixes: tuple[str, ..
         loc = (count_loc(src_entry.path, loc_suffixes, warnings) if src_entry.is_symlink()
                else _count_lines(sources, warnings))
 
-    return ReleaseSnapshot(
+    snapshot = ReleaseSnapshot(
         coordinate=manifests[0].coordinate,
         version_label=release_dir.name,
         timestamp=0 if row is None else row.timestamp,
@@ -585,7 +586,11 @@ def _load_pom_release(release_dir: os.DirEntry[str], loc_suffixes: tuple[str, ..
         usage=usage,
         loc=loc,
         bugs_fixed=0 if row is None else row.bugs_fixed,
-    ), rfc
+    )
+    violations = validate_snapshot(snapshot)
+    if violations:
+        raise _RejectedRelease("invariant violations: " + "; ".join(violations))
+    return snapshot, rfc
 
 
 def _facts(snapshot: ReleaseSnapshot, rfc: int | None, scope_filter: frozenset[str] | set[str],
@@ -614,19 +619,20 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
     are kept: the out-edges left after ``scope_filter`` drops dependency
     scopes, RFC, LCOM1, LOC, timestamp and bug count. ``history`` joins bug
     counts (and, for pom releases, timestamps) by (project key, version
-    label). Pass None to skip the join silently; an empty list warns on
-    every unmatched release.
+    label); its keys are unique, as ``load_release_history`` guarantees, so
+    a row joins at most one release directory. The rows that join none are
+    warned as orphans, in history order. Pass None to skip the join
+    silently; an empty list warns on every unmatched release.
     """
     root = Path(root)
     if not root.is_dir():
         raise CorpusError(f"corpus root is not a readable directory: {root}")
 
-    history_index = {(row.project_key, row.version_label): row for row in history or ()}
+    unjoined = {(row.project_key, row.version_label): row for row in history or ()}
 
     corpus = Corpus()
     shared = SharedValues()
     loc_suffixes = tuple(loc_extensions)
-    seen_releases: set[tuple[str, str]] = set()
 
     for project_dir in _subdirs(root):
         if ":" not in project_dir.name:
@@ -640,13 +646,10 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
 
         for release_dir in _subdirs(project_dir.path):
             version_label = release_dir.name
-            key = (project_dir.name, version_label)
-            seen_releases.add(key)
-            row = history_index.get(key)
+            row = unjoined.pop((project_dir.name, version_label), None)
             snapshot_path = os.path.join(release_dir.path, "snapshot.json")
             try:
-                from_json = os.path.isfile(snapshot_path)
-                if from_json:
+                if os.path.isfile(snapshot_path):
                     snapshot, _, rfc = _snapshot_from_json(_read_utf8(snapshot_path, "."), shared, row)
                 else:
                     snapshot, rfc = _load_pom_release(release_dir, loc_suffixes, corpus.warnings, shared, row)
@@ -655,9 +658,6 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
                         f"manifest coordinate {snapshot.coordinate.key()} does not match"
                         f" project directory {project_dir.name}"
                     )
-                # _snapshot_from_json has already checked a snapshot.json release.
-                if not from_json and (violations := validate_snapshot(snapshot)):
-                    raise _RejectedRelease("invariant violations: " + "; ".join(violations))
             except (_RejectedRelease, SnapshotFormatError, OSError) as exc:
                 failed.append(FailedRelease(version_label, str(exc)))
                 corpus.warnings.append(f"failed release {project_dir.name}/{version_label}: {exc}")
@@ -672,11 +672,10 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
 
         parsed.sort(key=_RELEASE_ORDER)
 
-    for row in history or ():
-        if (row.project_key, row.version_label) not in seen_releases:
-            corpus.warnings.append(
-                f"orphan history row: {row.project_key},{row.version_label},"
-                f"{row.timestamp},{row.bugs_fixed} matches no release directory"
-            )
+    for row in unjoined.values():
+        corpus.warnings.append(
+            f"orphan history row: {row.project_key},{row.version_label},"
+            f"{row.timestamp},{row.bugs_fixed} matches no release directory"
+        )
 
     return corpus

@@ -37,16 +37,12 @@ def format_correlation(r: float) -> str:
 
 
 def format_p(p: float) -> str:
-    """Scientific notation with 3 significant digits and a bare exponent,
-    e.g. 1.00e0, 2.48e-2."""
+    """Scientific notation with 3 significant digits, correctly rounded
+    (subnormal p included), and a bare exponent, e.g. 1.00e0, 2.48e-2."""
     if p <= 0.0:
         return "0.00e0"
-    exponent = math.floor(math.log10(p))
-    mantissa = p / 10.0 ** exponent
-    if round(mantissa, 2) >= 10.0:
-        mantissa /= 10.0
-        exponent += 1
-    return f"{mantissa:.2f}e{exponent}"
+    mantissa, exponent = f"{p:.2e}".split("e")
+    return f"{mantissa}e{int(exponent)}"
 
 
 def _csv(header: str, rows: Iterable[Iterable[object]]) -> str:

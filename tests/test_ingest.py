@@ -370,13 +370,29 @@ def test_missing_history_row_defaults_to_zero_with_warning(tmp_path):
 
 
 def test_orphan_history_row_warns(tmp_path):
+    # Orphans warn in history order, not key order; the matched row is silent.
+    # Walking org.fixture:p must not consume its row for the absent 9.9.
     write_release(tmp_path, make_snapshot("p", version="1.0", timestamp=100))
     history = [
-        ReleaseHistoryRow("org.fixture:p", "1.0", 100, 1),
         ReleaseHistoryRow("org.fixture:p", "9.9", 900, 5),
+        ReleaseHistoryRow("org.fixture:p", "1.0", 100, 1),
+        ReleaseHistoryRow("a:a", "0.1", 10, 0),
     ]
     corpus = load_corpus(tmp_path, history)
-    assert any("orphan history row" in w and "9.9" in w for w in corpus.warnings)
+    assert corpus.warnings == [
+        "orphan history row: org.fixture:p,9.9,900,5 matches no release directory",
+        "orphan history row: a:a,0.1,10,0 matches no release directory",
+    ]
+
+
+def test_history_row_of_a_skipped_directory_is_an_orphan(tmp_path):
+    (tmp_path / "stray" / "1.0").mkdir(parents=True)
+    corpus = load_corpus(tmp_path, [ReleaseHistoryRow("stray", "1.0", 100, 1)])
+    assert corpus.snapshots == {}
+    assert corpus.warnings == [
+        "skipping directory 'stray': name is not a group:artifact key",
+        "orphan history row: stray,1.0,100,1 matches no release directory",
+    ]
 
 
 def test_failed_release_with_a_history_row_is_not_an_orphan(tmp_path):
@@ -441,6 +457,23 @@ def test_pom_invariant_violation_is_a_failed_release(tmp_path):
     reason = ("invariant violations: manifests[1].coordinate: g:core"
               " is neither the project coordinate nor a declared submodule")
     assert corpus.failed[ProjectCoordinate("g", "a")] == [FailedRelease("1.0", reason)]
+
+
+def test_pom_release_is_checked_before_its_project_directory(tmp_path):
+    # Declares g:a under g:b and holds a stray module POM: the snapshot rule
+    # is reported, as for a snapshot.json release, not the directory mismatch.
+    release_dir = tmp_path / "g:b" / "1.0"
+    (release_dir / "core").mkdir(parents=True)
+    (release_dir / "pom.xml").write_text(
+        "<project><groupId>g</groupId><artifactId>a</artifactId><version>1.0</version></project>"
+    )
+    (release_dir / "core" / "pom.xml").write_text(
+        "<project><groupId>g</groupId><artifactId>core</artifactId><version>1.0</version></project>"
+    )
+    corpus = load_corpus(tmp_path, None)
+    reason = ("invariant violations: manifests[1].coordinate: g:core"
+              " is neither the project coordinate nor a declared submodule")
+    assert corpus.failed[ProjectCoordinate("g", "b")] == [FailedRelease("1.0", reason)]
 
 
 def _pom(version, artifact):

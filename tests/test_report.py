@@ -1,9 +1,12 @@
 import csv
+import decimal
 import io
 import json
 import math
 
 from conftest import coord, make_snapshot, sweep_vectors
+from hypothesis import given
+from hypothesis import strategies as st
 
 from icmetrics.metrics import METRIC_FIELDS, METRIC_ORDER
 from icmetrics.model import MetricVector
@@ -52,10 +55,23 @@ class TestNumberFormats:
         assert format_p(0.0) == "0.00e0"
         assert format_p(2.15e-17) == "2.15e-17"
         assert format_p(0.060) == "6.00e-2"
+        assert format_p(5e-324) == "4.94e-324"
+        assert format_p(1e-323) == "9.88e-324"
+        assert format_p(3e-322) == "3.01e-322"
 
     def test_p_format_mantissa_carry(self):
         assert format_p(0.9999) == "1.00e0"
         assert format_p(0.09996) == "1.00e-1"
+
+    @given(st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                     st.floats(min_value=5e-324, max_value=2.3e-308)))
+    def test_p_format_is_the_decimal_value_rounded_to_3_digits(self, p):
+        if p == 0.0:
+            assert format_p(p) == "0.00e0"
+            return
+        rounded = decimal.Context(prec=3, rounding=decimal.ROUND_HALF_EVEN).plus(decimal.Decimal(p))
+        digits = (rounded.as_tuple().digits + (0, 0))[:3]
+        assert format_p(p) == f"{digits[0]}.{digits[1]}{digits[2]}e{rounded.adjusted()}"
 
     def test_correlation_format(self):
         assert format_correlation(NAN) == "nan"
@@ -81,6 +97,11 @@ class TestCombinedTable:
     def test_nan_row_uses_the_convention(self):
         table = emit_combined_table([CorrelationResult("IC-DIT", NAN, 1.0, 12)])
         assert table.splitlines()[1] == "IC-DIT,nan,1.00e0,12"
+
+    def test_subnormal_p_row_is_written(self):
+        # p_two_tailed(0.7233, 2000) is 1e-323, a subnormal p.
+        table = emit_combined_table([CorrelationResult("IC-RFC", 0.7233, 1e-323, 2000)])
+        assert table.splitlines()[1] == "IC-RFC,0.7233,9.88e-324,2000"
 
     def test_rows_keep_the_given_order(self):
         # The pipeline yields METRIC_ORDER; the emitters only keep the order
