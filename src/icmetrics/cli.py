@@ -9,12 +9,13 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import os
 import sys
 from pathlib import Path
 
-from .graph import DEFAULT_SCOPE_FILTER
 from .ingest import (
     DEFAULT_LOC_EXTENSIONS,
+    DEFAULT_SCOPE_FILTER,
     Corpus,
     CorpusError,
     HistoryFormatError,
@@ -73,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--corpus", type=_path, required=True, metavar="DIR", help="corpus root directory")
         sub.add_argument("--history", required=history_required, metavar="FILE",
                          help="releases.csv with project,version,timestamp,bugs_fixed")
-        sub.add_argument("--out", type=_path, required=True, metavar="DIR", help="output directory (created if absent)")
+        sub.add_argument("--out", type=_path, required=True, metavar="DIR",
+                         help="output directory (created if absent); an existing report file is never overwritten")
         # argparse passes a non-string default through without calling type.
         sub.add_argument("--exclude-scopes", type=_comma_set, default=DEFAULT_SCOPE_FILTER, metavar="SCOPES",
                          help="comma-separated dependency scopes to ignore"
@@ -148,8 +150,20 @@ def _load_series(args: argparse.Namespace) -> tuple[Corpus, dict[ProjectCoordina
     return corpus, series_map
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8", newline="")
+def _write_new(out: Path, command: str, files: list[tuple[str, str, str]]) -> str | None:
+    """Write each (file name, owner, text) of ``files`` to ``out``; if a name
+    repeats or is in ``out`` already, write nothing and return why."""
+    present = set(os.listdir(out))
+    owners: dict[str, str] = {}
+    for name, owner, _ in files:
+        if name in owners:
+            return f"series file name clash: {owners[name]} and {owner} both map to {name}"
+        if name in present:
+            return f"{out / name} already exists; {command} never overwrites a report file"
+        owners[name] = owner
+    for name, _, text in files:
+        (out / name).write_text(text, encoding="utf-8", newline="")
+    return None
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -163,32 +177,23 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         _info(f"rejected {coordinate.key()} ({reason})")
 
     selected_series = [series_map[c] for c in sorted(selected)]
-    # series_filename joins group and artifact with "_", so two keys can
-    # share a file name; refuse before any file is written.
-    owners: dict[str, str] = {}
-    for series in selected_series:
-        name = series_filename(series)
-        if name in owners:
-            return _fail(
-                f"series file name clash: {owners[name]} and {series.coordinate.key()} both map to {name}"
-            )
-        owners[name] = series.coordinate.key()
     summaries = [summarize_project(series) for series in selected_series]
     pooled = correlate_pooled(selected_series)
 
+    files = [("combined.csv", "analyze", emit_combined_table(pooled)),
+             ("per_project.csv", "analyze", emit_per_project_table(
+                 (summary.coordinate.key(), summary.correlations) for summary in summaries)),
+             ("summaries.csv", "analyze", emit_summaries_table(summaries))]
+    # series_filename joins group and artifact with "_", so two keys can
+    # share a file name.
+    files += [(series_filename(series), series.coordinate.key(), emit_series_csv(series))
+              for series in selected_series]
     try:
-        _write(args.out / "combined.csv", emit_combined_table(pooled))
-        _write(
-            args.out / "per_project.csv",
-            emit_per_project_table(
-                (summary.coordinate.key(), summary.correlations) for summary in summaries
-            ),
-        )
-        _write(args.out / "summaries.csv", emit_summaries_table(summaries))
-        for series in selected_series:
-            _write(args.out / series_filename(series), emit_series_csv(series))
+        refusal = _write_new(args.out, "analyze", files)
     except OSError as exc:
         return _fail(str(exc))
+    if refusal:
+        return _fail(refusal)
 
     low_activity, _ = classify_activity(summaries, args.activity_threshold)
     if low_activity:
@@ -205,10 +210,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_metrics(args: argparse.Namespace) -> int:
     try:
         _, series_map = _load_series(args)
-        _write(args.out / "metrics.jsonl", emit_metrics_jsonl(series_map.values()))
+        metrics = emit_metrics_jsonl(series_map.values())
+        refusal = _write_new(args.out, "metrics", [("metrics.jsonl", "metrics", metrics)])
     except (OSError, HistoryFormatError, CorpusError) as exc:
         return _fail(str(exc))
-    return 0
+    return _fail(refusal) if refusal else 0
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

@@ -17,6 +17,10 @@ XML declaration says. A release directory that yields no valid snapshot,
 an undecodable file included, is recorded as a failed release (it still
 counts toward the parse-ratio selection criterion) and never aborts the
 load.
+
+A release's edges (``effective_targets``) are the targets of its dependencies
+whose scope is not filtered out (``test`` and ``provided`` by default), less
+the project's own module and submodule coordinates.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple, NoReturn
 
-from .graph import DEFAULT_SCOPE_FILTER, effective_targets
 from .metrics import ic_lcom1, ic_rfc, response_set
 from .model import (
     ApiSurface,
@@ -46,6 +49,7 @@ from .model import (
 )
 
 DEFAULT_LOC_EXTENSIONS = frozenset({".java"})
+DEFAULT_SCOPE_FILTER = frozenset({"test", "provided"})
 
 HISTORY_COLUMNS = ("project", "version", "timestamp", "bugs_fixed")
 
@@ -591,6 +595,24 @@ def _load_pom_release(release_dir: os.DirEntry[str], loc_suffixes: tuple[str, ..
     if violations:
         raise _RejectedRelease("invariant violations: " + "; ".join(violations))
     return snapshot, rfc
+
+
+def effective_targets(snapshot: ReleaseSnapshot,
+                      scope_filter: frozenset[str] | set[str] = DEFAULT_SCOPE_FILTER,
+                      ) -> frozenset[ProjectCoordinate]:
+    """The out-edges a snapshot contributes: targets of dependencies whose
+    scope is not filtered, minus the project's own module and submodule
+    coordinates."""
+    own_modules = {snapshot.coordinate}
+    for manifest in snapshot.manifests:
+        own_modules.add(manifest.coordinate)
+        own_modules.update(manifest.submodule_coordinates)
+    return frozenset(
+        dep.target
+        for manifest in snapshot.manifests
+        for dep in manifest.declared_dependencies
+        if dep.scope not in scope_filter and dep.target not in own_modules
+    )
 
 
 def _facts(snapshot: ReleaseSnapshot, rfc: int | None, scope_filter: frozenset[str] | set[str],

@@ -128,7 +128,7 @@ class ReleaseSnapshot:
 class ReleaseFacts(NamedTuple):
     """What the metric sweep reads of one parsed release.
 
-    ``targets`` are the release's out-edges (``graph.effective_targets``);
+    ``targets`` are the release's out-edges (``ingest.effective_targets``);
     ``rfc`` and ``lcom1`` are its class-local metrics, None when the release
     has no API surface or usage record.
     """

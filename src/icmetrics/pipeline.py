@@ -3,15 +3,19 @@
 Selects projects, computes one metric vector per parsed release against a
 release-time ecosystem graph, and correlates each project's metric series
 (and the pooled point cloud) with its bug-fix series.
+
+The graph's nodes are project coordinates, and its edges each project's
+current ``ReleaseFacts.targets``; ``build_series`` keeps it over time and
+runs ``strongly_connected_components`` on a memo miss.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Iterable
 from itertools import groupby
 from operator import itemgetter
-from typing import NamedTuple
+from typing import NamedTuple, TypeVar
 
-from .graph import strongly_connected_components
 from .ingest import Corpus
 from .metrics import METRIC_FIELDS, METRIC_ORDER
 from .model import MetricVector, ProjectCoordinate
@@ -69,6 +73,64 @@ def select_projects(corpus: Corpus) -> tuple[set[ProjectCoordinate], dict[Projec
         else:
             selected.add(coordinate)
     return selected, rejected
+
+
+Node = TypeVar("Node", bound=Hashable)
+
+
+def strongly_connected_components(roots: Iterable[Node],
+                                  successors: Callable[[Node], Iterable[Node]]) -> list[list[Node]]:
+    """Iterative Tarjan over every node reachable from `roots`; corpus chains
+    can exceed the recursion limit.
+
+    Components come out in reverse topological order: each one after every
+    component it reaches.
+    """
+    index: dict[Node, int] = {}
+    lowlink: dict[Node, int] = {}
+    on_stack: set[Node] = set()
+    stack: list[Node] = []
+    components: list[list[Node]] = []
+    counter = 0
+
+    for root in roots:
+        if root in index:
+            continue
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(successors(root)))]
+        while work:
+            node, pending = work[-1]
+            descended = False
+            for succ in pending:
+                if succ not in index:
+                    index[succ] = lowlink[succ] = counter
+                    counter += 1
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, iter(successors(succ))))
+                    descended = True
+                    break
+                if succ in on_stack:
+                    lowlink[node] = min(lowlink[node], index[succ])
+            if descended:
+                continue
+            work.pop()
+            if lowlink[node] == index[node]:
+                component = []
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    component.append(member)
+                    if member == node:
+                        break
+                components.append(component)
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[node])
+    return components
 
 
 def build_series(corpus: Corpus, errors: list[str] | None = None) -> dict[ProjectCoordinate, ProjectSeries]:

@@ -6,8 +6,7 @@ import os
 from pathlib import Path
 
 import icmetrics
-from icmetrics.graph import DEFAULT_SCOPE_FILTER
-from icmetrics.ingest import Corpus, FailedRelease, encode_snapshot, release_facts
+from icmetrics.ingest import DEFAULT_SCOPE_FILTER, Corpus, FailedRelease, encode_snapshot, release_facts
 from icmetrics.model import (
     ApiSurface,
     DependencyDecl,

@@ -346,6 +346,48 @@ def test_series_filename_clash_fails_before_writing(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def _contents(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+@pytest.mark.parametrize("command, first_file", [("analyze", "combined.csv"), ("metrics", "metrics.jsonl")])
+def test_a_second_run_into_one_out_fails_and_writes_nothing(tmp_path, capsys, command, first_file):
+    corpus, history, _, _ = _write_fixture_corpus(tmp_path)
+    out = tmp_path / "out"
+    argv = [command, "--corpus", str(corpus), "--history", str(history), "--out", str(out)]
+    assert main(argv) == 0
+    written = _contents(out)
+    capsys.readouterr()
+    # A different report for the same directory is refused too.
+    assert main([*argv, "--exclude-scopes", ""]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {out / first_file} already exists; {command} never overwrites a report file")
+    assert _contents(out) == written
+
+
+def test_a_series_file_already_in_out_is_not_overwritten(tmp_path, capsys):
+    corpus, history, _, _ = _write_fixture_corpus(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "series_org.fixture_proj.csv").write_text("kept\n")
+    rc = main(["analyze", "--corpus", str(corpus), "--history", str(history), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {out / 'series_org.fixture_proj.csv'} already exists; analyze never overwrites a report file")
+    assert _contents(out) == {"series_org.fixture_proj.csv": b"kept\n"}
+
+
+@pytest.mark.parametrize("command", ["analyze", "metrics"])
+def test_other_files_in_out_are_allowed(tmp_path, command):
+    corpus, history, _, _ = _write_fixture_corpus(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("mine\n")
+    assert main([command, "--corpus", str(corpus), "--history", str(history), "--out", str(out)]) == 0
+    assert (out / "notes.txt").read_text() == "mine\n"
+    assert len(list(out.iterdir())) > 1
+
+
 @pytest.mark.parametrize("threshold", ["0", "-1", "nan", "inf"])
 def test_activity_threshold_must_be_finite_and_positive(tmp_path, capsys, threshold):
     corpus, history, _, _ = _write_fixture_corpus(tmp_path)
@@ -373,13 +415,13 @@ def test_activity_threshold_sets_the_low_activity_partition(tmp_path, capsys):
     # The fixture project has 12 releases and 48 bugs: activity 0.25.
     corpus, history, _, _ = _write_fixture_corpus(tmp_path)
 
-    def low_activity_lines(*flags):
+    def low_activity_lines(out, *flags):
         assert main(["analyze", "--corpus", str(corpus), "--history", str(history),
-                     "--out", str(tmp_path / "out"), *flags]) == 0
+                     "--out", str(tmp_path / out), *flags]) == 0
         return [line for line in capsys.readouterr().err.splitlines() if "low-activity" in line]
 
-    assert low_activity_lines() == []
-    assert low_activity_lines("--activity-threshold", "0.5") == [
+    assert low_activity_lines("default") == []
+    assert low_activity_lines("half", "--activity-threshold", "0.5") == [
         "info: low-activity projects (activity < 0.5): org.fixture:proj"]
 
 

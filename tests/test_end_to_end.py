@@ -16,16 +16,20 @@ import dataclasses
 import json
 import math
 import re
+import shutil
 import statistics
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import t as student_t
 
 from icmetrics.cli import main
-from icmetrics.graph import DEFAULT_SCOPE_FILTER
 from icmetrics.ingest import (
+    DEFAULT_SCOPE_FILTER,
     count_loc,
     encode_snapshot,
     load_corpus,
@@ -72,8 +76,8 @@ def _tie_releases(base: Path) -> None:
     history.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
 
 
-def _write_corpus(base: Path, shape: str, seed: int) -> list:
-    projects, releases = SHAPES[shape]
+def _write_corpus(base: Path, shape: str, seed: int, size: tuple[int, int] | None = None) -> list:
+    projects, releases = size or SHAPES[shape]
     synth_ecosystem(base, seed, projects, releases, coupling=1.0, noise=1.0)
     if shape == "pom-loc":
         return corpora.to_pom(base, seed)
@@ -143,6 +147,51 @@ def test_analyze_report_matches_the_oracle(tmp_path, shape, seed):
     assert code == 0
     assert oracle.check(expected, out) == []
     assert _p_problems(expected, out) == []
+
+
+def _vary(base: Path, releases: list, kept: list[int], silent: int) -> list:
+    """Keep the first ``kept[i]`` releases of the i-th project, in (timestamp,
+    version) order, deleting the rest with their history rows, and set every
+    bug count of the ``silent``-th project to zero; return the releases left."""
+    by_project: dict[str, list] = {}
+    for release in sorted(releases, key=lambda r: (r.timestamp, r.version)):
+        by_project.setdefault(release.project, []).append(release)
+    history = corpora.read_history(base / "releases.csv")
+    varied = []
+    for i, (project, series) in enumerate(sorted(by_project.items())):
+        for release in series[kept[i]:]:
+            shutil.rmtree(base / "corpus" / project / release.version)
+            del history[project, release.version]
+        for release in series[:kept[i]]:
+            if i == silent:
+                release = dataclasses.replace(release, bugs=0)
+                history[project, release.version] = (release.timestamp, 0)
+            varied.append(release)
+    rows = [f"{p},{v},{t},{b}" for (p, v), (t, b) in history.items()]
+    (base / "releases.csv").write_text("\n".join([corpora.HISTORY_HEADER, *rows]) + "\n", encoding="utf-8")
+    return varied
+
+
+PROPERTY_PROJECTS = 4
+
+
+@settings(max_examples=24, deadline=None)
+@given(shape=st.sampled_from(sorted(SHAPES)), seed=st.integers(0, 2 ** 16),
+       kept=st.lists(st.sampled_from([9, 10, 11]), min_size=PROPERTY_PROJECTS, max_size=PROPERTY_PROJECTS),
+       silent=st.integers(0, PROPERTY_PROJECTS - 1))
+def test_varied_corpora_match_the_oracle(shape, seed, kept, silent):
+    # Project sizes straddle the 10-release selection threshold, and one
+    # project has no bugs at all.
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "base"
+        releases = _vary(base, _write_corpus(base, shape, seed, (PROPERTY_PROJECTS, 11)), kept, silent)
+        expected = oracle.Expected(releases)
+        out = Path(tmp) / "out"
+        code = main(["analyze", "--corpus", str(base / "corpus"), "--history", str(base / "releases.csv"),
+                     "--out", str(out)])
+        assert code == 0
+        assert oracle.check(expected, out) == []
+        assert _p_problems(expected, out) == []
 
 
 def _pom_snapshot(release_dir: Path, timestamp: int, bugs: int) -> ReleaseSnapshot:

@@ -2,7 +2,7 @@ import random
 
 from conftest import coord, graph_snapshots, make_manifest, make_snapshot, sweep_vectors
 
-from icmetrics.graph import strongly_connected_components
+from icmetrics.pipeline import strongly_connected_components
 from icmetrics.model import DependencyDecl, UsageRecord
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import coord, make_corpus, make_manifest, make_snapshot, snapshot_lists, sweep_vectors
 from test_graph import oracle_depth, oracle_reachability, oracle_scc_members
 
-from icmetrics.graph import DEFAULT_SCOPE_FILTER
+from icmetrics.ingest import DEFAULT_SCOPE_FILTER
 from icmetrics.metrics import METRIC_ORDER
 from icmetrics.model import ApiSurface, DependencyDecl, MetricVector, UsageRecord
 from icmetrics.pipeline import (
