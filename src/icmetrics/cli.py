@@ -62,6 +62,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="icmetrics",
@@ -83,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--loc-ext", type=_comma_set, default=DEFAULT_LOC_EXTENSIONS, metavar="EXTS",
                          help="comma-separated source suffixes for LOC counting"
                          f" (default: {','.join(sorted(DEFAULT_LOC_EXTENSIONS))})")
-        sub.add_argument("--workers", type=int, default=1, metavar="N",
-                         help="accepted for compatibility; has no effect")
+        sub.add_argument("--workers", type=_positive_int, default=1, metavar="N",
+                         help="accepted for compatibility (N >= 1); has no effect")
 
     analyze = subparsers.add_parser("analyze", help="run the full correlation study over a corpus")
     add_corpus_flags(analyze, history_required=True)

@@ -3,9 +3,8 @@
 Corpus layout::
 
     <root>/
-      <group>:<artifact>/          one directory per project (name is the
-                                   history join key)
-        <version_label>/           one directory per release
+      <group>:<artifact>/          one directory per project, named by its key
+        <version_label>/           one directory per release, named by its version
           snapshot.json            -- or --
           pom.xml [**/pom.xml]     root manifest plus nested module manifests
           api_surface.json         optional (pom releases)
@@ -13,10 +12,11 @@ Corpus layout::
           src/                     optional source tree for LOC counting
 
 snapshot.json and the JSON sidecars are UTF-8; a pom.xml is decoded as its
-XML declaration says. A release directory that yields no valid snapshot,
-an undecodable file included, is recorded as a failed release (it still
-counts toward the parse-ratio selection criterion) and never aborts the
-load.
+XML declaration says. Each project directory loads alone, and the loads are
+concatenated in directory order. A release directory that yields no valid
+snapshot (an undecodable file, or a coordinate or version other than its
+directories' names) is a failed release: it still counts toward the
+parse-ratio selection criterion, and it never aborts the load.
 
 A release's edges (``effective_targets``) are the targets of its dependencies
 whose scope is not filtered out (``test`` and ``provided`` by default), less
@@ -94,9 +94,8 @@ class Corpus:
     """Everything load_corpus learned about a corpus tree: per project, the
     facts of each parsed release in (timestamp, version) order and each
     failed release. That order is the only statement of release order;
-    the series, statistics and reports keep it.
-
-    A plain mutable class: load_corpus fills one instance per run."""
+    the series, statistics and reports keep it. load_corpus builds one per
+    run, concatenating the loads of the project directories in name order."""
 
     __slots__ = ("snapshots", "failed", "warnings")
 
@@ -632,6 +631,41 @@ def release_facts(snapshot: ReleaseSnapshot,
                   scope_filter, {})
 
 
+def _load_project(project_dir: os.DirEntry[str], rows: dict[str, ReleaseHistoryRow] | None,
+                  loc_suffixes: tuple[str, ...], scope_filter: frozenset[str] | set[str], shared: SharedValues,
+                  ) -> tuple[ProjectCoordinate, list[ReleaseFacts], list[FailedRelease], list[str], dict]:
+    """Load one project directory: its coordinate, its releases' facts in
+    (timestamp, version) order, its failed releases and warnings in directory
+    order, and the history ``rows`` (by version; None without history) left unjoined."""
+    coordinate = ProjectCoordinate.from_key(project_dir.name)
+    facts, failed, warnings, unjoined = [], [], [], dict(rows or ())
+    for release_dir in _subdirs(project_dir.path):
+        version_label = release_dir.name
+        row = unjoined.pop(version_label, None)
+        snapshot_path = os.path.join(release_dir.path, "snapshot.json")
+        try:
+            if os.path.isfile(snapshot_path):
+                snapshot, _, rfc = _snapshot_from_json(_read_utf8(snapshot_path, "."), shared, row)
+            else:
+                snapshot, rfc = _load_pom_release(release_dir, loc_suffixes, warnings, shared, row)
+            if snapshot.coordinate != coordinate:
+                raise _RejectedRelease(f"manifest coordinate {snapshot.coordinate.key()} does not match"
+                                       f" project directory {project_dir.name}")
+            if snapshot.version_label != version_label:
+                raise _RejectedRelease(f"snapshot version {snapshot.version_label} does not match"
+                                       f" release directory {version_label}")
+        except (_RejectedRelease, SnapshotFormatError, OSError) as exc:
+            failed.append(FailedRelease(version_label, str(exc)))
+            warnings.append(f"failed release {project_dir.name}/{version_label}: {exc}")
+            continue
+        if row is None and rows is not None:
+            warnings.append(f"no history row for {project_dir.name}/{version_label};"
+                            f" bugs_fixed defaults to {snapshot.bugs_fixed}")
+        facts.append(_facts(snapshot, rfc, scope_filter, shared.targets))
+    facts.sort(key=_RELEASE_ORDER)
+    return coordinate, facts, failed, warnings, unjoined
+
+
 def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
                 loc_extensions: frozenset[str] | set[str] = DEFAULT_LOC_EXTENSIONS,
                 scope_filter: frozenset[str] | set[str] = DEFAULT_SCOPE_FILTER) -> Corpus:
@@ -650,54 +684,22 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
     if not root.is_dir():
         raise CorpusError(f"corpus root is not a readable directory: {root}")
 
-    unjoined = {(row.project_key, row.version_label): row for row in history or ()}
-
+    rows_of: dict[str, dict[str, ReleaseHistoryRow]] = {}  # key -> {version: row}, then the rows left unjoined
+    for row in history or ():
+        rows_of.setdefault(row.project_key, {})[row.version_label] = row
     corpus = Corpus()
     shared = SharedValues()
     loc_suffixes = tuple(loc_extensions)
-
     for project_dir in _subdirs(root):
-        if ":" not in project_dir.name:
-            corpus.warnings.append(
-                f"skipping directory {project_dir.name!r}: name is not a group:artifact key"
-            )
+        key = project_dir.name
+        if ":" not in key:
+            corpus.warnings.append(f"skipping directory {key!r}: name is not a group:artifact key")
             continue
-        coordinate = ProjectCoordinate.from_key(project_dir.name)
-        parsed = corpus.snapshots.setdefault(coordinate, [])
-        failed = corpus.failed.setdefault(coordinate, [])
-
-        for release_dir in _subdirs(project_dir.path):
-            version_label = release_dir.name
-            row = unjoined.pop((project_dir.name, version_label), None)
-            snapshot_path = os.path.join(release_dir.path, "snapshot.json")
-            try:
-                if os.path.isfile(snapshot_path):
-                    snapshot, _, rfc = _snapshot_from_json(_read_utf8(snapshot_path, "."), shared, row)
-                else:
-                    snapshot, rfc = _load_pom_release(release_dir, loc_suffixes, corpus.warnings, shared, row)
-                if snapshot.coordinate != coordinate:
-                    raise _RejectedRelease(
-                        f"manifest coordinate {snapshot.coordinate.key()} does not match"
-                        f" project directory {project_dir.name}"
-                    )
-            except (_RejectedRelease, SnapshotFormatError, OSError) as exc:
-                failed.append(FailedRelease(version_label, str(exc)))
-                corpus.warnings.append(f"failed release {project_dir.name}/{version_label}: {exc}")
-                continue
-
-            if row is None and history is not None:
-                corpus.warnings.append(
-                    f"no history row for {project_dir.name}/{version_label};"
-                    f" bugs_fixed defaults to {snapshot.bugs_fixed}"
-                )
-            parsed.append(_facts(snapshot, rfc, scope_filter, shared.targets))
-
-        parsed.sort(key=_RELEASE_ORDER)
-
-    for row in unjoined.values():
-        corpus.warnings.append(
-            f"orphan history row: {row.project_key},{row.version_label},"
-            f"{row.timestamp},{row.bugs_fixed} matches no release directory"
-        )
-
+        coordinate, facts, failed, warnings, rows_of[key] = _load_project(
+            project_dir, None if history is None else rows_of.get(key, {}), loc_suffixes, scope_filter, shared)
+        corpus.snapshots[coordinate], corpus.failed[coordinate] = facts, failed
+        corpus.warnings += warnings
+    corpus.warnings += [f"orphan history row: {row.project_key},{row.version_label},"
+                        f"{row.timestamp},{row.bugs_fixed} matches no release directory"
+                        for row in history or () if row.version_label in rows_of[row.project_key]]
     return corpus

@@ -126,3 +126,34 @@ def write_history(path: Path, rows: list[tuple[str, str, int, int]]) -> Path:
     lines += [f"{key},{version},{timestamp},{bugs}" for key, version, timestamp, bugs in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def write_messy_corpus(corpus_root: Path) -> list[tuple[str, str, int, int]]:
+    """A corpus with a failed release of each format, a directory whose name
+    is not a project key, a release without a history row, and orphan
+    history rows (one of the skipped directory); returns its history rows.
+
+    Directory order is g:pom, m-stray, org.fixture:proj; the orphans are
+    listed in another order.
+    """
+    rows: list[tuple[str, str, int, int]] = [("org.gone:x", "1.0", 10, 0)]
+    for i in range(12):
+        version = f"{i:02d}.0"
+        write_release(corpus_root, make_snapshot("proj", deps=[f"dep{i % 3}"], version=version,
+                                                 timestamp=1000 + 100 * i, loc=50 + i))
+        if version != "05.0":
+            rows.append(("org.fixture:proj", version, 1000 + 100 * i, i % 4 + 1))
+    (write_failed_release(corpus_root, "org.fixture:proj", "broken") / "snapshot.json").write_text("{}")
+    rows += [("org.fixture:proj", "broken", 2300, 2), ("m-stray", "1.0", 100, 1), ("g:pom", "1.0", 500, 3)]
+
+    pom_dir = write_failed_release(corpus_root, "g:pom", "1.0")
+    (pom_dir / "pom.xml").write_text(
+        "<project><groupId>g</groupId><artifactId>pom</artifactId><version>1.0</version></project>")
+    (pom_dir / "src").mkdir()
+    (pom_dir / "src" / "A.java").write_text("a\nb\n")
+    (pom_dir / "src" / "B.java").write_text("c\n")
+    (write_failed_release(corpus_root, "g:pom", "2.0") / "pom.xml").write_text(
+        "<project><groupId>g</groupId><version>2.0</version></project>")
+    write_failed_release(corpus_root, "m-stray", "1.0")
+    rows.append(("org.fixture:proj", "99.0", 9900, 4))
+    return rows

@@ -3,11 +3,14 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import child_env, make_snapshot, write_failed_release, write_history, write_release
+from conftest import (child_env, make_snapshot, write_failed_release, write_history, write_messy_corpus,
+                      write_release)
 
+from icmetrics import ingest
 from icmetrics.cli import main
 from icmetrics.report import (
     COMBINED_HEADER,
@@ -110,6 +113,19 @@ def test_labels_that_need_quoting_read_back_from_every_table(tmp_path):
     assert [record[0] for record in table("series_org.x,y_p.csv", SERIES_HEADER)] == labels
 
 
+@pytest.mark.parametrize("command", ["analyze", "metrics"])
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_exits_two(tmp_path, capsys, command, workers):
+    corpus, history, _, _ = _write_fixture_corpus(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--corpus", str(corpus), "--history", str(history), "--out", str(out),
+              "--workers", workers])
+    assert excinfo.value.code == 2
+    assert f"argument --workers: must be an integer of at least 1, got '{workers}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_fixture_corpus_matches_stats_module(tmp_path):
     corpus, history, wmc, bugs = _write_fixture_corpus(tmp_path)
     rc = main(["analyze", "--corpus", str(corpus), "--history", str(history),
@@ -139,6 +155,47 @@ def test_unparsable_release_warns_and_proceeds(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "warning:" in err and "broken-0" in err
     assert (tmp_path / "out" / "summaries.csv").read_text().count("\n") == 2
+
+
+def test_snapshot_version_other_than_its_directory_is_a_failed_release(tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path), "--seed", "0", "--projects", "3", "--releases", "12"]) == 0
+    snapshot_path = tmp_path / "corpus" / "synth.example:lib00" / "0.5.0" / "snapshot.json"
+    snapshot_path.write_text(json.dumps({**json.loads(snapshot_path.read_text()), "version": "0.4.0"}))
+    capsys.readouterr()
+    rc = main(["analyze", "--corpus", str(tmp_path / "corpus"), "--history", str(tmp_path / "releases.csv"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert ("warning: failed release synth.example:lib00/0.5.0: snapshot version 0.4.0 does not match"
+            " release directory 0.5.0") in capsys.readouterr().err.splitlines()
+    with open(tmp_path / "out" / "series_synth.example_lib00.csv", newline="") as series:
+        labels = [row[0] for row in csv.reader(series)][1:]
+    assert labels == [f"0.{t}.0" for t in range(12) if t != 5]
+
+
+def test_messy_corpus_stderr_is_pinned(tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "corpus"
+    history = write_history(tmp_path / "releases.csv", write_messy_corpus(corpus))
+    real_read = ingest._read
+
+    def flaky(path):
+        if Path(path).name == "B.java":
+            raise OSError("simulated i/o failure")
+        return real_read(path)
+
+    monkeypatch.setattr(ingest, "_read", flaky)
+    rc = main(["analyze", "--corpus", str(corpus), "--history", str(history), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: unreadable file counted as 0 lines: {corpus.resolve()}/g:pom/1.0/src/B.java (simulated i/o failure)",
+        "warning: failed release g:pom/2.0: incomplete coordinates: missing artifactId (own or parent)",
+        "warning: skipping directory 'm-stray': name is not a group:artifact key",
+        "warning: no history row for org.fixture:proj/05.0; bugs_fixed defaults to 0",
+        "warning: failed release org.fixture:proj/broken: .project: must be an object",
+        "warning: orphan history row: org.gone:x,1.0,10,0 matches no release directory",
+        "warning: orphan history row: m-stray,1.0,100,1 matches no release directory",
+        "warning: orphan history row: org.fixture:proj,99.0,9900,4 matches no release directory",
+        "info: rejected g:pom (min-versions)",
+    ]
 
 
 def test_rejected_projects_are_reported(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shutil
 import string
 import sys
 import tempfile
@@ -9,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coord, make_manifest, make_snapshot, write_failed_release, write_release
+from conftest import coord, make_manifest, make_snapshot, write_failed_release, write_messy_corpus, write_release
 
 from icmetrics import ingest
 from icmetrics.ingest import (
+    DEFAULT_LOC_EXTENSIONS,
+    DEFAULT_SCOPE_FILTER,
     FailedRelease,
     HistoryFormatError,
     ReleaseHistoryRow,
@@ -609,6 +612,42 @@ def test_non_key_directory_is_skipped_with_warning(tmp_path):
     corpus = load_corpus(tmp_path, [])
     assert corpus.snapshots == {}
     assert any("stray" in w for w in corpus.warnings)
+
+
+def test_load_is_the_concatenation_of_per_project_loads(tmp_path):
+    root = tmp_path / "corpus"
+    history = [ReleaseHistoryRow(*row) for row in write_messy_corpus(root)]
+    rows_of: dict[str, dict[str, ReleaseHistoryRow]] = {}
+    for row in history:
+        rows_of.setdefault(row.project_key, {})[row.version_label] = row
+    shared = SharedValues()
+    pom, proj = (ingest._load_project(project_dir, rows_of.get(project_dir.name, {}), tuple(DEFAULT_LOC_EXTENSIONS),
+                                      DEFAULT_SCOPE_FILTER, shared)
+                 for project_dir in ingest._subdirs(root) if project_dir.name != "m-stray")
+
+    assert (pom[0], proj[0]) == (ProjectCoordinate("g", "pom"), coord("proj"))
+    assert [len(part[1]) for part in (pom, proj)] == [1, 12]
+    assert [failure.version_label for part in (pom, proj) for failure in part[2]] == ["2.0", "broken"]
+    assert "no history row for org.fixture:proj/05.0; bugs_fixed defaults to 0" in proj[3]
+    assert (pom[4], proj[4]) == ({}, {"99.0": rows_of["org.fixture:proj"]["99.0"]})
+
+    corpus = load_corpus(root, history)
+    assert corpus.snapshots == {pom[0]: pom[1], proj[0]: proj[1]}
+    assert corpus.failed == {pom[0]: pom[2], proj[0]: proj[2]}
+    orphans = [
+        "orphan history row: org.gone:x,1.0,10,0 matches no release directory",
+        "orphan history row: m-stray,1.0,100,1 matches no release directory",
+        "orphan history row: org.fixture:proj,99.0,9900,4 matches no release directory",
+    ]
+    assert corpus.warnings == pom[3] + ["skipping directory 'm-stray': name is not a group:artifact key"] + proj[3] + orphans
+
+    # Each project's part is what a root holding only that project loads.
+    for part in (pom, proj):
+        alone = tmp_path / part[0].key()
+        shutil.copytree(root / part[0].key(), alone / part[0].key())
+        single = load_corpus(alone, history)
+        assert (single.snapshots, single.failed) == ({part[0]: part[1]}, {part[0]: part[2]})
+        assert [w for w in single.warnings if not w.startswith("orphan history row: ")] == part[3]
 
 
 def test_corpus_root_must_exist(tmp_path):
