@@ -162,18 +162,27 @@ def _load_series(args: argparse.Namespace) -> tuple[Corpus, dict[ProjectCoordina
 
 
 def _write_new(out: Path, command: str, files: list[tuple[str, str, str]]) -> str | None:
-    """Write each (file name, owner, text) of ``files`` to ``out``; if a name
-    repeats or is in ``out`` already, write nothing and return why."""
-    present = set(os.listdir(out))
-    owners: dict[str, str] = {}
-    for name, owner, _ in files:
-        if name in owners:
-            return f"series file name clash: {owners[name]} and {owner} both map to {name}"
-        if name in present:
-            return f"{out / name} already exists; {command} never overwrites a report file"
-        owners[name] = owner
-    for name, _, text in files:
-        (out / name).write_text(text, encoding="utf-8", newline="")
+    """Write each (file name, owner, text) of ``files`` to ``out``, or none:
+    if a name repeats or is in ``out`` already, write nothing and return why;
+    if a write fails, delete the files this call created and return the error."""
+    created: list[Path] = []
+    try:
+        present = set(os.listdir(out))
+        owners: dict[str, str] = {}
+        for name, owner, _ in files:
+            if name in owners:
+                return f"series file name clash: {owners[name]} and {owner} both map to {name}"
+            if name in present:
+                return f"{out / name} already exists; {command} never overwrites a report file"
+            owners[name] = owner
+        for name, _, text in files:
+            with open(out / name, "x", encoding="utf-8", newline="") as handle:  # "x": create, never replace
+                created.append(out / name)
+                handle.write(text)
+    except OSError as exc:
+        for path in created:
+            path.unlink(missing_ok=True)
+        return str(exc)
     return None
 
 
@@ -199,10 +208,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     # share a file name.
     files += [(series_filename(series), series.coordinate.key(), emit_series_csv(series))
               for series in selected_series]
-    try:
-        refusal = _write_new(args.out, "analyze", files)
-    except OSError as exc:
-        return _fail(str(exc))
+    refusal = _write_new(args.out, "analyze", files)
     if refusal:
         return _fail(refusal)
 
@@ -221,10 +227,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_metrics(args: argparse.Namespace) -> int:
     try:
         _, series_map = _load_series(args)
-        metrics = emit_metrics_jsonl(series_map.values())
-        refusal = _write_new(args.out, "metrics", [("metrics.jsonl", "metrics", metrics)])
     except (OSError, HistoryFormatError, CorpusError) as exc:
         return _fail(str(exc))
+    metrics = emit_metrics_jsonl(series_map.values())
+    refusal = _write_new(args.out, "metrics", [("metrics.jsonl", "metrics", metrics)])
     return _fail(refusal) if refusal else 0
 
 

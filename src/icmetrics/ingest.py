@@ -63,7 +63,7 @@ _LONG_COUNT = 10 ** len(str(_FLOAT_OVERFLOW))
 
 
 class SnapshotFormatError(ValueError):
-    """snapshot.json violates the schema; message names the JSON path."""
+    """snapshot.json breaks its schema, or a decoded release the snapshot rules; the message says where."""
 
 
 class HistoryFormatError(ValueError):
@@ -90,21 +90,15 @@ class FailedRelease(NamedTuple):
     reason: str
 
 
-class Corpus:
+class Corpus(NamedTuple):
     """Everything load_corpus learned about a corpus tree: per project, the
     facts of each parsed release in (timestamp, version) order and each
-    failed release. That order is the only statement of release order;
-    the series, statistics and reports keep it. load_corpus builds one per
-    run, concatenating the loads of the project directories in name order."""
+    failed release, then the load's warnings. That order is the only
+    statement of release order; the series, statistics and reports keep it."""
 
-    __slots__ = ("snapshots", "failed", "warnings")
-
-    def __init__(self, snapshots: dict[ProjectCoordinate, list[ReleaseFacts]] | None = None,
-                 failed: dict[ProjectCoordinate, list[FailedRelease]] | None = None,
-                 warnings: list[str] | None = None) -> None:
-        self.snapshots = {} if snapshots is None else snapshots
-        self.failed = {} if failed is None else failed
-        self.warnings = [] if warnings is None else warnings
+    facts: dict[ProjectCoordinate, list[ReleaseFacts]]
+    failed: dict[ProjectCoordinate, list[FailedRelease]]
+    warnings: list[str]
 
 
 # --------------------------------------------------------------------------
@@ -229,9 +223,17 @@ def _decode_json(text: str, where: str) -> Any:
         raise SnapshotFormatError(f"{where}: invalid JSON: {exc}") from exc
 
 
+def _check(snapshot: ReleaseSnapshot) -> None:
+    """Raise SnapshotFormatError naming every snapshot rule ``snapshot`` breaks."""
+    violations = validate_snapshot(snapshot)
+    if violations:
+        raise SnapshotFormatError("snapshot violates invariants: " + "; ".join(violations))
+
+
 def parse_snapshot_json(text: str) -> ReleaseSnapshot:
     """Decode one snapshot.json document; the result always validates clean."""
     snapshot, surface, _ = _snapshot_from_json(text, SharedValues())
+    _check(snapshot)
     if surface is None:
         return snapshot
     return replace(snapshot, api_surface=ApiSurface({name: frozenset(callees) for name, callees in surface.items()}))
@@ -239,10 +241,10 @@ def parse_snapshot_json(text: str) -> ReleaseSnapshot:
 
 def _snapshot_from_json(text: str, shared: SharedValues, row: ReleaseHistoryRow | None = None,
                         ) -> tuple[ReleaseSnapshot, dict[str, list[str]] | None, int | None]:
-    """Decode and check one snapshot.json document, sharing equal values
-    through ``shared``: the snapshot without its API surface, the checked
-    surface and its RFC. A history ``row`` replaces the document's bug
-    count (it is still checked)."""
+    """Decode one snapshot.json document, sharing equal values through
+    ``shared``: the snapshot without its API surface, the checked surface
+    and its RFC. A history ``row`` replaces the document's bug count. The
+    snapshot rules are left to the caller."""
     raw = _decode_json(text, ".")
     if not isinstance(raw, dict):
         _fail(".", "document root must be an object")
@@ -275,9 +277,6 @@ def _snapshot_from_json(text: str, shared: SharedValues, row: ReleaseHistoryRow 
         loc=loc,
         bugs_fixed=bugs if row is None else row.bugs_fixed,
     )
-    violations = validate_snapshot(snapshot)
-    if violations:
-        raise SnapshotFormatError("snapshot violates invariants: " + "; ".join(violations))
     return snapshot, surface, rfc
 
 
@@ -464,12 +463,7 @@ def _read(path: str) -> bytes:
 
 
 def _count_lines(entries: Iterable[os.DirEntry[str]], warnings: list[str] | None) -> int:
-    """Sum the lines of the files among ``entries``.
-
-    A line is a maximal text segment terminated by a newline or end of
-    file; a trailing segment without a newline counts when non-empty.
-    Unreadable files count as 0 lines and append a warning.
-    """
+    """Sum the lines of the files among ``entries``, as ``count_loc`` counts them."""
     total = 0
     for entry in entries:
         if not _is_file(entry):
@@ -540,8 +534,7 @@ def _load_pom_release(release_dir: os.DirEntry[str], loc_suffixes: tuple[str, ..
     One walk of the release directory finds the manifests (every pom.xml,
     ordered by depth, then path), the sidecars and the LOC files under
     ``src/``. The timestamp and bug count come from the history ``row``
-    (0 without one). A snapshot that ``validate_snapshot`` refuses rejects
-    the release.
+    (0 without one). The snapshot rules are left to the caller.
     """
     top: dict[str, os.DirEntry[str]] = {}
     pom_paths: list[tuple[int, str]] = []
@@ -590,9 +583,6 @@ def _load_pom_release(release_dir: os.DirEntry[str], loc_suffixes: tuple[str, ..
         loc=loc,
         bugs_fixed=0 if row is None else row.bugs_fixed,
     )
-    violations = validate_snapshot(snapshot)
-    if violations:
-        raise _RejectedRelease("invariant violations: " + "; ".join(violations))
     return snapshot, rfc
 
 
@@ -636,7 +626,8 @@ def _load_project(project_dir: os.DirEntry[str], rows: dict[str, ReleaseHistoryR
                   ) -> tuple[ProjectCoordinate, list[ReleaseFacts], list[FailedRelease], list[str], dict]:
     """Load one project directory: its coordinate, its releases' facts in
     (timestamp, version) order, its failed releases and warnings in directory
-    order, and the history ``rows`` (by version; None without history) left unjoined."""
+    order, and the history ``rows`` (by version; None without history) left unjoined.
+    Each decoded release is judged here alone: by the snapshot rules, then by its directories."""
     coordinate = ProjectCoordinate.from_key(project_dir.name)
     facts, failed, warnings, unjoined = [], [], [], dict(rows or ())
     for release_dir in _subdirs(project_dir.path):
@@ -648,6 +639,7 @@ def _load_project(project_dir: os.DirEntry[str], rows: dict[str, ReleaseHistoryR
                 snapshot, _, rfc = _snapshot_from_json(_read_utf8(snapshot_path, "."), shared, row)
             else:
                 snapshot, rfc = _load_pom_release(release_dir, loc_suffixes, warnings, shared, row)
+            _check(snapshot)
             if snapshot.coordinate != coordinate:
                 raise _RejectedRelease(f"manifest coordinate {snapshot.coordinate.key()} does not match"
                                        f" project directory {project_dir.name}")
@@ -687,19 +679,18 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
     rows_of: dict[str, dict[str, ReleaseHistoryRow]] = {}  # key -> {version: row}, then the rows left unjoined
     for row in history or ():
         rows_of.setdefault(row.project_key, {})[row.version_label] = row
-    corpus = Corpus()
+    facts, failed, warnings = {}, {}, []
     shared = SharedValues()
     loc_suffixes = tuple(loc_extensions)
     for project_dir in _subdirs(root):
         key = project_dir.name
         if ":" not in key:
-            corpus.warnings.append(f"skipping directory {key!r}: name is not a group:artifact key")
+            warnings.append(f"skipping directory {key!r}: name is not a group:artifact key")
             continue
-        coordinate, facts, failed, warnings, rows_of[key] = _load_project(
+        coordinate, facts[coordinate], failed[coordinate], project_warnings, rows_of[key] = _load_project(
             project_dir, None if history is None else rows_of.get(key, {}), loc_suffixes, scope_filter, shared)
-        corpus.snapshots[coordinate], corpus.failed[coordinate] = facts, failed
-        corpus.warnings += warnings
-    corpus.warnings += [f"orphan history row: {row.project_key},{row.version_label},"
-                        f"{row.timestamp},{row.bugs_fixed} matches no release directory"
-                        for row in history or () if row.version_label in rows_of[row.project_key]]
-    return corpus
+        warnings += project_warnings
+    warnings += [f"orphan history row: {row.project_key},{row.version_label},"
+                 f"{row.timestamp},{row.bugs_fixed} matches no release directory"
+                 for row in history or () if row.version_label in rows_of[row.project_key]]
+    return Corpus(facts, failed, warnings)

@@ -2,8 +2,10 @@
 
 Every record is a ``typing.NamedTuple``: several times cheaper than a
 frozen dataclass both to create at import and to build, which every run
-pays for. ``ReleaseSnapshot`` and ``ProjectManifest`` stay frozen
-dataclasses, since callers rebuild them with ``dataclasses.replace``.
+pays for. ``perfbench/corpora.py`` pins four shapes: it rebuilds the frozen
+dataclasses ``ReleaseSnapshot`` and ``ProjectManifest`` with
+``dataclasses.replace``, and reads the one-field wrappers ``ApiSurface.methods``
+and ``UsageRecord.referenced_coordinates``.
 
 A record stores the objects it is given and converts none: its annotations
 are the contract, so a builder passes a tuple or a frozenset where one is

@@ -60,8 +60,8 @@ def select_projects(corpus: Corpus) -> tuple[set[ProjectCoordinate], dict[Projec
     """
     selected: set[ProjectCoordinate] = set()
     rejected: dict[ProjectCoordinate, str] = {}
-    for coordinate in sorted(set(corpus.snapshots) | set(corpus.failed)):
-        parsed = corpus.snapshots.get(coordinate, [])
+    for coordinate in sorted(set(corpus.facts) | set(corpus.failed)):
+        parsed = corpus.facts.get(coordinate, [])
         failed = corpus.failed.get(coordinate, [])
         total = len(parsed) + len(failed)
         if total < MIN_RELEASES:
@@ -213,10 +213,10 @@ def build_series(corpus: Corpus, errors: list[str] | None = None) -> dict[Projec
     failures: dict[ProjectCoordinate, list[str]] = {}
     target_ids_of: dict[frozenset[ProjectCoordinate], tuple[int, ...]] = {}
     events = []
-    for coordinate in sorted(corpus.snapshots):
+    for coordinate in sorted(corpus.facts):
         points[coordinate], failures[coordinate] = [], []
         node = node_id(coordinate)
-        for index, release in enumerate(corpus.snapshots[coordinate]):
+        for index, release in enumerate(corpus.facts[coordinate]):
             targets = release.targets
             target_ids = target_ids_of.get(targets)
             if target_ids is None:

@@ -78,9 +78,9 @@ def sweep_vectors(snapshots, scope_filter=DEFAULT_SCOPE_FILTER) -> dict[ProjectC
     Each snapshot is its project's whole history, so every release is
     measured against all the others, whatever the timestamps.
     """
-    corpus = Corpus(snapshots={snapshot.coordinate: [release_facts(snapshot, scope_filter)]
-                               for snapshot in snapshots})
-    assert len(corpus.snapshots) == len(snapshots), "one snapshot per project"
+    corpus = Corpus({snapshot.coordinate: [release_facts(snapshot, scope_filter)] for snapshot in snapshots},
+                    {}, [])
+    assert len(corpus.facts) == len(snapshots), "one snapshot per project"
     errors: list[str] = []
     series = build_series(corpus, errors=errors)
     assert errors == []
@@ -98,12 +98,12 @@ def make_corpus(projects: dict[str, list[ReleaseSnapshot]],
                 scope_filter=DEFAULT_SCOPE_FILTER) -> Corpus:
     """In-memory corpus holding the facts load_corpus keeps of each snapshot;
     `failed` counts unparsable releases per project name."""
-    corpus = Corpus()
+    corpus = Corpus({}, {}, [])
     for coordinate, snapshots in snapshot_lists(projects).items():
-        corpus.snapshots[coordinate] = [release_facts(snapshot, scope_filter) for snapshot in snapshots]
+        corpus.facts[coordinate] = [release_facts(snapshot, scope_filter) for snapshot in snapshots]
         corpus.failed.setdefault(coordinate, [])
     for name, count in (failed or {}).items():
-        corpus.snapshots.setdefault(coord(name), [])
+        corpus.facts.setdefault(coord(name), [])
         corpus.failed[coord(name)] = [FailedRelease(f"broken-{i}", "no snapshot.json or pom.xml") for i in range(count)]
     return corpus
 

@@ -187,6 +187,70 @@ def test_criterion_5_planted_signal_recovery():
         assert elapsed < 60.0, f"experiment took {elapsed:.1f}s"
 
 
+def _null_rows(rows, seed, null):
+    """``rows`` (a synth history, in release order per project) with bug
+    counts independent of every metric, given the project and release index
+    t: U{1..5} plus a per-project U{0..20} (``"project-level"``) or plus
+    round(0.5·t) (``"trend"``)."""
+    rng = random.Random(seed)
+    index, level, out = {}, {}, []
+    for row in rows:
+        t = index[row.project_key] = index.get(row.project_key, -1) + 1
+        if t == 0:
+            level[row.project_key] = rng.randint(0, 20)
+        shift = level[row.project_key] if null == "project-level" else round(0.5 * t)
+        out.append((row.project_key, row.version_label, row.timestamp, rng.randint(1, 5) + shift))
+    return out
+
+
+def _significant(table: Path) -> dict[str, int]:
+    """Per metric, the rows of a correlation table with p < 0.05."""
+    counts: dict[str, int] = {}
+    for *_, metric, _, p_text, _ in (line.split(",") for line in table.read_text().splitlines()[1:]):
+        counts[metric] = counts.get(metric, 0) + (float(p_text) < 0.05)
+    return counts
+
+
+# Per metric: of 20 seeds, those whose combined.csv row has p < 0.05; of
+# the 200 (seed, project) rows of per_project.csv, those with p < 0.05. The
+# nominal rate is 0.05: 1 of 20 and 10 of 200. IC-CBO is 0 on synth, so its
+# p is always 1. At one release index, synth's RFC differs between projects
+# only by a draw of 0-2, so the project level barely reaches it.
+NULL_REJECTIONS = {
+    "project-level": ({"IC-NOC": 15, "IC-DIT": 14, "IC-LCOM1": 12, "IC-WMC": 13, "IC-RFC": 0, "IC-CBO": 0, "LOC": 14},
+                      {"IC-NOC": 3, "IC-DIT": 6, "IC-LCOM1": 8, "IC-WMC": 10, "IC-RFC": 11, "IC-CBO": 0, "LOC": 10}),
+    "trend": ({"IC-NOC": 19, "IC-DIT": 20, "IC-LCOM1": 20, "IC-WMC": 20, "IC-RFC": 20, "IC-CBO": 0, "LOC": 20},
+              {"IC-NOC": 60, "IC-DIT": 160, "IC-LCOM1": 180, "IC-WMC": 200, "IC-RFC": 200, "IC-CBO": 0, "LOC": 200}),
+}
+
+
+def test_null_experiment_project_level_and_trend(tmp_path):
+    # Both tables test Pearson r as if every release were an independent
+    # draw. Bug counts with a project level or a time trend, but no tie to
+    # any metric, are then read as coupling: these rates are a pinned
+    # limitation of combined.csv and per_project.csv, not a target.
+    from icmetrics.ingest import load_release_history
+
+    start = time.monotonic()
+    found = {null: ({}, {}) for null in NULL_REJECTIONS}
+    for seed in range(20):
+        work = tmp_path / str(seed)
+        assert main(["synth", "--out", str(work), "--seed", str(seed), "--projects", "10", "--releases", "20",
+                     "--coupling", "0", "--noise", "0.1"]) == 0
+        rows = load_release_history((work / "releases.csv").read_text(encoding="utf-8"))
+        for null, tables in found.items():
+            history = write_history(work / f"{null}.csv", _null_rows(rows, seed, null))
+            report = work / null
+            assert main(["analyze", "--corpus", str(work / "corpus"), "--history", str(history),
+                         "--out", str(report)]) == 0
+            for counts, name in zip(tables, ("combined.csv", "per_project.csv")):
+                for metric, n in _significant(report / name).items():
+                    counts[metric] = counts.get(metric, 0) + n
+    elapsed = time.monotonic() - start
+    assert found == NULL_REJECTIONS
+    assert elapsed < 30.0, f"null experiment took {elapsed:.1f}s"
+
+
 def test_criterion_6_selection_criteria(tmp_path):
     with _criterion("6 selection-criteria"):
         corpus_root = tmp_path / "corpus"

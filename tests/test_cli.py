@@ -434,6 +434,27 @@ def test_a_series_file_already_in_out_is_not_overwritten(tmp_path, capsys):
     assert _contents(out) == {"series_org.fixture_proj.csv": b"kept\n"}
 
 
+def test_a_failed_write_leaves_out_as_it_was(tmp_path, capsys):
+    # lib01 renamed to a 238-character artifact: its series file name is
+    # longer than a file system allows, and it is written after four others.
+    assert main(["synth", "--out", str(tmp_path), "--seed", "0", "--projects", "2", "--releases", "12"]) == 0
+    long_name = "x" * 238
+    for path in [tmp_path / "releases.csv", *tmp_path.glob("corpus/*lib01/*/snapshot.json")]:
+        path.write_text(path.read_text(encoding="utf-8").replace("lib01", long_name), encoding="utf-8")
+    [project] = tmp_path.glob("corpus/*lib01")
+    project.rename(project.with_name(project.name.replace("lib01", long_name)))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("mine\n")
+    argv = ["analyze", "--corpus", str(tmp_path / "corpus"), "--history", str(tmp_path / "releases.csv"),
+            "--out", str(out)]
+    for _ in range(2):  # the second run meets the same error, not a leftover report file
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: [Errno 36] File name too long: ")
+        assert _contents(out) == {"notes.txt": b"mine\n"}
+
+
 @pytest.mark.parametrize("command", ["analyze", "metrics"])
 def test_other_files_in_out_are_allowed(tmp_path, command):
     corpus, history, _, _ = _write_fixture_corpus(tmp_path)

@@ -232,5 +232,5 @@ def test_loaded_facts_equal_the_snapshot_route(tmp_path, shape, scope_filter):
 
     corpus = load_corpus(tmp_path / "corpus", history, scope_filter=scope_filter)
     assert corpus.warnings == []
-    assert corpus.snapshots == expected
+    assert corpus.facts == expected
     assert any(facts.rfc and facts.lcom1 is not None for releases in expected.values() for facts in releases)

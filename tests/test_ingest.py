@@ -340,7 +340,7 @@ def test_count_loc_additive_over_disjoint_extensions(tmp_path):
 
 def test_empty_root_is_an_empty_corpus(tmp_path):
     corpus = load_corpus(tmp_path, [])
-    assert corpus.snapshots == {}
+    assert corpus.facts == {}
     assert corpus.failed == {}
 
 
@@ -351,7 +351,7 @@ def test_failed_release_is_recorded_not_fatal(tmp_path):
     write_failed_release(tmp_path, key, "3.0")
 
     corpus = load_corpus(tmp_path, [])
-    assert [s.version_label for s in corpus.snapshots[coord("p")]] == ["1.0", "2.0"]
+    assert [s.version_label for s in corpus.facts[coord("p")]] == ["1.0", "2.0"]
     failures = corpus.failed[coord("p")]
     assert len(failures) == 1 and failures[0].version_label == "3.0"
     assert any("3.0" in w for w in corpus.warnings)
@@ -361,14 +361,14 @@ def test_bugs_joined_from_history(tmp_path):
     write_release(tmp_path, make_snapshot("p", version="1.0", timestamp=100))
     history = load_release_history("project,version,timestamp,bugs_fixed\norg.fixture:p,1.0,100,7\n")
     corpus = load_corpus(tmp_path, history)
-    assert corpus.snapshots[coord("p")][0].bugs_fixed == 7
+    assert corpus.facts[coord("p")][0].bugs_fixed == 7
     assert corpus.warnings == []
 
 
 def test_missing_history_row_defaults_to_zero_with_warning(tmp_path):
     write_release(tmp_path, make_snapshot("p", version="1.0", timestamp=100))
     corpus = load_corpus(tmp_path, [])
-    assert corpus.snapshots[coord("p")][0].bugs_fixed == 0
+    assert corpus.facts[coord("p")][0].bugs_fixed == 0
     assert any("no history row" in w for w in corpus.warnings)
 
 
@@ -391,7 +391,7 @@ def test_orphan_history_row_warns(tmp_path):
 def test_history_row_of_a_skipped_directory_is_an_orphan(tmp_path):
     (tmp_path / "stray" / "1.0").mkdir(parents=True)
     corpus = load_corpus(tmp_path, [ReleaseHistoryRow("stray", "1.0", 100, 1)])
-    assert corpus.snapshots == {}
+    assert corpus.facts == {}
     assert corpus.warnings == [
         "skipping directory 'stray': name is not a group:artifact key",
         "orphan history row: stray,1.0,100,1 matches no release directory",
@@ -412,7 +412,7 @@ def test_releases_sorted_by_timestamp_then_version(tmp_path):
     write_release(tmp_path, make_snapshot("p", version="a", timestamp=100))
     write_release(tmp_path, make_snapshot("p", version="z", timestamp=50))
     corpus = load_corpus(tmp_path, [])
-    assert [s.version_label for s in corpus.snapshots[coord("p")]] == ["z", "a", "b"]
+    assert [s.version_label for s in corpus.facts[coord("p")]] == ["z", "a", "b"]
 
 
 def test_coordinate_mismatch_is_a_failed_release(tmp_path):
@@ -420,7 +420,7 @@ def test_coordinate_mismatch_is_a_failed_release(tmp_path):
     release_dir.mkdir(parents=True)
     (release_dir / "snapshot.json").write_text(encode_snapshot(make_snapshot("other")))
     corpus = load_corpus(tmp_path, [])
-    assert corpus.snapshots[coord("p")] == []
+    assert corpus.facts[coord("p")] == []
     assert len(corpus.failed[coord("p")]) == 1
 
 
@@ -438,7 +438,7 @@ def test_snapshot_json_invariant_violation_fails_with_parse_reason(tmp_path):
     snapshot = make_snapshot("p", version="1.0", manifests=[make_manifest("p"), make_manifest("stray")])
     write_release(tmp_path, snapshot)
     corpus = load_corpus(tmp_path, [])
-    assert corpus.snapshots[coord("p")] == []
+    assert corpus.facts[coord("p")] == []
     reason = ("snapshot violates invariants: manifests[1].coordinate: org.fixture:stray"
               " is neither the project coordinate nor a declared submodule")
     assert corpus.failed[coord("p")] == [FailedRelease("1.0", reason)]
@@ -456,8 +456,8 @@ def test_pom_invariant_violation_is_a_failed_release(tmp_path):
         "<project><groupId>g</groupId><artifactId>core</artifactId><version>1.0</version></project>"
     )
     corpus = load_corpus(tmp_path, [ReleaseHistoryRow("g:a", "1.0", 100, 1)])
-    assert corpus.snapshots[ProjectCoordinate("g", "a")] == []
-    reason = ("invariant violations: manifests[1].coordinate: g:core"
+    assert corpus.facts[ProjectCoordinate("g", "a")] == []
+    reason = ("snapshot violates invariants: manifests[1].coordinate: g:core"
               " is neither the project coordinate nor a declared submodule")
     assert corpus.failed[ProjectCoordinate("g", "a")] == [FailedRelease("1.0", reason)]
 
@@ -474,7 +474,7 @@ def test_pom_release_is_checked_before_its_project_directory(tmp_path):
         "<project><groupId>g</groupId><artifactId>core</artifactId><version>1.0</version></project>"
     )
     corpus = load_corpus(tmp_path, None)
-    reason = ("invariant violations: manifests[1].coordinate: g:core"
+    reason = ("snapshot violates invariants: manifests[1].coordinate: g:core"
               " is neither the project coordinate nor a declared submodule")
     assert corpus.failed[ProjectCoordinate("g", "b")] == [FailedRelease("1.0", reason)]
 
@@ -515,13 +515,13 @@ def test_every_release_that_breaks_a_rule_fails_with_the_full_check(tmp_path):
                                    " manifest lists itself as a submodule") for version in ("1.0", "2.0")
         ],
         ProjectCoordinate("g", "a"): [
-            FailedRelease("1.0", f"invariant violations: {dependency}"),
-            FailedRelease("2.0", f"invariant violations: {dependency}"),
-            FailedRelease("3.0", "invariant violations: bugs_fixed: must be a non-negative integer"),
-            FailedRelease("4.0", "invariant violations: timestamp: must be an integer (UTC seconds)"),
+            FailedRelease("1.0", f"snapshot violates invariants: {dependency}"),
+            FailedRelease("2.0", f"snapshot violates invariants: {dependency}"),
+            FailedRelease("3.0", "snapshot violates invariants: bugs_fixed: must be a non-negative integer"),
+            FailedRelease("4.0", "snapshot violates invariants: timestamp: must be an integer (UTC seconds)"),
         ],
     }
-    assert [release.version_label for release in corpus.snapshots[coord("p")]] == ["3.0"]
+    assert [release.version_label for release in corpus.facts[coord("p")]] == ["3.0"]
 
 
 def test_every_decoded_release_is_checked_once(tmp_path, monkeypatch):
@@ -549,7 +549,7 @@ def test_every_decoded_release_is_checked_once(tmp_path, monkeypatch):
     (tmp_path / "g:a" / "5.0").mkdir()
 
     corpus = load_corpus(tmp_path, None)
-    assert [len(releases) for releases in corpus.snapshots.values()] == [2, 2]
+    assert [len(releases) for releases in corpus.facts.values()] == [2, 2]
     assert [len(failures) for failures in corpus.failed.values()] == [3, 2]
     assert sorted(calls) == sorted({(coordinate, version) for coordinate in (coord("p"), ProjectCoordinate("g", "a"))
                                     for version in ("1.0", "2.0", "3.0")})
@@ -577,7 +577,7 @@ def test_pom_release_with_sidecar_files(tmp_path):
     history = [ReleaseHistoryRow("g:a", "1.0", 1234, 9)]
     corpus = load_corpus(tmp_path, history)
     assert corpus.failed[ProjectCoordinate("g", "a")] == []
-    [release] = corpus.snapshots[ProjectCoordinate("g", "a")]
+    [release] = corpus.facts[ProjectCoordinate("g", "a")]
     assert release.version_label == "1.0"
     assert release.timestamp == 1234
     assert release.bugs_fixed == 9
@@ -596,21 +596,21 @@ def test_directory_named_pom_xml_is_not_a_manifest(tmp_path):
     )
     corpus = load_corpus(tmp_path, None)
     assert corpus.failed[ProjectCoordinate("g", "a")] == []
-    [release] = corpus.snapshots[ProjectCoordinate("g", "a")]
+    [release] = corpus.facts[ProjectCoordinate("g", "a")]
     assert release.targets == frozenset()
 
 
 def test_release_with_only_a_pom_xml_directory_fails(tmp_path):
     (tmp_path / "g:a" / "1.0" / "pom.xml").mkdir(parents=True)
     corpus = load_corpus(tmp_path, None)
-    assert corpus.snapshots[ProjectCoordinate("g", "a")] == []
+    assert corpus.facts[ProjectCoordinate("g", "a")] == []
     assert corpus.failed[ProjectCoordinate("g", "a")] == [FailedRelease("1.0", "no snapshot.json or pom.xml")]
 
 
 def test_non_key_directory_is_skipped_with_warning(tmp_path):
     (tmp_path / "stray").mkdir()
     corpus = load_corpus(tmp_path, [])
-    assert corpus.snapshots == {}
+    assert corpus.facts == {}
     assert any("stray" in w for w in corpus.warnings)
 
 
@@ -632,7 +632,7 @@ def test_load_is_the_concatenation_of_per_project_loads(tmp_path):
     assert (pom[4], proj[4]) == ({}, {"99.0": rows_of["org.fixture:proj"]["99.0"]})
 
     corpus = load_corpus(root, history)
-    assert corpus.snapshots == {pom[0]: pom[1], proj[0]: proj[1]}
+    assert corpus.facts == {pom[0]: pom[1], proj[0]: proj[1]}
     assert corpus.failed == {pom[0]: pom[2], proj[0]: proj[2]}
     orphans = [
         "orphan history row: org.gone:x,1.0,10,0 matches no release directory",
@@ -646,7 +646,7 @@ def test_load_is_the_concatenation_of_per_project_loads(tmp_path):
         alone = tmp_path / part[0].key()
         shutil.copytree(root / part[0].key(), alone / part[0].key())
         single = load_corpus(alone, history)
-        assert (single.snapshots, single.failed) == ({part[0]: part[1]}, {part[0]: part[2]})
+        assert (single.facts, single.failed) == ({part[0]: part[1]}, {part[0]: part[2]})
         assert [w for w in single.warnings if not w.startswith("orphan history row: ")] == part[3]
 
 
@@ -888,7 +888,7 @@ def test_malformed_release_file_is_a_failed_release(tmp_path, case):
     files, reason = CRASH_CASES[case]
     _write_release_files(tmp_path, files)
     corpus = load_corpus(tmp_path, None)
-    assert corpus.snapshots[ProjectCoordinate("g", "a")] == []
+    assert corpus.facts[ProjectCoordinate("g", "a")] == []
     [failure] = corpus.failed[ProjectCoordinate("g", "a")]
     assert failure.version_label == "1.0"
     # A decoder's own message, after "invalid JSON: " or "invalid UTF-8: ",
@@ -908,7 +908,7 @@ def test_pom_in_declared_latin1_parses(tmp_path):
     })
     corpus = load_corpus(tmp_path, None)
     assert corpus.failed[ProjectCoordinate("g", "a")] == []
-    [release] = corpus.snapshots[ProjectCoordinate("g", "a")]
+    [release] = corpus.facts[ProjectCoordinate("g", "a")]
     assert release.targets == frozenset({ProjectCoordinate("x", "caf\xe9")})
 
 
@@ -939,7 +939,7 @@ _json_shapes = st.recursive(
 def _outcomes(corpus):
     """(project key, version) -> the parsed release's facts or the FailedRelease."""
     outcomes = {}
-    for coordinate, snapshots in corpus.snapshots.items():
+    for coordinate, snapshots in corpus.facts.items():
         outcomes.update(((coordinate.key(), s.version_label), s) for s in snapshots)
     for coordinate, failures in corpus.failed.items():
         for failure in failures:
@@ -1031,7 +1031,7 @@ def test_release_walk_follows_the_rglob_rules(tmp_path, monkeypatch):
     corpus = load_corpus(tmp_path / "corpus", None)
     assert corpus.failed[ProjectCoordinate("g", "a")] == []
     assert manifests_read == [f"1.0/{path}" for path in expected_manifests] + ["2.0/pom.xml"]
-    release, linked = corpus.snapshots[ProjectCoordinate("g", "a")]
+    release, linked = corpus.facts[ProjectCoordinate("g", "a")]
     assert release.loc == 6
     assert linked.loc == 6
 
@@ -1073,7 +1073,7 @@ def test_one_load_shares_equal_values_across_releases(tmp_path):
 
     corpus = load_corpus(tmp_path, None)
     assert corpus.failed[coord("p")] == []
-    by_version = {release.version_label: release for release in corpus.snapshots[coord("p")]}
+    by_version = {release.version_label: release for release in corpus.facts[coord("p")]}
     first, second, from_pom = by_version["1.0"], by_version["2.0"], by_version["3.0"]
     assert [release.rfc for release in (first, second, from_pom)] == [2, 2, 2]
     [lib] = first.targets
@@ -1087,8 +1087,8 @@ def test_one_load_shares_equal_values_across_releases(tmp_path):
 
 def test_separate_loads_share_no_decoded_object(tmp_path):
     _release_with_shared_values(tmp_path, "1.0", 100)
-    [one] = load_corpus(tmp_path, None).snapshots[coord("p")]
-    [two] = load_corpus(tmp_path, None).snapshots[coord("p")]
+    [one] = load_corpus(tmp_path, None).facts[coord("p")]
+    [two] = load_corpus(tmp_path, None).facts[coord("p")]
     assert one == two
     assert two.targets is not one.targets
     [lib], [lib_again] = one.targets, two.targets
@@ -1132,8 +1132,8 @@ def _pom_values(release_dir, shared):
 def test_pom_releases_share_coordinates_and_dependencies_within_one_load_only(tmp_path):
     _write_pom_release(tmp_path, "1.0")
     _write_pom_release(tmp_path, "2.0")
-    first, second = load_corpus(tmp_path, None).snapshots[ProjectCoordinate("g", "a")]
-    [again, _] = load_corpus(tmp_path, None).snapshots[ProjectCoordinate("g", "a")]
+    first, second = load_corpus(tmp_path, None).facts[ProjectCoordinate("g", "a")]
+    [again, _] = load_corpus(tmp_path, None).facts[ProjectCoordinate("g", "a")]
     assert first.targets == again.targets == {ProjectCoordinate("x", "y")}
     assert second.targets is first.targets
     assert again.targets is not first.targets
@@ -1188,10 +1188,10 @@ def test_repeated_method_with_changed_callees_decodes_as_alone(tmp_path, callees
 
     project = coord("p")
     assert both.failed[project] == alone.failed[project]
-    assert both.snapshots[project][1:] == alone.snapshots[project]
+    assert both.facts[project][1:] == alone.facts[project]
     if callees == _CHANGED_CALLEES["an extra callee"]:
         assert both.failed[project] == []
-        assert both.snapshots[project][1].rfc == 3
+        assert both.facts[project][1].rfc == 3
     elif as_pom:
         reason = "api_surface.json['p.A.f()V']: must be an array of strings"
         assert both.failed[project] == [FailedRelease("2.0", reason)]
@@ -1278,5 +1278,5 @@ def test_shared_load_equals_per_file_decode(releases, bugs, changes):
     # load_corpus walks project and release directories by name; the pool's
     # keys all have one length, so sorted warning texts are in that order.
     assert corpus.warnings == sorted(warnings)
-    assert corpus.snapshots == expected
+    assert corpus.facts == expected
     assert corpus.failed == failed

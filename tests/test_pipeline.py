@@ -253,7 +253,7 @@ class TestSweepMatchesOracle:
         errors = []
         series = build_series(corpus, errors=errors)
         assert errors == []
-        assert list(series) == sorted(corpus.snapshots)
+        assert list(series) == sorted(corpus.facts)
         expected = _oracle_vectors(snapshot_lists(projects), scope_filter)
         got = {
             (coordinate, point.version_label): point.vector
@@ -263,7 +263,7 @@ class TestSweepMatchesOracle:
         assert got == expected
         for coordinate, project in series.items():
             assert [(p.timestamp, p.version_label, p.bugs_fixed) for p in project.releases] == [
-                (s.timestamp, s.version_label, s.bugs_fixed) for s in corpus.snapshots[coordinate]
+                (s.timestamp, s.version_label, s.bugs_fixed) for s in corpus.facts[coordinate]
             ]
 
     def test_same_timestamp_ties_apply_before_measuring(self):
@@ -350,7 +350,7 @@ class TestSweepMatchesOracle:
             targets = frozenset()
 
         corpus = make_corpus({"a": _release_run("a", 2, bugs=1), "b": _release_run("b", 2, bugs=1)})
-        corpus.snapshots[coord("b")].append(Broken())
+        corpus.facts[coord("b")].append(Broken())
         errors = []
         series = build_series(corpus, errors=errors)
         assert len(errors) == 1 and errors[0].startswith("org.fixture:b/9.9: ")

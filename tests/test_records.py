@@ -1,16 +1,21 @@
 """The record rule and the import cost it protects.
 
-The records of the package are ``typing.NamedTuple``s, and no class is a
-dataclass except the two that callers rebuild with ``dataclasses.replace``.
-A frozen dataclass costs several times a named tuple to create at import
-and to build, and every analyze run pays for both. A record stores what its
-builder gives it: no class converts its fields in ``__post_init__`` or
+Every class of the package is a ``typing.NamedTuple``, an exception or
+``SharedValues``, except two: ``ReleaseSnapshot`` and ``ProjectManifest``
+stay dataclasses because ``perfbench/corpora.py`` rebuilds them with
+``dataclasses.replace`` (it also reads the ``ApiSurface.methods`` and
+``UsageRecord.referenced_coordinates`` wrappers, which keeps those two
+records). A frozen dataclass costs several times a named tuple to create at
+import and to build, and every analyze run pays for both. A record stores
+what its builder gives it: no class converts its fields in ``__post_init__`` or
 ``__new__``. The synthetic-corpus generator is loaded only by the ``synth``
 command, and the POM decoder (with ``xml.etree``) only by the first
 ``pom.xml`` release a load reads.
 """
 
 import ast
+import dataclasses
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +25,7 @@ import pytest
 from conftest import child_env
 
 import icmetrics
+from icmetrics.model import SharedValues
 
 PACKAGE = sorted(Path(icmetrics.__file__).parent.glob("*.py"))
 DATACLASSES = {"ProjectManifest", "ReleaseSnapshot"}
@@ -50,6 +56,42 @@ def test_dataclass_names_are_found():
 def test_only_the_replaced_types_are_dataclasses():
     found = set().union(*(dataclass_names(path.read_text(encoding="utf-8")) for path in PACKAGE))
     assert found == DATACLASSES
+
+
+def defined_classes():
+    """Each class a ``class`` statement of the package defines, by name; None
+    for one that is not a name of its module (a class nested in a function or
+    another class)."""
+    for path in PACKAGE:
+        module = importlib.import_module("icmetrics" if path.stem == "__init__" else f"icmetrics.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                yield node.name, getattr(module, node.name, None)
+
+
+def is_allowed_class(name, cls):
+    """A named tuple, an exception, ``SharedValues`` or a pinned dataclass."""
+    return isinstance(cls, type) and (
+        (issubclass(cls, tuple) and hasattr(cls, "_fields"))
+        or issubclass(cls, Exception)
+        or cls is SharedValues
+        or (dataclasses.is_dataclass(cls) and name in DATACLASSES))
+
+
+def test_every_class_is_a_record_an_exception_or_pinned():
+    classes = list(defined_classes())
+    names = {name for name, _ in classes}
+    assert {"Corpus", "ReleaseFacts", "SnapshotFormatError", "PomError", "SharedValues"} <= names
+    assert sorted(name for name, cls in classes if not is_allowed_class(name, cls)) == []
+
+
+def test_a_plain_or_nested_class_is_not_allowed():
+    class Plain:
+        pass
+
+    assert not is_allowed_class("Plain", Plain)
+    assert not is_allowed_class("Nested", None)
+    assert not is_allowed_class("Other", dataclasses.dataclass(type("Other", (), {})))
 
 
 def converting_constructors(source: str) -> set[str]:

@@ -33,7 +33,7 @@ def test_generated_corpus_parses_with_zero_failures(tmp_path):
     corpus = load_corpus(corpus_dir, history)
     assert corpus.warnings == []
     assert all(not failures for failures in corpus.failed.values())
-    assert sum(len(s) for s in corpus.snapshots.values()) == 20
+    assert sum(len(s) for s in corpus.facts.values()) == 20
 
 
 def test_invalid_sizes_rejected(tmp_path):
