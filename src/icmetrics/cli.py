@@ -134,10 +134,12 @@ def _fail(message: str) -> int:
 
 
 def _load_series(args: argparse.Namespace) -> tuple[Corpus, dict[ProjectCoordinate, ProjectSeries]]:
-    """Load the corpus and history, create ``--out``, and build every
-    project's series; warn about load problems, then about vector errors.
+    """Load the corpus and history, warn about load problems, create
+    ``--out``, and build every project's series.
 
     Raises OSError, HistoryFormatError or CorpusError on a fatal input error.
+    The load is the only step that turns a bad release into a warning: the
+    series build measures every release it keeps.
     """
     history = None
     if args.history:
@@ -153,18 +155,14 @@ def _load_series(args: argparse.Namespace) -> tuple[Corpus, dict[ProjectCoordina
     for message in corpus.warnings:
         _warn(message)
     args.out.mkdir(parents=True, exist_ok=True)
-
-    vector_errors: list[str] = []
-    series_map = build_series(corpus, vector_errors)
-    for message in vector_errors:
-        _warn(message)
-    return corpus, series_map
+    return corpus, build_series(corpus)
 
 
 def _write_new(out: Path, command: str, files: list[tuple[str, str, str]]) -> str | None:
     """Write each (file name, owner, text) of ``files`` to ``out``, or none:
-    if a name repeats or is in ``out`` already, write nothing and return why;
-    if a write fails, delete the files this call created and return the error."""
+    if a name repeats or is in ``out`` already, write nothing and return why.
+    If a write fails, whatever the exception, delete the files this call
+    created; return an OSError's message, and let any other exception go on."""
     created: list[Path] = []
     try:
         present = set(os.listdir(out))
@@ -179,10 +177,12 @@ def _write_new(out: Path, command: str, files: list[tuple[str, str, str]]) -> st
             with open(out / name, "x", encoding="utf-8", newline="") as handle:  # "x": create, never replace
                 created.append(out / name)
                 handle.write(text)
+        created.clear()  # every file written: keep them
     except OSError as exc:
+        return str(exc)
+    finally:
         for path in created:
             path.unlink(missing_ok=True)
-        return str(exc)
     return None
 
 

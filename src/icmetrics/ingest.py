@@ -14,9 +14,11 @@ Corpus layout::
 snapshot.json and the JSON sidecars are UTF-8; a pom.xml is decoded as its
 XML declaration says. Each project directory loads alone, and the loads are
 concatenated in directory order. A release directory that yields no valid
-snapshot (an undecodable file, or a coordinate or version other than its
-directories' names) is a failed release: it still counts toward the
-parse-ratio selection criterion, and it never aborts the load.
+snapshot (a name that is not UTF-8, an undecodable file, or a coordinate or
+version other than its directories' names) is a failed release: it still
+counts toward the parse-ratio selection criterion, and it never aborts the
+load. A project directory whose name is not UTF-8 or not a group:artifact
+key is skipped with a warning.
 
 A release's edges (``effective_targets``) are the targets of its dependencies
 whose scope is not filtered out (``test`` and ``provided`` by default), less
@@ -410,27 +412,31 @@ _RELEASE_ORDER = attrgetter("timestamp", "version_label")
 _READ_CHUNK = 1 << 16
 
 
+def _listing(directory: str) -> list[os.DirEntry[str]]:
+    """The entries of ``directory`` by name; none when it cannot be listed."""
+    try:
+        with os.scandir(directory) as it:
+            return sorted(it, key=_NAME)
+    except (FileNotFoundError, NotADirectoryError, PermissionError):
+        return []
+
+
 def _walk(top: str) -> list[tuple[int, os.DirEntry[str]]]:
     """List (depth, entry) for every entry below ``top``; depth 1 is ``top``'s own.
 
     The order is that of ``sorted(Path(top).rglob("*"))``: depth first, each
     directory's entries by name. As ``rglob`` does, list a symlinked directory
-    but do not enter it, and skip a directory that cannot be listed.
+    but do not enter it, and skip a directory that cannot be listed. The walk
+    keeps its own stack, so no tree is too deep for it.
     """
     out: list[tuple[int, os.DirEntry[str]]] = []
-
-    def visit(directory: str, depth: int) -> None:
-        try:
-            with os.scandir(directory) as it:
-                entries = sorted(it, key=_NAME)
-        except (FileNotFoundError, NotADirectoryError, PermissionError):
-            return
-        for entry in entries:
-            out.append((depth, entry))
-            if entry.is_dir(follow_symlinks=False):
-                visit(entry.path, depth + 1)
-
-    visit(top, 1)
+    pending = list(zip(repeat(1), reversed(_listing(top))))  # next entry last
+    while pending:
+        item = pending.pop()
+        out.append(item)
+        depth, entry = item
+        if entry.is_dir(follow_symlinks=False):
+            pending += zip(repeat(depth + 1), reversed(_listing(entry.path)))
     return out
 
 
@@ -504,6 +510,13 @@ def _subdirs(directory: str | os.PathLike[str]) -> list[os.DirEntry[str]]:
     """The subdirectories of ``directory`` (symlinks followed), by name."""
     with os.scandir(directory) as it:
         return sorted((entry for entry in it if _is_dir(entry)), key=_NAME)
+
+
+def _utf8_name(name: str) -> str:
+    """A directory name as UTF-8 text: each byte of it that does not decode,
+    which os.scandir gives as a lone surrogate, is written as ``\\xNN``. So
+    the result differs from ``name`` exactly when the name is not UTF-8."""
+    return os.fsencode(name).decode("utf-8", "backslashreplace")
 
 
 def _read_utf8(path: str, where: str) -> str:
@@ -627,14 +640,17 @@ def _load_project(project_dir: os.DirEntry[str], rows: dict[str, ReleaseHistoryR
     """Load one project directory: its coordinate, its releases' facts in
     (timestamp, version) order, its failed releases and warnings in directory
     order, and the history ``rows`` (by version; None without history) left unjoined.
-    Each decoded release is judged here alone: by the snapshot rules, then by its directories."""
+    Each release is judged here alone: by its directory name, then by the
+    snapshot rules, then by its directories."""
     coordinate = ProjectCoordinate.from_key(project_dir.name)
     facts, failed, warnings, unjoined = [], [], [], dict(rows or ())
     for release_dir in _subdirs(project_dir.path):
-        version_label = release_dir.name
-        row = unjoined.pop(version_label, None)
-        snapshot_path = os.path.join(release_dir.path, "snapshot.json")
+        version_label = _utf8_name(release_dir.name)
         try:
+            if version_label != release_dir.name:
+                raise _RejectedRelease("release directory name is not valid UTF-8")
+            row = unjoined.pop(version_label, None)
+            snapshot_path = os.path.join(release_dir.path, "snapshot.json")
             if os.path.isfile(snapshot_path):
                 snapshot, _, rfc = _snapshot_from_json(_read_utf8(snapshot_path, "."), shared, row)
             else:
@@ -684,6 +700,9 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
     loc_suffixes = tuple(loc_extensions)
     for project_dir in _subdirs(root):
         key = project_dir.name
+        if (shown := _utf8_name(key)) != key:
+            warnings.append(f"skipping directory '{shown}': name is not valid UTF-8")
+            continue
         if ":" not in key:
             warnings.append(f"skipping directory {key!r}: name is not a group:artifact key")
             continue

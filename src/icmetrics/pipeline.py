@@ -133,7 +133,7 @@ def strongly_connected_components(roots: Iterable[Node],
     return components
 
 
-def build_series(corpus: Corpus, errors: list[str] | None = None) -> dict[ProjectCoordinate, ProjectSeries]:
+def build_series(corpus: Corpus) -> dict[ProjectCoordinate, ProjectSeries]:
     """One ProjectSeries per corpus project, by coordinate, each holding
     the project's measured releases in list order.
 
@@ -153,9 +153,9 @@ def build_series(corpus: Corpus, errors: list[str] | None = None) -> dict[Projec
     a memo lookup; a miss runs Tarjan from the node over uncached nodes
     only. NOC is the size of the node's reverse adjacency.
 
-    A release whose vector cannot be computed is left out of its series,
-    and "<key>/<version>: <reason>" is appended to `errors`, in
-    (coordinate, list) order.
+    Every release is measured: the facts that ``load_corpus`` keeps cannot
+    make the sweep fail, so it catches nothing, and a malformed fact in a
+    hand-built corpus raises.
     """
     ids: dict[ProjectCoordinate, int] = {}
     # Current out-set per node id, sorted so that equal sets compare equal;
@@ -210,11 +210,10 @@ def build_series(corpus: Corpus, errors: list[str] | None = None) -> dict[Projec
     # Each distinct target set is mapped to node ids once; a project's
     # initial state is its earliest release.
     points: dict[ProjectCoordinate, list[ReleasePoint]] = {}
-    failures: dict[ProjectCoordinate, list[str]] = {}
     target_ids_of: dict[frozenset[ProjectCoordinate], tuple[int, ...]] = {}
     events = []
     for coordinate in sorted(corpus.facts):
-        points[coordinate], failures[coordinate] = [], []
+        points[coordinate] = []
         node = node_id(coordinate)
         for index, release in enumerate(corpus.facts[coordinate]):
             targets = release.targets
@@ -234,21 +233,13 @@ def build_series(corpus: Corpus, errors: list[str] | None = None) -> dict[Projec
         for _, _, node, _, target_ids in group:
             apply(node, target_ids)
         for _, coordinate, node, release, target_ids in group:
-            try:
-                apply(node, target_ids)
-                dit, cbo = measure(node)
-                # Positional arguments, in field order: half the cost of keywords.
-                vector = MetricVector(len(target_ids), dit, len(preds[node]), cbo,
-                                      release.rfc, release.lcom1, release.loc)
-            except Exception as exc:  # recorded, never fatal for the run
-                failures[coordinate].append(f"{coordinate.key()}/{release.version_label}: {exc}")
-                continue
+            apply(node, target_ids)
+            dit, cbo = measure(node)
+            # Positional arguments, in field order: half the cost of keywords.
+            vector = MetricVector(len(target_ids), dit, len(preds[node]), cbo,
+                                  release.rfc, release.lcom1, release.loc)
             points[coordinate].append(ReleasePoint(release.version_label, release.timestamp,
                                                    release.bugs_fixed, vector))
-
-    if errors is not None:
-        for messages in failures.values():
-            errors.extend(messages)
     return {coordinate: ProjectSeries(coordinate, tuple(releases)) for coordinate, releases in points.items()}
 
 

@@ -81,9 +81,7 @@ def sweep_vectors(snapshots, scope_filter=DEFAULT_SCOPE_FILTER) -> dict[ProjectC
     corpus = Corpus({snapshot.coordinate: [release_facts(snapshot, scope_filter)] for snapshot in snapshots},
                     {}, [])
     assert len(corpus.facts) == len(snapshots), "one snapshot per project"
-    errors: list[str] = []
-    series = build_series(corpus, errors=errors)
-    assert errors == []
+    series = build_series(corpus)
     return {coordinate: project.releases[0].vector for coordinate, project in series.items()}
 
 

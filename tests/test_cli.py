@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from conftest import (child_env, make_snapshot, write_failed_release, write_history, write_messy_corpus,
                       write_release)
 
-from icmetrics import ingest
+from icmetrics import cli, ingest
 from icmetrics.cli import main
 from icmetrics.report import (
     COMBINED_HEADER,
@@ -453,6 +454,92 @@ def test_a_failed_write_leaves_out_as_it_was(tmp_path, capsys):
         assert main(argv) == 1
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: [Errno 36] File name too long: ")
         assert _contents(out) == {"notes.txt": b"mine\n"}
+
+
+@pytest.mark.parametrize("command", ["analyze", "metrics"])
+def test_an_interrupted_write_leaves_out_as_it_was(tmp_path, monkeypatch, command):
+    corpus, history, _, _ = _write_fixture_corpus(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("mine\n")
+    argv = [command, "--corpus", str(corpus), "--history", str(history), "--out", str(out)]
+
+    class Interrupted:
+        """A handle that writes half its text, then meets a Ctrl-C; not for combined.csv."""
+
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.handle.close()
+
+        def write(self, text):
+            if Path(self.handle.name).name == "combined.csv":
+                return self.handle.write(text)
+            self.handle.write(text[:len(text) // 2])
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: Interrupted(open(*args, **kwargs)), raising=False)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    assert _contents(out) == {"notes.txt": b"mine\n"}
+    monkeypatch.undo()
+    assert main(argv) == 0  # nothing left behind refuses the next run
+
+
+def _pom_project_with_a_non_utf8_release(tmp_path):
+    """g:a/1.0 ... 1.11, each one root pom.xml with one dependency, and
+    history rows for all but 1.5, whose directory is then renamed to the
+    bytes ``1.\\xff``."""
+    rows = []
+    for i in range(12):
+        release = tmp_path / "corpus" / "g:a" / f"1.{i}"
+        release.mkdir(parents=True)
+        (release / "pom.xml").write_text(
+            f"<project><groupId>g</groupId><artifactId>a</artifactId><version>1.{i}</version>"
+            "<dependencies><dependency><groupId>x</groupId><artifactId>y</artifactId></dependency>"
+            "</dependencies></project>")
+        if i != 5:
+            rows.append(("g:a", f"1.{i}", 100 * i, i % 3 + 1))
+    release = os.fsencode(tmp_path / "corpus" / "g:a" / "1.5")
+    os.rename(release, release[:-1] + b"\xff")
+    return tmp_path / "corpus", write_history(tmp_path / "releases.csv", rows), "g:a/1.\\xff"
+
+
+def _json_project_with_a_non_utf8_release(tmp_path):
+    """A two-project synth corpus whose release lib01/0.11.0 is renamed to
+    the bytes ``0.11.\\xff``, with the snapshot's version the matching lone
+    surrogate, as the JSON escape ``\\udcff``."""
+    assert main(["synth", "--out", str(tmp_path), "--seed", "0", "--projects", "2", "--releases", "12"]) == 0
+    [release] = tmp_path.glob("corpus/*lib01/0.11.0")
+    doc = json.loads((release / "snapshot.json").read_text(encoding="utf-8"))
+    doc["version"] = "0.11.\udcff"
+    (release / "snapshot.json").write_text(json.dumps(doc), encoding="ascii")
+    os.rename(os.fsencode(release), os.fsencode(release)[:-1] + b"\xff")
+    return tmp_path / "corpus", tmp_path / "releases.csv", f"{release.parent.name}/0.11.\\xff"
+
+
+@pytest.mark.parametrize("layout", [_pom_project_with_a_non_utf8_release, _json_project_with_a_non_utf8_release])
+@pytest.mark.parametrize("command", ["analyze", "metrics"])
+def test_a_release_directory_name_that_is_not_utf8_is_a_failed_release(tmp_path, capsys, command, layout):
+    corpus, history, release = layout(tmp_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--corpus", str(corpus), "--history", str(history), "--out", str(out)]) == 0
+    assert f"warning: failed release {release}: release directory name is not valid UTF-8\n" in capsys.readouterr().err
+    project = release.partition("/")[0]
+    reports = {path.name: path.read_bytes().decode("utf-8") for path in out.iterdir()}
+    if command == "metrics":
+        measured = [json.loads(line) for line in reports["metrics.jsonl"].splitlines()]
+        assert len([row for row in measured if row["project"] == project]) == 11
+    else:
+        # 11 of 12 releases parsed: the project stays selected.
+        series = reports[f"series_{project.replace(':', '_')}.csv"]
+        assert len(series.splitlines()) == 1 + 11
+        assert all(report.endswith("\n") for report in reports.values())
 
 
 @pytest.mark.parametrize("command", ["analyze", "metrics"])

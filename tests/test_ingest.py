@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import shutil
 import string
 import sys
@@ -396,6 +397,26 @@ def test_history_row_of_a_skipped_directory_is_an_orphan(tmp_path):
         "skipping directory 'stray': name is not a group:artifact key",
         "orphan history row: stray,1.0,100,1 matches no release directory",
     ]
+
+
+def test_a_project_directory_name_that_is_not_utf8_is_skipped(tmp_path):
+    write_release(tmp_path, make_snapshot("p", version="1.0", timestamp=100))
+    os.rename(os.fsencode(tmp_path / "org.fixture:p"), os.fsencode(tmp_path) + b"/org.fixture:\xff")
+    corpus = load_corpus(tmp_path, [ReleaseHistoryRow("org.fixture:p", "1.0", 100, 1)])
+    assert (corpus.facts, corpus.failed) == ({}, {})
+    assert corpus.warnings == [
+        "skipping directory 'org.fixture:\\xff': name is not valid UTF-8",
+        "orphan history row: org.fixture:p,1.0,100,1 matches no release directory",
+    ]
+
+
+def test_a_release_directory_name_that_is_not_utf8_is_a_failed_release(tmp_path):
+    write_release(tmp_path, make_snapshot("p", version="1.0", timestamp=100))
+    project = os.fsencode(tmp_path / "org.fixture:p")
+    os.rename(project + b"/1.0", project + b"/1.\xff")
+    corpus = load_corpus(tmp_path, None)
+    assert corpus.failed == {coord("p"): [FailedRelease("1.\\xff", "release directory name is not valid UTF-8")]}
+    assert corpus.warnings == ["failed release org.fixture:p/1.\\xff: release directory name is not valid UTF-8"]
 
 
 def test_failed_release_with_a_history_row_is_not_an_orphan(tmp_path):
@@ -1034,6 +1055,30 @@ def test_release_walk_follows_the_rglob_rules(tmp_path, monkeypatch):
     release, linked = corpus.facts[ProjectCoordinate("g", "a")]
     assert release.loc == 6
     assert linked.loc == 6
+
+
+def test_a_release_tree_deeper_than_the_recursion_limit_loads(tmp_path):
+    # 1,100 levels, past the default recursion limit of 1,000. os.makedirs
+    # and shutil.rmtree recurse, so the chain is made and removed a level at a time.
+    release_dir = _write_release_files(tmp_path / "corpus", {"pom.xml": ROOT_POM.encode()})
+    chain = [os.path.join(release_dir, "src")]
+    os.mkdir(chain[0])
+    for _ in range(1100):
+        chain.append(os.path.join(chain[-1], "a"))
+        os.mkdir(chain[-1])
+    deepest = os.path.join(chain[-1], "Deep.java")
+    try:
+        with open(deepest, "w") as handle:
+            handle.write("one\ntwo\nthree")
+        corpus = load_corpus(tmp_path / "corpus", None)
+        assert corpus.failed[ProjectCoordinate("g", "a")] == []
+        [release] = corpus.facts[ProjectCoordinate("g", "a")]
+        assert release.loc == 3
+        assert count_loc(chain[0]) == 3
+    finally:
+        os.remove(deepest)
+        for directory in reversed(chain):
+            os.rmdir(directory)
 
 
 # --------------------------------------------------------------------------

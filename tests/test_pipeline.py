@@ -250,9 +250,7 @@ class TestSweepMatchesOracle:
     def test_series_equals_per_release_graph_rebuild(self, drawn, scope_filter):
         projects, failed = drawn
         corpus = make_corpus(projects, failed, scope_filter)
-        errors = []
-        series = build_series(corpus, errors=errors)
-        assert errors == []
+        series = build_series(corpus)
         assert list(series) == sorted(corpus.facts)
         expected = _oracle_vectors(snapshot_lists(projects), scope_filter)
         got = {
@@ -343,7 +341,10 @@ class TestSweepMatchesOracle:
         assert series[coord("c")].releases[0].vector.dit == 2
         _assert_matches_oracle(projects, series)
 
-    def test_failing_release_is_reported_not_fatal(self):
+    def test_a_malformed_fact_raises(self):
+        # The load only keeps well-formed facts, so the sweep catches nothing:
+        # a hand-built malformed fact fails the build, and no release is
+        # silently dropped from its series.
         class Broken:  # facts without rfc, lcom1 or loc
             version_label = "9.9"
             timestamp = 100
@@ -351,11 +352,8 @@ class TestSweepMatchesOracle:
 
         corpus = make_corpus({"a": _release_run("a", 2, bugs=1), "b": _release_run("b", 2, bugs=1)})
         corpus.facts[coord("b")].append(Broken())
-        errors = []
-        series = build_series(corpus, errors=errors)
-        assert len(errors) == 1 and errors[0].startswith("org.fixture:b/9.9: ")
-        assert len(series[coord("a")].releases) == 2
-        assert len(series[coord("b")].releases) == 2
+        with pytest.raises(AttributeError, match="rfc"):
+            build_series(corpus)
 
 
 def _assert_matches_oracle(projects, series):
