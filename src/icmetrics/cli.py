@@ -1,7 +1,9 @@
 """Command-line entry point: analyze / metrics / synth.
 
-Exit codes: 0 success (warnings allowed), 1 fatal input error, 2 invalid
-flags. Warnings and progress go to stderr; report data goes to files only.
+Exit codes: 0 success (warnings allowed), 1 fatal error, 2 invalid flags.
+Warnings and progress go to stderr; report data goes to files only. The
+commands raise; ``main`` alone turns an OSError or a ValueError (every input
+error is one) into ``error: ...`` and exit 1. Anything else is a bug.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from .ingest import (
     DEFAULT_LOC_EXTENSIONS,
     DEFAULT_SCOPE_FILTER,
     Corpus,
-    CorpusError,
     HistoryFormatError,
     load_corpus,
     load_release_history,
@@ -120,24 +121,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _warn(message: str) -> None:
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def _info(message: str) -> None:
     print(f"info: {message}", file=sys.stderr)
-
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 1
 
 
 def _load_series(args: argparse.Namespace) -> tuple[Corpus, dict[ProjectCoordinate, ProjectSeries]]:
     """Load the corpus and history, warn about load problems, create
     ``--out``, and build every project's series.
 
-    Raises OSError, HistoryFormatError or CorpusError on a fatal input error.
+    Raises OSError or ValueError on a fatal input error.
     The load is the only step that turns a bad release into a warning: the
     series build measures every release it keeps.
     """
@@ -153,45 +145,38 @@ def _load_series(args: argparse.Namespace) -> tuple[Corpus, dict[ProjectCoordina
     corpus = load_corpus(args.corpus, history, args.loc_ext, args.exclude_scopes)
     del history  # joined into the corpus; free the rows before the series build
     for message in corpus.warnings:
-        _warn(message)
+        print(f"warning: {message}", file=sys.stderr)
     args.out.mkdir(parents=True, exist_ok=True)
     return corpus, build_series(corpus)
 
 
-def _write_new(out: Path, command: str, files: list[tuple[str, str, str]]) -> str | None:
+def _write_new(out: Path, command: str, files: list[tuple[str, str, str]]) -> None:
     """Write each (file name, owner, text) of ``files`` to ``out``, or none:
-    if a name repeats or is in ``out`` already, write nothing and return why.
-    If a write fails, whatever the exception, delete the files this call
-    created; return an OSError's message, and let any other exception go on."""
+    if a name repeats or is in ``out`` already, write nothing and raise
+    FileExistsError saying why. If a write fails, whatever the exception,
+    delete the files this call created and let the exception go on."""
+    present = set(os.listdir(out))
+    owners: dict[str, str] = {}
+    for name, owner, _ in files:
+        if name in owners:
+            raise FileExistsError(f"series file name clash: {owners[name]} and {owner} both map to {name}")
+        if name in present:
+            raise FileExistsError(f"{out / name} already exists; {command} never overwrites a report file")
+        owners[name] = owner
     created: list[Path] = []
     try:
-        present = set(os.listdir(out))
-        owners: dict[str, str] = {}
-        for name, owner, _ in files:
-            if name in owners:
-                return f"series file name clash: {owners[name]} and {owner} both map to {name}"
-            if name in present:
-                return f"{out / name} already exists; {command} never overwrites a report file"
-            owners[name] = owner
         for name, _, text in files:
             with open(out / name, "x", encoding="utf-8", newline="") as handle:  # "x": create, never replace
                 created.append(out / name)
                 handle.write(text)
         created.clear()  # every file written: keep them
-    except OSError as exc:
-        return str(exc)
     finally:
         for path in created:
             path.unlink(missing_ok=True)
-    return None
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        corpus, series_map = _load_series(args)
-    except (OSError, HistoryFormatError, CorpusError) as exc:
-        return _fail(str(exc))
-
+def cmd_analyze(args: argparse.Namespace) -> None:
+    corpus, series_map = _load_series(args)
     selected, rejected = select_projects(corpus)
     for coordinate, reason in rejected.items():
         _info(f"rejected {coordinate.key()} ({reason})")
@@ -208,9 +193,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     # share a file name.
     files += [(series_filename(series), series.coordinate.key(), emit_series_csv(series))
               for series in selected_series]
-    refusal = _write_new(args.out, "analyze", files)
-    if refusal:
-        return _fail(refusal)
+    _write_new(args.out, "analyze", files)
 
     low_activity, _ = classify_activity(summaries, args.activity_threshold)
     if low_activity:
@@ -221,50 +204,53 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         sys.stdout.write(render_combined_human(pooled))
         sys.stdout.write("\n")
         sys.stdout.write(render_summaries_human(summaries))
-    return 0
 
 
-def cmd_metrics(args: argparse.Namespace) -> int:
-    try:
-        _, series_map = _load_series(args)
-    except (OSError, HistoryFormatError, CorpusError) as exc:
-        return _fail(str(exc))
+def cmd_metrics(args: argparse.Namespace) -> None:
+    _, series_map = _load_series(args)
     metrics = emit_metrics_jsonl(series_map.values())
-    refusal = _write_new(args.out, "metrics", [("metrics.jsonl", "metrics", metrics)])
-    return _fail(refusal) if refusal else 0
+    _write_new(args.out, "metrics", [("metrics.jsonl", "metrics", metrics)])
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(args: argparse.Namespace) -> None:
     from .synth import synth_ecosystem  # here, so analyze and metrics runs never import it
 
-    try:
-        corpus_dir, history_path = synth_ecosystem(
-            args.out, args.seed, args.projects, args.releases, args.coupling, args.noise,
-        )
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    corpus_dir, history_path = synth_ecosystem(args.out, args.seed, args.projects, args.releases,
+                                               args.coupling, args.noise)
     _info(f"wrote {corpus_dir} and {history_path}")
-    return 0
+
+
+_COMMANDS = {"analyze": cmd_analyze, "metrics": cmd_metrics, "synth": cmd_synth}
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; return 1, after an ``error:`` line, if it or the
+    flush of its stdout raises an OSError or a ValueError, else 0."""
     args = build_parser().parse_args(argv)
-    if args.command == "analyze":
-        return cmd_analyze(args)
-    if args.command == "metrics":
-        return cmd_metrics(args)
-    return cmd_synth(args)
+    try:
+        _COMMANDS[args.command](args)
+        sys.stdout.flush()
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def run() -> None:
     """The process entry point: run ``main`` and exit with its code.
 
-    Freezing the heap first moves every live object to the permanent
-    generation, so interpreter shutdown skips its collection passes over a
-    heap that holds no garbage. ``main`` itself leaves the heap collectable
-    for callers that run it many times in one process.
+    Text that a closed or full stdout refused stays buffered, and the flush
+    at exit would fail again (``Exception ignored``, exit 120); so stdout is
+    pointed at the null device, as Python's note on SIGPIPE advises.
+    Freezing the heap moves every live object to the permanent generation,
+    so interpreter shutdown skips its collection passes; ``main`` itself
+    leaves the heap collectable for callers that run it many times.
     """
     code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     gc.freeze()
     sys.exit(code)
 

@@ -14,11 +14,12 @@ Corpus layout::
 snapshot.json and the JSON sidecars are UTF-8; a pom.xml is decoded as its
 XML declaration says. Each project directory loads alone, and the loads are
 concatenated in directory order. A release directory that yields no valid
-snapshot (a name that is not UTF-8, an undecodable file, or a coordinate or
-version other than its directories' names) is a failed release: it still
-counts toward the parse-ratio selection criterion, and it never aborts the
-load. A project directory whose name is not UTF-8 or not a group:artifact
-key is skipped with a warning.
+snapshot (a name that is not UTF-8, no listing, an undecodable file, or a
+coordinate or version other than its directories' names) is a failed release:
+it counts toward the parse-ratio selection criterion, and never aborts the
+load. An unlistable directory below it, and a project directory that cannot
+be listed or whose name is not UTF-8 or not a group:artifact key, is skipped
+with a warning.
 
 A release's edges (``effective_targets``) are the targets of its dependencies
 whose scope is not filtered out (``test`` and ``provided`` by default), less
@@ -65,7 +66,8 @@ _LONG_COUNT = 10 ** len(str(_FLOAT_OVERFLOW))
 
 
 class SnapshotFormatError(ValueError):
-    """snapshot.json breaks its schema, or a decoded release the snapshot rules; the message says where."""
+    """snapshot.json breaks its schema, or a release directory yields no usable
+    snapshot (no manifest, the snapshot rules, its names); the message says where or why."""
 
 
 class HistoryFormatError(ValueError):
@@ -74,10 +76,6 @@ class HistoryFormatError(ValueError):
 
 class CorpusError(ValueError):
     """The corpus root itself is unusable."""
-
-
-class _RejectedRelease(ValueError):
-    """A release directory that yields no usable snapshot; the message is the reason."""
 
 
 class ReleaseHistoryRow(NamedTuple):
@@ -115,7 +113,7 @@ class Corpus(NamedTuple):
 # the success path formats no path.
 
 
-def _fail(path: str, message: str) -> NoReturn:
+def _invalid(path: str, message: str) -> NoReturn:
     raise SnapshotFormatError(f"{path}: {message}")
 
 
@@ -129,9 +127,9 @@ def _coordinate(value: Any, shared: SharedValues, path: str, index: int | None =
         group, artifact = value.get("group"), value.get("artifact")
         if isinstance(group, str) and group and isinstance(artifact, str) and artifact:
             return shared.coordinate(group, artifact)
-        _fail(f"{_where(path, index)}.{'artifact' if isinstance(group, str) and group else 'group'}",
-              "must be a non-empty string")
-    _fail(_where(path, index), "must be an object")
+        _invalid(f"{_where(path, index)}.{'artifact' if isinstance(group, str) and group else 'group'}",
+                 "must be a non-empty string")
+    _invalid(_where(path, index), "must be an object")
 
 
 def _count(value: Any, path: str, rule: str) -> int:
@@ -139,15 +137,15 @@ def _count(value: Any, path: str, rule: str) -> int:
     otherwise SnapshotFormatError at ``path``, naming ``rule`` for a wrong
     type or sign and the float bound for a count too large."""
     if not (isinstance(value, int) and not isinstance(value, bool) and value >= 0):
-        _fail(path, rule)
+        _invalid(path, rule)
     if value >= _FLOAT_OVERFLOW:
-        _fail(path, _FLOAT_RULE)
+        _invalid(path, _FLOAT_RULE)
     return value
 
 
 def _array(value: Any, path: str) -> list:
     if not isinstance(value, list):
-        _fail(path, "must be an array")
+        _invalid(path, "must be an array")
     return value
 
 
@@ -162,7 +160,7 @@ def _api_surface_from_json(value: Any, path: str) -> tuple[dict[str, list[str]] 
     if value is None:
         return None, None
     if not isinstance(value, dict):
-        _fail(path, "must be an object or null")
+        _invalid(path, "must be an object or null")
     try:
         identities = response_set(value) if all(map(isinstance, value.values(), repeat(list))) else None
     except TypeError:  # an unhashable callee
@@ -170,7 +168,7 @@ def _api_surface_from_json(value: Any, path: str) -> tuple[dict[str, list[str]] 
     if identities is None or not all(map(isinstance, identities, repeat(str))):
         method = next(method for method, callees in value.items()
                       if not (isinstance(callees, list) and all(map(isinstance, callees, repeat(str)))))
-        _fail(f"{path}[{method!r}]", "must be an array of strings")
+        _invalid(f"{path}[{method!r}]", "must be an array of strings")
     return value, len(identities)
 
 
@@ -179,7 +177,7 @@ def _usage_from_json(value: Any, path: str, shared: SharedValues) -> UsageRecord
     if value is None:
         return None
     if not isinstance(value, list):
-        _fail(path, "must be an array or null")
+        _invalid(path, "must be an array or null")
     return UsageRecord(frozenset(_coordinate(item, shared, path, i) for i, item in enumerate(value)))
 
 
@@ -196,8 +194,8 @@ def _dependency(value: Any, shared: SharedValues, path: str, index: int) -> Depe
     _coordinate(value, shared, path, index)  # raises unless value is an object naming a target
     where = _where(path, index)
     if not (version is None or isinstance(version, str)):
-        _fail(f"{where}.version", "must be a string or null")
-    _fail(f"{where}.scope", "must be a string or null")
+        _invalid(f"{where}.version", "must be a string or null")
+    _invalid(f"{where}.scope", "must be a string or null")
 
 
 def _manifest_from_json(item: Any, shared: SharedValues, path: str, index: int) -> ProjectManifest:
@@ -207,7 +205,7 @@ def _manifest_from_json(item: Any, shared: SharedValues, path: str, index: int) 
     try:
         coordinate = _coordinate(item, shared, "")
         if not isinstance(item.get("version"), str):
-            _fail(".version", "must be a string")
+            _invalid(".version", "must be a string")
         deps = tuple(_dependency(dep, shared, ".dependencies", j)
                      for j, dep in enumerate(_array(item.get("dependencies", []), ".dependencies")))
         submodules = frozenset(_coordinate(sub, shared, ".submodules", k)
@@ -249,17 +247,17 @@ def _snapshot_from_json(text: str, shared: SharedValues, row: ReleaseHistoryRow 
     snapshot rules are left to the caller."""
     raw = _decode_json(text, ".")
     if not isinstance(raw, dict):
-        _fail(".", "document root must be an object")
+        _invalid(".", "document root must be an object")
 
     coordinate = _coordinate(raw.get("project"), shared, ".project")
     if not (isinstance(raw.get("version"), str) and raw["version"]):
-        _fail(".version", "must be a non-empty string")
+        _invalid(".version", "must be a non-empty string")
     if not (isinstance(raw.get("timestamp"), int) and not isinstance(raw.get("timestamp"), bool)):
-        _fail(".timestamp", "must be an integer")
+        _invalid(".timestamp", "must be an integer")
 
     manifests_raw = raw.get("manifests")
     if not (isinstance(manifests_raw, list) and manifests_raw):
-        _fail(".manifests", "must be a non-empty array")
+        _invalid(".manifests", "must be a non-empty array")
     manifests = tuple(_manifest_from_json(item, shared, ".manifests", i) for i, item in enumerate(manifests_raw))
 
     surface, rfc = _api_surface_from_json(raw.get("api_surface"), ".api_surface")
@@ -412,31 +410,38 @@ _RELEASE_ORDER = attrgetter("timestamp", "version_label")
 _READ_CHUNK = 1 << 16
 
 
-def _listing(directory: str) -> list[os.DirEntry[str]]:
-    """The entries of ``directory`` by name; none when it cannot be listed."""
+def _scan(directory: str | os.PathLike[str]) -> list[os.DirEntry[str]]:
+    """The entries of ``directory`` by name."""
+    with os.scandir(directory) as it:
+        return sorted(it, key=_NAME)
+
+
+def _listing(directory: str, warnings: list[str] | None) -> list[os.DirEntry[str]]:
+    """The entries of ``directory`` by name; none, with a warning, when it cannot be listed."""
     try:
-        with os.scandir(directory) as it:
-            return sorted(it, key=_NAME)
-    except (FileNotFoundError, NotADirectoryError, PermissionError):
+        return _scan(directory)
+    except OSError as exc:
+        if warnings is not None:
+            warnings.append(f"unreadable directory skipped: {directory} ({exc})")
         return []
 
 
-def _walk(top: str) -> list[tuple[int, os.DirEntry[str]]]:
-    """List (depth, entry) for every entry below ``top``; depth 1 is ``top``'s own.
-
-    The order is that of ``sorted(Path(top).rglob("*"))``: depth first, each
-    directory's entries by name. As ``rglob`` does, list a symlinked directory
-    but do not enter it, and skip a directory that cannot be listed. The walk
-    keeps its own stack, so no tree is too deep for it.
+def _walk(top: list[os.DirEntry[str]], warnings: list[str] | None) -> list[tuple[int, os.DirEntry[str]]]:
+    """List (depth, entry) for every entry of ``top``, a directory's listing
+    (depth 1), and below it, in the order of ``sorted(Path(...).rglob("*"))``:
+    depth first, each directory's entries by name. As ``rglob`` does, list a
+    symlinked directory but do not enter it, and skip a directory that cannot
+    be listed, here with a warning. The walk keeps its own stack, so no tree
+    is too deep for it.
     """
     out: list[tuple[int, os.DirEntry[str]]] = []
-    pending = list(zip(repeat(1), reversed(_listing(top))))  # next entry last
+    pending = list(zip(repeat(1), reversed(top)))  # next entry last
     while pending:
         item = pending.pop()
         out.append(item)
         depth, entry = item
         if entry.is_dir(follow_symlinks=False):
-            pending += zip(repeat(depth + 1), reversed(_listing(entry.path)))
+            pending += zip(repeat(depth + 1), reversed(_listing(entry.path, warnings)))
     return out
 
 
@@ -494,12 +499,13 @@ def count_loc(src_root: str | os.PathLike[str],
 
     A line is a maximal text segment terminated by a newline or end of
     file; a trailing segment without a newline counts when non-empty.
-    Unreadable files count as 0 lines and append a warning. Symlinked files
-    count; symlinked directories below ``src_root`` are not entered.
+    An unreadable file counts as 0 lines and an unlistable directory, ``src_root``
+    included, as none; each appends a warning. Symlinked files count;
+    symlinked directories below ``src_root`` are not entered.
     """
     suffixes = tuple(extensions)
-    return _count_lines((entry for _, entry in _walk(os.fspath(src_root)) if entry.name.endswith(suffixes)),
-                        warnings)
+    top = _listing(os.fspath(src_root), warnings)
+    return _count_lines((entry for _, entry in _walk(top, warnings) if entry.name.endswith(suffixes)), warnings)
 
 
 # --------------------------------------------------------------------------
@@ -508,8 +514,7 @@ def count_loc(src_root: str | os.PathLike[str],
 
 def _subdirs(directory: str | os.PathLike[str]) -> list[os.DirEntry[str]]:
     """The subdirectories of ``directory`` (symlinks followed), by name."""
-    with os.scandir(directory) as it:
-        return sorted((entry for entry in it if _is_dir(entry)), key=_NAME)
+    return [entry for entry in _scan(directory) if _is_dir(entry)]
 
 
 def _utf8_name(name: str) -> str:
@@ -546,14 +551,15 @@ def _load_pom_release(release_dir: os.DirEntry[str], loc_suffixes: tuple[str, ..
 
     One walk of the release directory finds the manifests (every pom.xml,
     ordered by depth, then path), the sidecars and the LOC files under
-    ``src/``. The timestamp and bug count come from the history ``row``
-    (0 without one). The snapshot rules are left to the caller.
+    ``src/``; only an unlistable release directory raises. The timestamp and
+    bug count come from the history ``row`` (0 without one). The snapshot
+    rules are left to the caller.
     """
     top: dict[str, os.DirEntry[str]] = {}
     pom_paths: list[tuple[int, str]] = []
     sources: list[os.DirEntry[str]] = []
     in_src = False
-    for depth, entry in _walk(release_dir.path):
+    for depth, entry in _walk(_scan(release_dir.path), warnings):
         name = entry.name
         if depth == 1:
             top[name] = entry
@@ -563,15 +569,12 @@ def _load_pom_release(release_dir: os.DirEntry[str], loc_suffixes: tuple[str, ..
         if name == "pom.xml" and _is_file(entry):
             pom_paths.append((depth, entry.path))
     if not pom_paths:
-        raise _RejectedRelease("no snapshot.json or pom.xml")
+        raise SnapshotFormatError("no snapshot.json or pom.xml")
 
     # Imported here, so a load that reads no pom.xml never loads the XML decoder.
-    from .pom import PomError, parse_pom
+    from .pom import parse_pom
 
-    try:
-        manifests = tuple(parse_pom(_read(path), shared) for _, path in sorted(pom_paths))
-    except PomError as exc:
-        raise _RejectedRelease(str(exc)) from None
+    manifests = tuple(parse_pom(_read(path), shared) for _, path in sorted(pom_paths))
 
     rfc = usage = loc = None
     surface_entry = top.get("api_surface.json")
@@ -641,14 +644,15 @@ def _load_project(project_dir: os.DirEntry[str], rows: dict[str, ReleaseHistoryR
     (timestamp, version) order, its failed releases and warnings in directory
     order, and the history ``rows`` (by version; None without history) left unjoined.
     Each release is judged here alone: by its directory name, then by the
-    snapshot rules, then by its directories."""
+    snapshot rules, then by its directories; any OSError or ValueError makes
+    it a failed release. Only an unlistable project directory raises."""
     coordinate = ProjectCoordinate.from_key(project_dir.name)
     facts, failed, warnings, unjoined = [], [], [], dict(rows or ())
     for release_dir in _subdirs(project_dir.path):
         version_label = _utf8_name(release_dir.name)
         try:
             if version_label != release_dir.name:
-                raise _RejectedRelease("release directory name is not valid UTF-8")
+                raise SnapshotFormatError("release directory name is not valid UTF-8")
             row = unjoined.pop(version_label, None)
             snapshot_path = os.path.join(release_dir.path, "snapshot.json")
             if os.path.isfile(snapshot_path):
@@ -657,12 +661,12 @@ def _load_project(project_dir: os.DirEntry[str], rows: dict[str, ReleaseHistoryR
                 snapshot, rfc = _load_pom_release(release_dir, loc_suffixes, warnings, shared, row)
             _check(snapshot)
             if snapshot.coordinate != coordinate:
-                raise _RejectedRelease(f"manifest coordinate {snapshot.coordinate.key()} does not match"
-                                       f" project directory {project_dir.name}")
+                raise SnapshotFormatError(f"manifest coordinate {snapshot.coordinate.key()} does not match"
+                                          f" project directory {project_dir.name}")
             if snapshot.version_label != version_label:
-                raise _RejectedRelease(f"snapshot version {snapshot.version_label} does not match"
-                                       f" release directory {version_label}")
-        except (_RejectedRelease, SnapshotFormatError, OSError) as exc:
+                raise SnapshotFormatError(f"snapshot version {snapshot.version_label} does not match"
+                                          f" release directory {version_label}")
+        except (OSError, ValueError) as exc:
             failed.append(FailedRelease(version_label, str(exc)))
             warnings.append(f"failed release {project_dir.name}/{version_label}: {exc}")
             continue
@@ -706,8 +710,12 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
         if ":" not in key:
             warnings.append(f"skipping directory {key!r}: name is not a group:artifact key")
             continue
-        coordinate, facts[coordinate], failed[coordinate], project_warnings, rows_of[key] = _load_project(
-            project_dir, None if history is None else rows_of.get(key, {}), loc_suffixes, scope_filter, shared)
+        try:
+            coordinate, facts[coordinate], failed[coordinate], project_warnings, rows_of[key] = _load_project(
+                project_dir, None if history is None else rows_of.get(key, {}), loc_suffixes, scope_filter, shared)
+        except OSError as exc:  # no listing: its rows stay orphans
+            warnings.append(f"skipping directory {key!r}: {exc}")
+            continue
         warnings += project_warnings
     warnings += [f"orphan history row: {row.project_key},{row.version_label},"
                  f"{row.timestamp},{row.bugs_fixed} matches no release directory"

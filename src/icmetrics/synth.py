@@ -10,6 +10,7 @@ baseline so every project clears the non-zero-bugs selection criterion.
 from __future__ import annotations
 
 import math
+import os
 import random
 from pathlib import Path
 
@@ -30,9 +31,9 @@ def synth_ecosystem(out_dir: Path, seed: int, n_projects: int, n_releases: int,
                     coupling: float, noise: float) -> tuple[Path, Path]:
     """Write `corpus/` and `releases.csv` under out_dir; return both paths.
 
-    Identical arguments produce byte-identical trees. With coupling = 0
-    the bug series is independent of every metric.
-    """
+    Identical arguments produce byte-identical trees. With coupling = 0 the
+    bug series is independent of every metric. If either path exists, write
+    nothing and raise FileExistsError, so two corpora never mix."""
     if n_projects < 2:
         raise ValueError(f"need at least 2 projects, got {n_projects}")
     if n_releases < 3:
@@ -51,8 +52,11 @@ def synth_ecosystem(out_dir: Path, seed: int, n_projects: int, n_releases: int,
 
     out_dir = Path(out_dir)
     corpus_dir = out_dir / "corpus"
-    corpus_dir.mkdir(parents=True, exist_ok=True)
     history_path = out_dir / "releases.csv"
+    for path in (corpus_dir, history_path):
+        if os.path.lexists(path):
+            raise FileExistsError(f"{path} already exists; synth never overwrites a corpus")
+    corpus_dir.mkdir(parents=True)
 
     rng = random.Random(seed)
     coordinates = [ProjectCoordinate(GROUP, f"lib{i:02d}") for i in range(n_projects)]

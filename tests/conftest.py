@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import os
 from pathlib import Path
 
@@ -25,6 +26,21 @@ def child_env() -> dict[str, str]:
     """The environment for a child Python process that imports the package under test."""
     src = str(Path(icmetrics.__file__).parent.parent)
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def deny_listing(monkeypatch, *paths) -> None:
+    """Make ``os.scandir`` of each of ``paths`` raise the PermissionError a
+    directory without read permission gives; root can list any directory,
+    so a chmod would not do."""
+    denied = {os.fspath(path) for path in paths}
+    scandir = os.scandir
+
+    def denying(path="."):
+        if os.fspath(path) in denied:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", denying)
 
 
 def coord(name: str, group: str = FIXTURE_GROUP) -> ProjectCoordinate:

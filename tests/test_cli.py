@@ -2,14 +2,15 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import (child_env, make_snapshot, write_failed_release, write_history, write_messy_corpus,
-                      write_release)
+from conftest import (child_env, deny_listing, make_snapshot, write_failed_release, write_history,
+                      write_messy_corpus, write_release)
 
 from icmetrics import cli, ingest
 from icmetrics.cli import main
@@ -322,6 +323,74 @@ def test_process_exit_keeps_every_output(tmp_path, capsys):
 
     written = reports("process")
     assert "combined.csv" in written and written == reports("in_process")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("stdout", ["closed-pipe", "dev-full"])
+def test_a_closed_or_full_stdout_is_one_error_line(tmp_path, capsys, stdout, unbuffered):
+    if stdout == "dev-full" and not os.path.exists("/dev/full"):
+        pytest.skip("this system has no /dev/full")
+    assert main(["synth", "--out", str(tmp_path), "--projects", "2", "--releases", "12"]) == 0
+    args = ["analyze", "--corpus", str(tmp_path / "corpus"), "--history", str(tmp_path / "releases.csv"), "--human"]
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "in_process")]) == 0
+    expected_err = capsys.readouterr().err
+    # Block-buffered stdout, as in a plain run, makes the flush at exit fail
+    # too; unbuffered, the first write fails.
+    env = {name: value for name, value in child_env().items() if name != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    if stdout == "closed-pipe":
+        read_end, target = os.pipe()
+        os.close(read_end)
+    else:
+        target = os.open("/dev/full", os.O_WRONLY)
+    try:
+        child = subprocess.run([sys.executable, "-m", "icmetrics.cli", *args, "--out", str(tmp_path / "process")],
+                               env=env, stdout=target, stderr=subprocess.PIPE)
+    finally:
+        os.close(target)
+    reason = "[Errno 32] Broken pipe" if stdout == "closed-pipe" else "[Errno 28] No space left on device"
+    assert child.returncode == 1
+    assert child.stderr.decode() == f"{expected_err}error: {reason}\n"  # no traceback, no "Exception ignored"
+    written = _contents(tmp_path / "process")
+    assert len(written) == 5 and written == _contents(tmp_path / "in_process")
+
+
+def _tree(root):
+    return {path.relative_to(root): path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
+
+
+@pytest.mark.parametrize("present", ["corpus", "releases.csv"])
+def test_a_second_synth_into_one_out_fails_and_changes_nothing(tmp_path, capsys, present):
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), "--projects", "4", "--releases", "12", "--seed", "1"]) == 0
+    if present == "releases.csv":
+        shutil.rmtree(out / "corpus")
+    first = _tree(out)
+    capsys.readouterr()
+    assert main(["synth", "--out", str(out), "--projects", "2", "--releases", "12", "--seed", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {out / present} already exists; synth never overwrites a corpus\n"
+    assert _tree(out) == first
+
+
+def test_a_project_directory_that_cannot_be_listed_is_skipped(tmp_path, capsys, monkeypatch):
+    assert main(["synth", "--out", str(tmp_path), "--projects", "3", "--releases", "12"]) == 0
+    args = ["analyze", "--corpus", str(tmp_path / "corpus"), "--history", str(tmp_path / "releases.csv")]
+    project = tmp_path / "corpus" / "synth.example:lib01"
+    deny_listing(monkeypatch, project)
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "denied")]) == 0
+    denied_err = capsys.readouterr().err.splitlines()
+    monkeypatch.undo()
+    shutil.rmtree(project)
+    assert main([*args, "--out", str(tmp_path / "removed")]) == 0
+    removed_err = capsys.readouterr().err.splitlines()
+
+    denied_err.remove(f"warning: skipping directory 'synth.example:lib01': [Errno 13] Permission denied: '{project}'")
+    assert denied_err == removed_err
+    assert sum(line.startswith("warning: orphan history row: synth.example:lib01,") for line in removed_err) == 12
+    assert _contents(tmp_path / "denied") == _contents(tmp_path / "removed")
 
 
 @pytest.mark.parametrize("case", ["not-utf-8", "oversized-cell"])

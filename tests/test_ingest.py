@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coord, make_manifest, make_snapshot, write_failed_release, write_messy_corpus, write_release
+from conftest import (coord, deny_listing, make_manifest, make_snapshot, write_failed_release, write_messy_corpus,
+                      write_release)
 
 from icmetrics import ingest
 from icmetrics.ingest import (
@@ -324,6 +325,17 @@ def test_count_loc_unreadable_file_warns_and_counts_zero(tmp_path, monkeypatch):
     warnings: list[str] = []
     assert count_loc(tmp_path, {".java"}, warnings) == 2
     assert len(warnings) == 1 and "B.java" in warnings[0]
+
+
+def test_count_loc_skips_a_directory_it_cannot_list_with_a_warning(tmp_path, monkeypatch):
+    (tmp_path / "A.java").write_text("a\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "B.java").write_text("b\n")
+    for denied, loc in ((tmp_path / "sub", 1), (tmp_path, 0)):  # src_root itself last
+        deny_listing(monkeypatch, denied)
+        warnings: list[str] = []
+        assert count_loc(tmp_path, {".java"}, warnings) == loc
+        assert warnings == [f"unreadable directory skipped: {denied} ([Errno 13] Permission denied: '{denied}')"]
 
 
 def test_count_loc_additive_over_disjoint_extensions(tmp_path):
@@ -1079,6 +1091,50 @@ def test_a_release_tree_deeper_than_the_recursion_limit_loads(tmp_path):
         os.remove(deepest)
         for directory in reversed(chain):
             os.rmdir(directory)
+
+
+@pytest.mark.parametrize("denied, loc, targets", [
+    ("core", 3, frozenset()),  # core/pom.xml, and with it the dependency x:y, is not found
+    ("src/main", 1, frozenset({ProjectCoordinate("x", "y")})),
+    ("src", 0, frozenset({ProjectCoordinate("x", "y")})),
+])
+def test_a_directory_below_a_release_that_cannot_be_listed_is_skipped_with_a_warning(tmp_path, monkeypatch,
+                                                                                      denied, loc, targets):
+    release_dir = _write_release_files(tmp_path / "corpus", {
+        "pom.xml": ROOT_POM.encode(),
+        "core/pom.xml": CORE_POM.encode(),
+        "src/main/A.java": b"a\nb\n",
+        "src/B.java": b"c\n",
+    })
+    deny_listing(monkeypatch, release_dir / denied)
+    corpus = load_corpus(tmp_path / "corpus", None)
+    assert corpus.failed[ProjectCoordinate("g", "a")] == []
+    [release] = corpus.facts[ProjectCoordinate("g", "a")]
+    assert (release.loc, release.targets) == (loc, targets)
+    path = release_dir / denied
+    assert corpus.warnings == [f"unreadable directory skipped: {path} ([Errno 13] Permission denied: '{path}')"]
+
+
+def test_a_release_directory_that_cannot_be_listed_is_a_failed_release(tmp_path, monkeypatch):
+    release_dir = _write_release_files(tmp_path / "corpus", {"pom.xml": ROOT_POM.encode()})
+    deny_listing(monkeypatch, release_dir)
+    corpus = load_corpus(tmp_path / "corpus", None)
+    reason = f"[Errno 13] Permission denied: '{release_dir}'"
+    assert corpus.facts[ProjectCoordinate("g", "a")] == []
+    assert corpus.failed[ProjectCoordinate("g", "a")] == [FailedRelease("1.0", reason)]
+    assert corpus.warnings == [f"failed release g:a/1.0: {reason}"]
+
+
+def test_a_project_directory_that_cannot_be_listed_is_skipped_and_its_rows_are_orphans(tmp_path, monkeypatch):
+    root = tmp_path / "corpus"
+    history = [ReleaseHistoryRow(*row) for row in write_messy_corpus(root)]
+    deny_listing(monkeypatch, root / "org.fixture:proj")
+    corpus = load_corpus(root, history)
+    assert list(corpus.facts) == [ProjectCoordinate("g", "pom")]
+    reason = f"[Errno 13] Permission denied: '{root / 'org.fixture:proj'}'"
+    assert f"skipping directory 'org.fixture:proj': {reason}" in corpus.warnings
+    orphans = [warning for warning in corpus.warnings if warning.startswith("orphan history row: org.fixture:proj,")]
+    assert len(orphans) == len([row for row in history if row.project_key == "org.fixture:proj"])
 
 
 # --------------------------------------------------------------------------
