@@ -637,16 +637,16 @@ def release_facts(snapshot: ReleaseSnapshot,
                   scope_filter, {})
 
 
-def _load_project(project_dir: os.DirEntry[str], rows: dict[str, ReleaseHistoryRow] | None,
-                  loc_suffixes: tuple[str, ...], scope_filter: frozenset[str] | set[str], shared: SharedValues,
-                  ) -> tuple[ProjectCoordinate, list[ReleaseFacts], list[FailedRelease], list[str], dict]:
-    """Load one project directory: its coordinate, its releases' facts in
+def _load_project(project_dir: os.DirEntry[str], coordinate: ProjectCoordinate,
+                  rows: dict[str, ReleaseHistoryRow] | None, loc_suffixes: tuple[str, ...],
+                  scope_filter: frozenset[str] | set[str], shared: SharedValues,
+                  ) -> tuple[list[ReleaseFacts], list[FailedRelease], list[str], dict]:
+    """Load the directory of the project ``coordinate``: its releases' facts in
     (timestamp, version) order, its failed releases and warnings in directory
     order, and the history ``rows`` (by version; None without history) left unjoined.
     Each release is judged here alone: by its directory name, then by the
     snapshot rules, then by its directories; any OSError or ValueError makes
     it a failed release. Only an unlistable project directory raises."""
-    coordinate = ProjectCoordinate.from_key(project_dir.name)
     facts, failed, warnings, unjoined = [], [], [], dict(rows or ())
     for release_dir in _subdirs(project_dir.path):
         version_label = _utf8_name(release_dir.name)
@@ -675,7 +675,7 @@ def _load_project(project_dir: os.DirEntry[str], rows: dict[str, ReleaseHistoryR
                             f" bugs_fixed defaults to {snapshot.bugs_fixed}")
         facts.append(_facts(snapshot, rfc, scope_filter, shared.targets))
     facts.sort(key=_RELEASE_ORDER)
-    return coordinate, facts, failed, warnings, unjoined
+    return facts, failed, warnings, unjoined
 
 
 def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
@@ -707,12 +707,15 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
         if (shown := _utf8_name(key)) != key:
             warnings.append(f"skipping directory '{shown}': name is not valid UTF-8")
             continue
-        if ":" not in key:
+        try:
+            coordinate = ProjectCoordinate.from_key(key)
+        except ValueError:
             warnings.append(f"skipping directory {key!r}: name is not a group:artifact key")
             continue
         try:
-            coordinate, facts[coordinate], failed[coordinate], project_warnings, rows_of[key] = _load_project(
-                project_dir, None if history is None else rows_of.get(key, {}), loc_suffixes, scope_filter, shared)
+            facts[coordinate], failed[coordinate], project_warnings, rows_of[key] = _load_project(
+                project_dir, coordinate, None if history is None else rows_of.get(key, {}), loc_suffixes,
+                scope_filter, shared)
         except OSError as exc:  # no listing: its rows stay orphans
             warnings.append(f"skipping directory {key!r}: {exc}")
             continue

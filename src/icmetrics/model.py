@@ -39,10 +39,14 @@ class ProjectCoordinate(NamedTuple):
 
     @classmethod
     def from_key(cls, key: str) -> "ProjectCoordinate":
-        group, sep, artifact = key.partition(":")
-        if not sep:
-            raise ValueError(f"project key must look like group:artifact, got {key!r}")
-        return cls(group, artifact)
+        """The coordinate of a ``group:artifact`` key, split at its first colon;
+        ValueError unless it keeps the coordinate rule (a key without a colon
+        has an empty artifact)."""
+        group, _, artifact = key.partition(":")
+        if _coordinate_violations(coordinate := cls(group, artifact)):
+            raise ValueError(f"project key must be group:artifact, both non-empty and without whitespace,"
+                             f" got {key!r}")
+        return coordinate
 
 
 class DependencyDecl(NamedTuple):

@@ -17,7 +17,7 @@ import xml.etree.ElementTree as ET
 from .model import DependencyDecl, ProjectCoordinate, ProjectManifest, SharedValues
 
 _PROPERTY_RE = re.compile(r"\$\{([^}]+)\}")
-_MAX_INTERPOLATION_ROUNDS = 10
+_MAX_NESTING_DEPTH = 10
 
 
 class PomError(ValueError):
@@ -63,28 +63,34 @@ def _children(element: ET.Element | None) -> dict[str, ET.Element]:
     return {node.tag.rpartition("}")[2]: node for node in reversed(element)}
 
 
-def _text(children: dict[str, ET.Element], name: str) -> str | None:
-    node = children.get(name)
-    if node is None or node.text is None:
-        return None
-    text = node.text.strip()
-    return text or None
+def _field(node: ET.Element | None, properties: dict[str, str], fallback: ET.Element | None = None) -> str | None:
+    """A field's text, stripped and interpolated; ``fallback``'s when
+    ``node`` is absent or blank, and None when both are."""
+    if node is None or not node.text or not (text := node.text.strip()):
+        return None if fallback is None else _field(fallback, properties)
+    return _interpolate(text, properties)
 
 
 def _interpolate(text: str, properties: dict[str, str]) -> str:
+    """Resolve every ``${key}`` in ``text``: each round replaces them all, and
+    a reference left after ``_MAX_NESTING_DEPTH`` rounds (deeper nesting or a
+    cycle) fails, as does an undefined key; the error names a key."""
     if "${" not in text:
         return text
-    for _ in range(_MAX_INTERPOLATION_ROUNDS):
-        match = _PROPERTY_RE.search(text)
-        if match is None:
-            return text
+
+    def lookup(match: re.Match[str]) -> str:
         key = match.group(1)
         if key not in properties:
             raise UnresolvedPropertyError(key)
-        text = text[: match.start()] + properties[key] + text[match.end() :]
-    # Still unresolved after the round cap: either deeply nested or cyclic.
-    match = _PROPERTY_RE.search(text)
-    raise UnresolvedPropertyError(match.group(1) if match else text)
+        return properties[key]
+
+    depth = 0
+    while match := _PROPERTY_RE.search(text):
+        if depth == _MAX_NESTING_DEPTH:
+            raise UnresolvedPropertyError(match.group(1))
+        text = _PROPERTY_RE.sub(lookup, text)
+        depth += 1
+    return text
 
 
 def parse_pom(xml: bytes | str, _shared: SharedValues | None = None) -> ProjectManifest:
@@ -118,22 +124,18 @@ def parse_pom(xml: bytes | str, _shared: SharedValues | None = None) -> ProjectM
             if node.text is not None:
                 properties[_local(node.tag)] = node.text.strip()
 
-    group = _text(top, "groupId") or _text(parent, "groupId")
-    artifact = _text(top, "artifactId") or _text(parent, "artifactId")
-    version = _text(top, "version") or _text(parent, "version")
-    if not group or not artifact or not version:
+    group = _field(top.get("groupId"), properties, parent.get("groupId"))
+    artifact = _field(top.get("artifactId"), properties, parent.get("artifactId"))
+    version = _field(top.get("version"), properties, parent.get("version"))
+    if group is None or artifact is None or version is None:
         missing = [
             name
             for name, value in (("groupId", group), ("artifactId", artifact), ("version", version))
-            if not value
+            if value is None
         ]
         raise IncompleteCoordinatesError(
             f"incomplete coordinates: missing {', '.join(missing)} (own or parent)"
         )
-
-    group = _interpolate(group, properties)
-    artifact = _interpolate(artifact, properties)
-    version = _interpolate(version, properties)
 
     properties.setdefault("project.groupId", group)
     properties.setdefault("project.artifactId", artifact)
@@ -144,27 +146,21 @@ def parse_pom(xml: bytes | str, _shared: SharedValues | None = None) -> ProjectM
     if deps_node is not None:
         for index, node in enumerate(n for n in deps_node if _local(n.tag) == "dependency"):
             fields = _children(node)
-            dep_group = _text(fields, "groupId")
-            dep_artifact = _text(fields, "artifactId")
-            if not dep_group or not dep_artifact:
+            dep_group = _field(fields.get("groupId"), properties)
+            dep_artifact = _field(fields.get("artifactId"), properties)
+            if dep_group is None or dep_artifact is None:
                 raise IncompleteCoordinatesError(
                     f"incomplete coordinates: dependency #{index} lacks groupId or artifactId"
                 )
-            dep_version = _text(fields, "version")
-            dep_scope = _text(fields, "scope")
-            dependencies.append(shared.dependency(
-                _interpolate(dep_group, properties),
-                _interpolate(dep_artifact, properties),
-                None if dep_version is None else _interpolate(dep_version, properties),
-                None if dep_scope is None else _interpolate(dep_scope, properties),
-            ))
+            dependencies.append(shared.dependency(dep_group, dep_artifact, _field(fields.get("version"), properties),
+                                                  _field(fields.get("scope"), properties)))
 
     submodules: set[ProjectCoordinate] = set()
     modules_node = top.get("modules")
     if modules_node is not None:
         for node in modules_node:
-            if _local(node.tag) == "module" and node.text and node.text.strip():
-                submodules.add(shared.coordinate(group, _interpolate(node.text.strip(), properties)))
+            if _local(node.tag) == "module" and (module := _field(node, properties)) is not None:
+                submodules.add(shared.coordinate(group, module))
 
     return ProjectManifest(
         coordinate=shared.coordinate(group, artifact),

@@ -402,13 +402,18 @@ def test_orphan_history_row_warns(tmp_path):
 
 
 def test_history_row_of_a_skipped_directory_is_an_orphan(tmp_path):
-    (tmp_path / "stray" / "1.0").mkdir(parents=True)
-    corpus = load_corpus(tmp_path, [ReleaseHistoryRow("stray", "1.0", 100, 1)])
-    assert corpus.facts == {}
-    assert corpus.warnings == [
-        "skipping directory 'stray': name is not a group:artifact key",
-        "orphan history row: stray,1.0,100,1 matches no release directory",
-    ]
+    # A name is a project key when it splits at its first colon into a
+    # coordinate that keeps the coordinate rule.
+    for index, key in enumerate(["stray", ":lib03", "a b:c", "a:"]):
+        root = tmp_path / str(index)
+        write_release(root, make_snapshot("lib03", version="1.0", timestamp=100))
+        os.rename(root / "org.fixture:lib03", root / key)
+        corpus = load_corpus(root, [ReleaseHistoryRow(key, "1.0", 100, 1)])
+        assert (corpus.facts, corpus.failed) == ({}, {})
+        assert corpus.warnings == [
+            f"skipping directory {key!r}: name is not a group:artifact key",
+            f"orphan history row: {key},1.0,100,1 matches no release directory",
+        ]
 
 
 def test_a_project_directory_name_that_is_not_utf8_is_skipped(tmp_path):
@@ -654,9 +659,10 @@ def test_load_is_the_concatenation_of_per_project_loads(tmp_path):
     for row in history:
         rows_of.setdefault(row.project_key, {})[row.version_label] = row
     shared = SharedValues()
-    pom, proj = (ingest._load_project(project_dir, rows_of.get(project_dir.name, {}), tuple(DEFAULT_LOC_EXTENSIONS),
-                                      DEFAULT_SCOPE_FILTER, shared)
-                 for project_dir in ingest._subdirs(root) if project_dir.name != "m-stray")
+    pom, proj = ((coordinate, *ingest._load_project(project_dir, coordinate, rows_of.get(project_dir.name, {}),
+                                                    tuple(DEFAULT_LOC_EXTENSIONS), DEFAULT_SCOPE_FILTER, shared))
+                 for project_dir in ingest._subdirs(root) if project_dir.name != "m-stray"
+                 for coordinate in [ProjectCoordinate.from_key(project_dir.name)])
 
     assert (pom[0], proj[0]) == (ProjectCoordinate("g", "pom"), coord("proj"))
     assert [len(part[1]) for part in (pom, proj)] == [1, 12]

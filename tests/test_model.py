@@ -31,6 +31,11 @@ class TestProjectCoordinate:
         with pytest.raises(ValueError):
             ProjectCoordinate.from_key("no-colon-here")
 
+    @pytest.mark.parametrize("key", [":lib03", "a b:c", "a:", "a:\t"])
+    def test_from_key_applies_the_coordinate_rule(self, key):
+        with pytest.raises(ValueError, match="project key must be group:artifact"):
+            ProjectCoordinate.from_key(key)
+
     def test_frozen(self):
         # A named tuple's fields are read-only properties; assigning one raises
         # AttributeError, the base class of dataclasses.FrozenInstanceError.

@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icmetrics.model import ProjectCoordinate
 from icmetrics.pom import (
@@ -7,6 +11,7 @@ from icmetrics.pom import (
     PomError,
     PomSyntaxError,
     UnresolvedPropertyError,
+    _interpolate,
     parse_pom,
 )
 
@@ -148,6 +153,92 @@ def test_nested_property_resolution():
       </dependencies>
     </project>"""
     assert parse_pom(pom).declared_dependencies[0].version_text == "5.5"
+
+
+def _pom_with_version(version: str, properties: dict[str, str]) -> str:
+    defined = "".join(f"<{key}>{value}</{key}>" for key, value in properties.items())
+    return f"""<project>
+      <groupId>g</groupId><artifactId>a</artifactId><version>{version}</version>
+      <properties>{defined}</properties>
+    </project>"""
+
+
+def _chain(depth: int) -> dict[str, str]:
+    """c0 -> c1 -> ... -> c{depth-1} -> "end": ${c0} is nested ``depth`` deep."""
+    return {f"c{i}": f"${{c{i + 1}}}" for i in range(depth - 1)} | {f"c{depth - 1}": "end"}
+
+
+@pytest.mark.parametrize("version, properties, expected", [
+    ("".join(f"${{p{i}}}." for i in range(10))[:-1], {f"p{i}": str(i) for i in range(10)}, "0.1.2.3.4.5.6.7.8.9"),
+    ("".join(f"${{p{i}}}." for i in range(11))[:-1], {f"p{i}": str(i) for i in range(11)}, "0.1.2.3.4.5.6.7.8.9.10"),
+    ("${c0}", _chain(10), "end"),
+], ids=["10-references", "11-references", "10-deep"])
+def test_references_resolve_at_any_count_nested_up_to_10_deep(version, properties, expected):
+    assert parse_pom(_pom_with_version(version, properties)).version_text == expected
+
+
+@pytest.mark.parametrize("version, properties, keys", [
+    ("${c0}", _chain(11), {f"c{i}" for i in range(11)}),
+    ("${a}", {"a": "${a}"}, {"a"}),
+    ("${a}", {"a": "${b}", "b": "${a}"}, {"a", "b"}),
+], ids=["11-deep", "self-cycle", "two-cycle"])
+def test_deeper_or_cyclic_references_fail_naming_a_key(version, properties, keys):
+    with pytest.raises(UnresolvedPropertyError) as excinfo:
+        parse_pom(_pom_with_version(version, properties))
+    assert excinfo.value.key in keys
+
+
+_REFERENCE = re.compile(r"\$\{([^}]+)\}")
+
+
+class _Unresolved(Exception):
+    pass
+
+
+def _expand(text: str, properties: dict[str, str], depth: int = 0) -> str:
+    """The reference rule, stated recursively: each ${key} becomes its value,
+    itself expanded, and a key undefined or reached 11 deep fails."""
+    def one(match: re.Match[str]) -> str:
+        key = match.group(1)
+        if key not in properties or depth == 10:
+            raise _Unresolved(key)
+        return _expand(properties[key], properties, depth + 1)
+    return _REFERENCE.sub(one, text)
+
+
+@st.composite
+def _property_tables(draw):
+    """A table k0..k{n-1}, n in 0..12, whose values mostly continue the chain
+    to the next key and sometimes refer to any key, k{n} (undefined) included,
+    so that tables nest 0 to 12 deep and may hold cycles; plus a text that
+    mostly starts the chain."""
+    n = draw(st.integers(0, 12))
+    literal = st.text("ab.-$", max_size=2)
+    ref = st.integers(0, n).map(lambda j: f"${{k{j}}}")
+    sometimes = st.integers(0, 15).map(lambda k: k == 0)
+
+    def value(i: int) -> str:
+        link = f"${{k{i + 1}}}" if i + 1 < n and not draw(sometimes) else ""
+        extra = draw(ref) if draw(sometimes) else ""
+        return draw(literal) + link + extra + draw(literal)
+
+    table = {f"k{i}": value(i) for i in range(n)}
+    start = draw(ref) if draw(sometimes) else "${k0}"
+    return table, draw(literal) + start + draw(st.lists(ref, max_size=1).map("".join)) + draw(literal)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_property_tables())
+def test_interpolation_is_the_recursive_expansion(case):
+    properties, text = case
+    try:
+        expected = _expand(text, properties)
+    except _Unresolved:
+        with pytest.raises(UnresolvedPropertyError) as excinfo:
+            _interpolate(text, properties)
+        assert f"${{{excinfo.value.key}}}" in text + "".join(properties.values())
+    else:
+        assert _interpolate(text, properties) == expected
 
 
 def test_parent_supplies_group_and_version():
