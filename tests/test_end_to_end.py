@@ -6,7 +6,10 @@ the facts a corpus load keeps checked against the snapshot decoders.
 code (a fourth shape, ``ties``, is rewritten here from synth output);
 ``perfbench/oracle.py`` recomputes every report value from that
 description (bitset reachability, ``statistics.correlation``). Both are
-imported from ``perfbench/`` itself, so there is one copy of the oracle.
+imported from ``perfbench/`` itself, which pytest puts on the path, and
+``tests/test_graph.py``, criterion 1 and the sweep property in
+``tests/test_pipeline.py`` read the same bitset closure, so the suite
+holds one copy of the graph oracle.
 The oracle compares r and n; the p-values are checked here against
 ``scipy.stats.t``.
 """
@@ -18,7 +21,6 @@ import math
 import re
 import shutil
 import statistics
-import sys
 import tempfile
 from pathlib import Path
 
@@ -41,10 +43,8 @@ from icmetrics.model import ApiSurface, ProjectCoordinate, ReleaseSnapshot, Usag
 from icmetrics.pom import parse_pom
 from icmetrics.synth import synth_ecosystem
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-
-import corpora  # noqa: E402
-import oracle  # noqa: E402
+import corpora
+import oracle
 
 # shape -> (projects, releases): small corpora whose projects still pass selection.
 SHAPES = {"aligned": (8, 12), "staggered": (8, 12), "pom-loc": (5, 12), "ties": (8, 12)}

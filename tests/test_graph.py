@@ -1,59 +1,21 @@
 import random
+from types import SimpleNamespace
 
 from conftest import coord, graph_snapshots, make_manifest, make_snapshot, sweep_vectors
 
 from icmetrics.pipeline import strongly_connected_components
 from icmetrics.model import DependencyDecl, UsageRecord
+from oracle import _State
 
 
 # --------------------------------------------------------------------------
-# brute-force oracles (shared with the acceptance suite)
+# the reference: perfbench/oracle.py's bitset closure (shared with the
+# acceptance suite and the sweep property)
 
 
-def oracle_reachability(nodes, edges):
-    """O(n^3) transitive closure."""
-    reach = {u: {u} for u in nodes}
-    for u, v in edges:
-        reach[u].add(v)
-    changed = True
-    while changed:
-        changed = False
-        for u in nodes:
-            for v in list(reach[u]):
-                before = len(reach[u])
-                reach[u] |= reach[v]
-                changed = changed or len(reach[u]) > before
-    return reach
-
-
-def oracle_same_scc(reach, u, v):
-    return v in reach[u] and u in reach[v]
-
-
-def oracle_scc_members(nodes, reach, u):
-    return {v for v in nodes if oracle_same_scc(reach, u, v)}
-
-
-def oracle_depth(nodes, edges, start, reach=None):
-    """Exhaustive enumeration of paths in the condensation."""
-    if reach is None:
-        reach = oracle_reachability(nodes, edges)
-    components = {}
-    for u in nodes:
-        components[u] = frozenset(oracle_scc_members(nodes, reach, u))
-    comp_edges = {}
-    for u, v in edges:
-        if components[u] != components[v]:
-            comp_edges.setdefault(components[u], set()).add(components[v])
-
-    best = 0
-    stack = [(components[start], len(components[start]))]
-    while stack:
-        comp, total = stack.pop()
-        best = max(best, total)
-        for succ in comp_edges.get(comp, ()):
-            stack.append((succ, total + len(succ)))
-    return best - 1
+def oracle_state(out_sets):
+    """perfbench/oracle.py's ``_State`` over ``out_sets`` (member -> targets)."""
+    return _State({member: SimpleNamespace(targets=frozenset(targets)) for member, targets in out_sets.items()})
 
 
 def random_edge_map(rng, max_nodes=12, max_density=0.5):
@@ -74,22 +36,15 @@ def components_of(edge_map):
 
 
 def assert_matches_oracles(edge_map):
-    """build_series' WMC/NOC/CBO/DIT for every project of one corpus, and
-    strongly_connected_components' pairwise membership, equal the oracles."""
-    nodes = [coord(n) for n in edge_map]
-    edges = [(coord(u), coord(v)) for u, targets in edge_map.items() for v in targets]
-    reach = oracle_reachability(nodes, edges)
+    """build_series' WMC/DIT/NOC/CBO for every project of one corpus, and
+    strongly_connected_components' membership, equal the oracle's."""
+    state = oracle_state({coord(u): {coord(v) for v in targets} for u, targets in edge_map.items()})
     vectors = sweep_vectors(graph_snapshots(edge_map))
     component = components_of(edge_map)
-    for u in nodes:
-        members = oracle_scc_members(nodes, reach, u)
-        assert vectors[u].wmc == len({t for s, t in edges if s == u})
-        assert vectors[u].noc == len({s for s, t in edges if t == u})
-        assert vectors[u].cbo == len(members) - 1
-        assert vectors[u].dit == oracle_depth(nodes, edges, u, reach=reach)
-        assert component[u] == members
-        for v in nodes:
-            assert (component[u] == component[v]) == oracle_same_scc(reach, u, v)
+    for u, i in state.index.items():
+        assert (vectors[u].wmc, vectors[u].dit, vectors[u].noc, vectors[u].cbo) == state.values(u)
+        members = state._component(i)
+        assert component[u] == {v for v, j in state.index.items() if members >> j & 1}
 
 
 # --------------------------------------------------------------------------

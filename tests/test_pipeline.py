@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import coord, make_corpus, make_manifest, make_snapshot, snapshot_lists, sweep_vectors
-from test_graph import oracle_depth, oracle_reachability, oracle_scc_members
+from test_graph import oracle_state
 
 from icmetrics.ingest import DEFAULT_SCOPE_FILTER
 from icmetrics.metrics import METRIC_ORDER
@@ -155,20 +155,40 @@ def _own_module(name):
     return f"{name}-core"
 
 
-@st.composite
-def _release(draw, name, version):
-    """One release of `name`: a root manifest and optionally a module
-    manifest, with dependencies on corpus projects, stubs, the project's own
-    coordinates and filtered scopes."""
+def _release_strategies(name):
+    """The dependencies and usage of a release of `name`: corpus projects,
+    stubs, the project's own coordinates and filtered scopes."""
     target_names = TARGET_NAMES + [name, _own_module(name)]
-    deps = draw(st.lists(
+    deps = st.lists(
         st.builds(
             lambda target, scope: DependencyDecl(target=coord(target), scope=scope),
             st.sampled_from(target_names),
             st.sampled_from([None, "compile", "runtime", "test", "provided"]),
         ),
         max_size=5,
-    ))
+    )
+    usage = st.none() | st.builds(
+        lambda names: UsageRecord(frozenset(coord(n) for n in names)),
+        st.sets(st.sampled_from(target_names), max_size=4),
+    )
+    return deps, usage
+
+
+# Built once: hypothesis validates a strategy on its first draw, which
+# per release would cost more than the oracle does.
+_RELEASE_STRATEGIES = {name: _release_strategies(name) for name in PROJECT_NAMES}
+_SURFACES = st.none() | st.builds(
+    lambda n: ApiSurface({f"m{k}": frozenset({f"c{k % 2}"}) for k in range(n)}),
+    st.integers(0, 3),
+)
+
+
+@st.composite
+def _release(draw, name, version):
+    """One release of `name`: a root manifest and optionally a module
+    manifest, the dependencies of `_release_strategies` split over them."""
+    deps_strategy, usage_strategy = _RELEASE_STRATEGIES[name]
+    deps = draw(deps_strategy)
     module = _own_module(name)
     if draw(st.booleans()):  # the dependencies split over the root and its module
         split = draw(st.integers(0, len(deps)))
@@ -176,14 +196,8 @@ def _release(draw, name, version):
                      make_manifest(module, deps[split:], version)]
     else:
         manifests = [make_manifest(name, deps, version, submodules=[module])]
-    usage = draw(st.none() | st.builds(
-        lambda names: UsageRecord(frozenset(coord(n) for n in names)),
-        st.sets(st.sampled_from(target_names), max_size=4),
-    ))
-    surface = draw(st.none() | st.builds(
-        lambda n: ApiSurface({f"m{k}": frozenset({f"c{k % 2}"}) for k in range(n)}),
-        st.integers(0, 3),
-    ))
+    usage = draw(usage_strategy)
+    surface = draw(_SURFACES)
     return make_snapshot(
         name, version=version, timestamp=draw(st.integers(0, 6)), bugs=draw(st.integers(0, 3)),
         api_surface=surface, usage=usage, loc=draw(st.none() | st.integers(0, 50)),
@@ -216,8 +230,16 @@ def _oracle_out_set(snapshot, scope_filter):
 
 
 def _oracle_vectors(snapshot_lists, scope_filter):
-    """The ecosystem state per release by bisect (earliest snapshot when none
-    precede), then every metric from that state's out-sets by brute force."""
+    """Every release's vector, with WMC/DIT/NOC/CBO from perfbench/oracle.py.
+
+    Two rules are stated here, not taken from the oracle: the ecosystem
+    state per release by bisect (earliest snapshot when none precede), and
+    the out-sets of `_oracle_out_set`. The oracle's own state rule lives in
+    ``oracle.Expected``, which measures only projects that pass selection
+    (at least 10 releases) and reads out-sets the corpus generator has
+    already filtered; this property's projects hold one to four releases
+    of unfiltered snapshots.
+    """
     vectors = {}
     for coordinate, snapshots in snapshot_lists.items():
         for release in snapshots:
@@ -228,15 +250,10 @@ def _oracle_vectors(snapshot_lists, scope_filter):
                 index = bisect.bisect_right([s.timestamp for s in others], release.timestamp)
                 state[other] = others[index - 1] if index else others[0]
             out = {member: _oracle_out_set(snapshot, scope_filter) for member, snapshot in state.items()}
-            nodes = set(out).union(*out.values())
-            edges = [(u, v) for u, targets in out.items() for v in targets]
-            reach = oracle_reachability(nodes, edges)
+            wmc, dit, noc, cbo = oracle_state(out).values(coordinate)
             surface, usage = release.api_surface, release.usage
             vectors[(coordinate, release.version_label)] = MetricVector(
-                wmc=len(out[coordinate]),
-                dit=oracle_depth(nodes, edges, coordinate, reach=reach),
-                noc=sum(coordinate in targets for targets in out.values()),
-                cbo=len(oracle_scc_members(nodes, reach, coordinate)) - 1,
+                wmc=wmc, dit=dit, noc=noc, cbo=cbo,
                 rfc=None if surface is None else len(set(surface.methods).union(*surface.methods.values())),
                 lcom1=None if usage is None else len(out[coordinate] - usage.referenced_coordinates),
                 loc=release.loc,
