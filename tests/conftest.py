@@ -88,6 +88,17 @@ def graph_snapshots(edge_map: dict[str, list[str]]) -> list[ReleaseSnapshot]:
     return [make_snapshot(name, deps) for name, deps in edge_map.items()]
 
 
+def random_edge_map(rng, max_nodes=12, max_density=0.5, acyclic=False) -> dict[str, list[str]]:
+    """A graph on n0..n{k-1}, k uniform in 1..max_nodes, with each possible
+    edge drawn at one density uniform in [0, max_density); ``acyclic`` keeps
+    only edges from a node to later ones."""
+    n = rng.randint(1, max_nodes)
+    names = [f"n{i}" for i in range(n)]
+    density = rng.uniform(0.0, max_density)
+    return {u: [v for v in (names[i + 1:] if acyclic else names[:i] + names[i + 1:]) if rng.random() < density]
+            for i, u in enumerate(names)}
+
+
 def sweep_vectors(snapshots, scope_filter=DEFAULT_SCOPE_FILTER) -> dict[ProjectCoordinate, MetricVector]:
     """Each project's vector from build_series, for one snapshot per project.
 

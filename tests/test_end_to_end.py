@@ -11,7 +11,7 @@ imported from ``perfbench/`` itself, which pytest puts on the path, and
 ``tests/test_pipeline.py`` read the same bitset closure, so the suite
 holds one copy of the graph oracle.
 The oracle compares r and n; the p-values are checked here against
-``scipy.stats.t``.
+``tests/test_stats.py``'s 50-digit incomplete beta, ``oracle_p``.
 """
 
 import csv
@@ -27,7 +27,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import t as student_t
 
 from icmetrics.cli import main
 from icmetrics.ingest import (
@@ -45,6 +44,7 @@ from icmetrics.synth import synth_ecosystem
 
 import corpora
 import oracle
+from test_stats import oracle_p
 
 # shape -> (projects, releases): small corpora whose projects still pass selection.
 SHAPES = {"aligned": (8, 12), "staggered": (8, 12), "pom-loc": (5, 12), "ties": (8, 12)}
@@ -98,11 +98,7 @@ def _reference_p(xs: list[float], ys: list[float], n: int) -> float:
         r = statistics.correlation(xs, ys)
     except statistics.StatisticsError:  # constant input
         return 1.0
-    if n < 3:
-        return 1.0
-    if abs(r) >= 1.0:
-        return 0.0
-    return float(2.0 * student_t.sf(abs(r) * math.sqrt((n - 2) / (1.0 - r * r)), n - 2))
+    return oracle_p(r, n)
 
 
 def _p_problems(expected, out: Path) -> list[str]:

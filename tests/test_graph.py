@@ -1,4 +1,3 @@
-import random
 from types import SimpleNamespace
 
 from conftest import coord, graph_snapshots, make_manifest, make_snapshot, sweep_vectors
@@ -16,16 +15,6 @@ from oracle import _State
 def oracle_state(out_sets):
     """perfbench/oracle.py's ``_State`` over ``out_sets`` (member -> targets)."""
     return _State({member: SimpleNamespace(targets=frozenset(targets)) for member, targets in out_sets.items()})
-
-
-def random_edge_map(rng, max_nodes=12, max_density=0.5):
-    n = rng.randint(1, max_nodes)
-    names = [f"n{i}" for i in range(n)]
-    density = rng.uniform(0.0, max_density)
-    return {
-        u: [v for v in names if v != u and rng.random() < density]
-        for u in names
-    }
 
 
 def components_of(edge_map):
@@ -170,13 +159,3 @@ def test_reverse_dependents_dedupes_modules():
     )
     vectors = sweep_vectors([make_snapshot("q", manifests=manifests), make_snapshot("p")])
     assert vectors[coord("p")].noc == 1
-
-
-# --------------------------------------------------------------------------
-# randomized oracle check (the acceptance suite runs the full 1000 seeds)
-
-
-def test_random_graphs_match_oracles():
-    rng = random.Random(20260810)
-    for _ in range(150):
-        assert_matches_oracles(random_edge_map(rng))

@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coord, graph_snapshots, make_manifest, make_snapshot, sweep_vectors
+from conftest import coord, graph_snapshots, make_manifest, make_snapshot, random_edge_map, sweep_vectors
 
 from icmetrics.metrics import ic_lcom1, ic_rfc
 from icmetrics.model import ApiSurface, MetricVector, UsageRecord
@@ -150,36 +150,17 @@ class TestComputeVector:
 # structural properties
 
 
-def _random_edge_map(rng, acyclic=False):
-    n = rng.randint(1, 10)
-    names = [f"n{i}" for i in range(n)]
-    density = rng.uniform(0.0, 0.5)
-    if acyclic:
-        return {
-            names[i]: [names[j] for j in range(i + 1, n) if rng.random() < density]
-            for i in range(n)
-        }
-    return {u: [v for v in names if v != u and rng.random() < density] for u in names}
-
-
-def test_cbo_is_zero_on_every_random_dag():
-    rng = random.Random(11)
-    for _ in range(100):
-        vectors = sweep_vectors(graph_snapshots(_random_edge_map(rng, acyclic=True)))
-        assert all(vector.cbo == 0 for vector in vectors.values())
-
-
 def test_wmc_zero_iff_dit_zero():
     rng = random.Random(12)
     for _ in range(100):
-        for vector in sweep_vectors(graph_snapshots(_random_edge_map(rng))).values():
+        for vector in sweep_vectors(graph_snapshots(random_edge_map(rng, max_nodes=10))).values():
             assert (vector.wmc == 0) == (vector.dit == 0)
 
 
 def test_handshake_identity():
     rng = random.Random(13)
     for _ in range(100):
-        edge_map = _random_edge_map(rng)
+        edge_map = random_edge_map(rng, max_nodes=10)
         edge_map["p"] = ["outside0", "outside1"]  # force some stubs
         vectors = sweep_vectors(graph_snapshots(edge_map))
         edges = sum(len(targets) for targets in edge_map.values())

@@ -6,7 +6,6 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
 
 from icmetrics.stats import (
     activity_ratio,
@@ -19,7 +18,7 @@ from icmetrics.stats import (
 
 
 # --------------------------------------------------------------------------
-# oracles: exact-arithmetic correlation, numerically integrated t density
+# oracles: exact-arithmetic correlation, 50-digit incomplete beta
 
 
 def oracle_pearson(xs, ys):
@@ -41,20 +40,17 @@ def oracle_pearson(xs, ys):
 
 
 def oracle_p(r, n):
-    """Two-tailed p by adaptive quadrature of the t density."""
+    """Two-tailed p at 50 digits: the t tail as the regularized incomplete
+    beta, p = I_x(df/2, 1/2) with x = df / (df + t^2) (Abramowitz & Stegun,
+    ch. 26), t taken from the float r by p_two_tailed's formula."""
     if n < 3 or math.isnan(r):
         return 1.0
     if abs(r) >= 1.0:
         return 0.0
     df = n - 2
     t = abs(r) * math.sqrt(df / (1.0 - r * r))
-    norm = math.exp(math.lgamma((df + 1) / 2) - math.lgamma(df / 2)) / math.sqrt(df * math.pi)
-
-    def density(u):
-        return norm * (1.0 + u * u / df) ** (-(df + 1) / 2)
-
-    tail, _ = integrate.quad(density, t, math.inf, epsabs=1e-13, epsrel=1e-11)
-    return 2.0 * tail
+    with mpmath.workdps(50):
+        return float(mpmath.betainc(df / 2, 0.5, 0, df / (df + mpmath.mpf(t) ** 2), regularized=True))
 
 
 # --------------------------------------------------------------------------
@@ -186,6 +182,18 @@ def test_p_monotone_decreasing_in_n():
         assert values == sorted(values, reverse=True)
 
 
+def test_t_table_critical_values():
+    # Two-tailed critical values (df, t, alpha) as printed in t tables: they
+    # pin the t-to-beta identity that oracle_p and p_two_tailed share.
+    for df, t, alpha in [
+        (1, 12.706, 0.05), (2, 4.303, 0.05), (5, 2.571, 0.05), (10, 2.228, 0.05), (20, 2.086, 0.05),
+        (30, 2.042, 0.05), (100, 1.984, 0.05), (10, 3.169, 0.01), (20, 2.845, 0.01), (5, 6.869, 0.001),
+    ]:
+        r, n = t / math.sqrt(df + t * t), df + 2
+        assert oracle_p(r, n) == pytest.approx(alpha, rel=1e-3)
+        assert p_two_tailed(r, n) == pytest.approx(alpha, rel=1e-3)
+
+
 def test_incomplete_beta_edges():
     assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
     assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
@@ -199,7 +207,7 @@ def test_against_oracles_on_random_series():
         ys = [rng.gauss(0, 1) for _ in range(n)]
         r = pearson_r(xs, ys)
         assert r == pytest.approx(oracle_pearson(xs, ys), abs=1e-10)
-        assert p_two_tailed(r, n) == pytest.approx(oracle_p(r, n), abs=1e-8)
+        assert p_two_tailed(r, n) == pytest.approx(oracle_p(r, n), rel=1e-9, abs=1e-322)
 
 
 # --------------------------------------------------------------------------
