@@ -1,8 +1,8 @@
 """Numeric kernel: Pearson correlation, two-tailed significance, medians.
 
 Everything here is pure, reentrant, and implemented directly on floats so
-results are reproducible bit-for-bit across runs. The Student-t tail goes
-through the regularized incomplete beta function, evaluated with the
+results are reproducible bit-for-bit across runs. The two-tailed p of r is
+the regularized incomplete beta I_{1-r^2}((n-2)/2, 1/2), evaluated with the
 continued-fraction method.
 """
 
@@ -131,30 +131,18 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def _student_t_upper_tail(t: float, df: float) -> float:
-    """P(T > t) for t >= 0; computed tail-first so tiny values survive."""
-    if t == 0.0:
-        return 0.5
-    x = df / (df + t * t)
-    return 0.5 * regularized_incomplete_beta(df / 2.0, 0.5, x)
-
-
 def p_two_tailed(r: float, n: int) -> float:
     """Two-tailed significance of a Pearson r from n samples.
 
-    Uses the t transform t = r * sqrt((n-2) / (1-r^2)) with n-2 degrees of
-    freedom: p = 2 * (1 - F_t(|t|)). NaN r or n < 3 maps to 1.0; exact
-    |r| = 1 maps to 0.0.
+    Student's t with n-2 degrees of freedom, t^2 = (n-2) r^2 / (1-r^2), has
+    the two-tailed tail I_{(n-2)/(n-2+t^2)}((n-2)/2, 1/2) (Abramowitz &
+    Stegun, ch. 26), and (n-2)/(n-2+t^2) = 1-r^2, so p = I_{1-r^2}((n-2)/2,
+    1/2) with no t formed. 1-r^2 is taken as (1-|r|)(1+|r|), which does not
+    cancel as |r| -> 1. NaN r or n < 3 maps to 1.0; |r| >= 1 maps to 0.0.
     """
     if n < 3 or math.isnan(r):
         return 1.0
-    r = max(-1.0, min(1.0, r))
-    if abs(r) >= 1.0:
-        return 0.0
-    df = float(n - 2)
-    t = abs(r) * math.sqrt(df / (1.0 - r * r))
-    p = 2.0 * _student_t_upper_tail(t, df)
-    return max(0.0, min(1.0, p))
+    return regularized_incomplete_beta((n - 2) / 2, 0.5, (1.0 - abs(r)) * (1.0 + abs(r)))
 
 
 def correlate(metric_name: str, xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:

@@ -40,6 +40,8 @@ from icmetrics.ingest import (
 )
 from icmetrics.model import ApiSurface, ProjectCoordinate, ReleaseSnapshot, UsageRecord
 from icmetrics.pom import parse_pom
+from icmetrics.report import format_p
+from icmetrics.stats import p_two_tailed
 from icmetrics.synth import synth_ecosystem
 
 import corpora
@@ -101,10 +103,20 @@ def _reference_p(xs: list[float], ys: list[float], n: int) -> float:
     return oracle_p(r, n)
 
 
+def _p_cell_close(cell: str, reference: float) -> bool:
+    """Whether a p cell is written as d.dde[-]x and is off its reference p by
+    at most half a unit of its third significant digit, or by one float
+    spacing where the reference is subnormal and that spacing is wider."""
+    if reference == 0.0:
+        return cell == "0.00e0"
+    half_unit = 0.5 * 10.0 ** (math.floor(math.log10(reference)) - 2)
+    tolerance = max(half_unit * (1 + 1e-9), math.ulp(reference))
+    return bool(_P_CELL.match(cell)) and abs(float(cell) - reference) <= tolerance
+
+
 def _p_problems(expected, out: Path) -> list[str]:
-    """Every p_value cell of combined.csv and per_project.csv that is not
-    written as d.dde[-]x or is off its reference p by more than half a unit
-    of its third significant digit."""
+    """Every p_value cell of combined.csv and per_project.csv that
+    ``_p_cell_close`` rejects."""
     def series(rows, metric):
         pairs = [(float(values[metric]), float(release.bugs)) for release, values in rows if values[metric] is not None]
         return [list(column) for column in zip(*pairs)]
@@ -121,14 +133,21 @@ def _p_problems(expected, out: Path) -> list[str]:
     problems = []
     for where, metric, _, cell, n in cells:
         reference = _reference_p(*points[where, metric], int(n))
-        if reference == 0.0:
-            close = cell == "0.00e0"
-        else:
-            half_unit = 0.5 * 10.0 ** (math.floor(math.log10(reference)) - 2)
-            close = abs(float(cell) - reference) <= half_unit * (1 + 1e-9)
-        if not (_P_CELL.match(cell) and close):
+        if not _p_cell_close(cell, reference):
             problems.append(f"{where} {metric}: p={cell}, reference {reference:.6g}")
     return problems
+
+
+def test_a_subnormal_p_cell_may_be_one_float_spacing_off():
+    # At r = 0.9999998563316451, n = 100 the 50-digit p is 2.3248e-322, whose
+    # nearest float prints 2.32e-322. Subnormal floats there are 4.9e-324
+    # apart, wider than a unit of the third digit, so the float next to the
+    # reference on either side is the closest a kernel's p can miss it by.
+    r, n = 0.9999998563316451, 100
+    reference = oracle_p(r, n)
+    assert format_p(p_two_tailed(r, n)) == format_p(reference) == "2.32e-322"
+    assert [_p_cell_close(cell, reference) for cell in ("2.27e-322", "2.32e-322", "2.37e-322", "2.42e-322")] \
+        == [True, True, True, False]
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -40,17 +40,17 @@ def oracle_pearson(xs, ys):
 
 
 def oracle_p(r, n):
-    """Two-tailed p at 50 digits: the t tail as the regularized incomplete
-    beta, p = I_x(df/2, 1/2) with x = df / (df + t^2) (Abramowitz & Stegun,
-    ch. 26), t taken from the float r by p_two_tailed's formula."""
+    """Two-tailed p at 50 digits: the regularized incomplete beta
+    p = I_x((n-2)/2, 1/2) with x = 1 - r^2 of the exact float r (the Student-t
+    tail with t^2 = (n-2) r^2 / (1-r^2); Abramowitz & Stegun, ch. 26), so no
+    float step is shared with p_two_tailed."""
     if n < 3 or math.isnan(r):
         return 1.0
-    if abs(r) >= 1.0:
-        return 0.0
-    df = n - 2
-    t = abs(r) * math.sqrt(df / (1.0 - r * r))
     with mpmath.workdps(50):
-        return float(mpmath.betainc(df / 2, 0.5, 0, df / (df + mpmath.mpf(t) ** 2), regularized=True))
+        x = 1 - mpmath.mpf(r) ** 2
+        if x <= 0:
+            return 0.0
+        return float(mpmath.betainc(mpmath.mpf(n - 2) / 2, 0.5, 0, x, regularized=True))
 
 
 # --------------------------------------------------------------------------
@@ -146,7 +146,7 @@ def test_huge_finite_series_do_not_overflow():
 
 
 # --------------------------------------------------------------------------
-# p_two_tailed / t distribution
+# p_two_tailed: p = I_{1-r^2}((n-2)/2, 1/2)
 
 
 def test_nan_r_gives_p_one():
@@ -183,8 +183,9 @@ def test_p_monotone_decreasing_in_n():
 
 
 def test_t_table_critical_values():
-    # Two-tailed critical values (df, t, alpha) as printed in t tables: they
-    # pin the t-to-beta identity that oracle_p and p_two_tailed share.
+    # Two-tailed critical values (df, t, alpha) as printed in t tables: at
+    # r = t / sqrt(df + t^2) they pin the r form p = I_{1-r^2}(df/2, 1/2)
+    # that oracle_p and p_two_tailed both compute.
     for df, t, alpha in [
         (1, 12.706, 0.05), (2, 4.303, 0.05), (5, 2.571, 0.05), (10, 2.228, 0.05), (20, 2.086, 0.05),
         (30, 2.042, 0.05), (100, 1.984, 0.05), (10, 3.169, 0.01), (20, 2.845, 0.01), (5, 6.869, 0.001),
@@ -192,6 +193,23 @@ def test_t_table_critical_values():
         r, n = t / math.sqrt(df + t * t), df + 2
         assert oracle_p(r, n) == pytest.approx(alpha, rel=1e-3)
         assert p_two_tailed(r, n) == pytest.approx(alpha, rel=1e-3)
+
+
+@pytest.mark.parametrize("r, n", [
+    (0.9999998997439765, 65), (0.999999999, 30),
+    *[(1.0 - 10.0 ** -k, n) for k in (4, 6, 8, 10, 12) for n in (3, 10, 30)],
+])
+def test_p_keeps_its_digits_as_r_nears_one(r, n):
+    # 1 - r^2 formed as 1 - r * r cancels as r -> 1: such a kernel is 8.1e-9
+    # and 7.0e-9 off at the first two points, 7.7e-9 at 1 - r = 1e-8, n = 30.
+    assert p_two_tailed(r, n) == pytest.approx(oracle_p(r, n), rel=1e-9, abs=0)
+    assert p_two_tailed(-r, n) == p_two_tailed(r, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-1.0, 1.0), st.integers(3, 10 ** 5))
+def test_p_is_a_probability(r, n):
+    assert 0.0 <= p_two_tailed(r, n) <= 1.0
 
 
 def test_incomplete_beta_edges():
