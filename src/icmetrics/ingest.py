@@ -190,7 +190,7 @@ def _dependency(value: Any, shared: SharedValues, path: str, index: int) -> Depe
         if (isinstance(group, str) and group and isinstance(artifact, str) and artifact
                 and (version is None or isinstance(version, str))
                 and (scope is None or isinstance(scope, str))):
-            return shared.dependency(group, artifact, version, scope)
+            return DependencyDecl(shared.coordinate(group, artifact), version, scope)
     _coordinate(value, shared, path, index)  # raises unless value is an object naming a target
     where = _where(path, index)
     if not (version is None or isinstance(version, str)):
@@ -281,8 +281,9 @@ def _snapshot_from_json(text: str, shared: SharedValues, row: ReleaseHistoryRow 
 
 
 def encode_snapshot(snapshot: ReleaseSnapshot) -> str:
-    """Inverse of parse_snapshot_json (round-trips field-by-field). Compact
-    separators let json use its C encoder."""
+    """Inverse of parse_snapshot_json (round-trips field-by-field). The
+    compact separators fix the bytes that synth corpora and
+    ``perfbench/digests.json`` pin."""
     doc: dict[str, Any] = {
         "project": {"group": snapshot.coordinate.group, "artifact": snapshot.coordinate.artifact},
         "version": snapshot.version_label,

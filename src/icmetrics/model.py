@@ -13,14 +13,13 @@ annotated. Construction never raises; ``validate_snapshot`` is the one
 statement of the snapshot rules and reports violations as plain strings, so
 corpus loading can keep going and record failures instead of aborting.
 ``SharedValues`` lets the decoders of one corpus load hand out one object
-per distinct value. ``ReleaseFacts`` is what a corpus load keeps of a
-release.
+per distinct coordinate and target set. ``ReleaseFacts`` is what a corpus
+load keeps of a release.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Mapping, NamedTuple
 
 
@@ -58,21 +57,19 @@ class DependencyDecl(NamedTuple):
 
 
 class SharedValues:
-    """One object per distinct coordinate, dependency declaration and
-    effective target set.
+    """One object per distinct coordinate and effective target set.
 
-    Decoders given the same instance return the same object for equal
-    values, so a corpus load holds each value once however many manifests
-    repeat it; a load keeps its target sets through ``targets``. The tables
-    only grow; they live as long as the instance. Nothing is checked here:
-    a decoded release is checked with ``validate_snapshot``.
+    Decoders given the same instance return the same coordinate object for
+    equal values, so a corpus load holds each coordinate once however many
+    manifests repeat it; a load keeps its target sets through ``targets``.
+    The tables only grow; they live as long as the instance. Nothing is
+    checked here: a decoded release is checked with ``validate_snapshot``.
     """
 
-    __slots__ = ("coordinates", "dependencies", "targets")
+    __slots__ = ("coordinates", "targets")
 
     def __init__(self) -> None:
         self.coordinates: dict[tuple[str, str], ProjectCoordinate] = {}
-        self.dependencies: dict[tuple[str, str, str | None, str | None], DependencyDecl] = {}
         self.targets: dict[frozenset[ProjectCoordinate], frozenset[ProjectCoordinate]] = {}
 
     def coordinate(self, group: str, artifact: str) -> ProjectCoordinate:
@@ -80,15 +77,6 @@ class SharedValues:
         if coordinate is None:
             coordinate = self.coordinates[group, artifact] = ProjectCoordinate(group, artifact)
         return coordinate
-
-    def dependency(self, group: str, artifact: str, version_text: str | None,
-                   scope: str | None) -> DependencyDecl:
-        key = (group, artifact, version_text, scope)
-        dependency = self.dependencies.get(key)
-        if dependency is None:
-            dependency = self.dependencies[key] = DependencyDecl(self.coordinate(group, artifact),
-                                                                 version_text, scope)
-        return dependency
 
 
 @dataclass(frozen=True)
@@ -164,16 +152,13 @@ class MetricVector(NamedTuple):
     loc: int | None = None
 
 
-_TARGET = attrgetter("target")
-
-
 def _coordinate_violations(coordinate: ProjectCoordinate) -> tuple[str, ...]:
     """The coordinate rule: group and artifact are non-empty strings without
     whitespace (str.split and str.isspace agree on whitespace).
 
     Returns one ``.field: message`` per broken field, or () when
-    ``coordinate`` keeps the rule; so ``any(map(...))`` is the success test,
-    and a caller formats its path prefix only for a message it gets.
+    ``coordinate`` keeps the rule, so a caller formats its path prefix only
+    for a message it gets.
     """
     group, artifact = coordinate.group, coordinate.artifact
     if (isinstance(group, str) and group.split() == [group]
@@ -213,8 +198,7 @@ def validate_snapshot(snapshot: ReleaseSnapshot) -> list[str]:
     # only for a manifest that is not the project's own coordinate object.
     allowed: set[ProjectCoordinate] | None = None
 
-    # A path is formatted, and a set sorted, only when a value fails the
-    # coordinate rule.
+    # A path is formatted only when a value fails the coordinate rule.
     for i, manifest in enumerate(snapshot.manifests):
         coordinate, submodules = manifest.coordinate, manifest.submodule_coordinates
         for problem in _coordinate_violations(coordinate):
@@ -229,17 +213,14 @@ def validate_snapshot(snapshot: ReleaseSnapshot) -> list[str]:
                     f"manifests[{i}].coordinate: {coordinate.key()} is neither the project"
                     " coordinate nor a declared submodule"
                 )
-        if any(map(_coordinate_violations, submodules)):
-            for sub in sorted(submodules):
-                for problem in _coordinate_violations(sub):
-                    violations.append(f"manifests[{i}].submodule[{sub.key()}]{problem}")
-        dependencies = manifest.declared_dependencies
-        if any(map(_coordinate_violations, map(_TARGET, dependencies))):
-            for j, dep in enumerate(dependencies):
-                for problem in _coordinate_violations(dep.target):
-                    violations.append(f"manifests[{i}].dependencies[{j}].target{problem}")
+        for sub in sorted(submodules):
+            for problem in _coordinate_violations(sub):
+                violations.append(f"manifests[{i}].submodule[{sub.key()}]{problem}")
+        for j, dep in enumerate(manifest.declared_dependencies):
+            for problem in _coordinate_violations(dep.target):
+                violations.append(f"manifests[{i}].dependencies[{j}].target{problem}")
 
-    if snapshot.usage is not None and any(map(_coordinate_violations, snapshot.usage.referenced_coordinates)):
+    if snapshot.usage is not None:
         for ref in sorted(snapshot.usage.referenced_coordinates):
             for problem in _coordinate_violations(ref):
                 violations.append(f"usage[{ref.key()}]{problem}")

@@ -58,9 +58,8 @@ def _children(element: ET.Element | None) -> dict[str, ET.Element]:
     """Map each local child name to the first child of that name."""
     if element is None:
         return {}
-    # Reversed, so that the first child of a name is the one kept; _local
-    # inlined, as this runs for every child of every element read.
-    return {node.tag.rpartition("}")[2]: node for node in reversed(element)}
+    # Reversed, so that the first child of a name is the one kept.
+    return {_local(node.tag): node for node in reversed(element)}
 
 
 def _field(node: ET.Element | None, properties: dict[str, str], fallback: ET.Element | None = None) -> str | None:
@@ -99,7 +98,7 @@ def parse_pom(xml: bytes | str, _shared: SharedValues | None = None) -> ProjectM
     Pass the file's bytes, so that the parser decodes them as the XML
     declaration says (UTF-8 when there is none); ``str`` input is parsed
     as already decoded text. ``_shared`` is for ``ingest.load_corpus``: its
-    coordinates and dependency declarations are shared by the whole load.
+    coordinates are shared by the whole load.
 
     Raises PomSyntaxError, PomEncodingError, IncompleteCoordinatesError or
     UnresolvedPropertyError; never returns a partial manifest.
@@ -152,8 +151,9 @@ def parse_pom(xml: bytes | str, _shared: SharedValues | None = None) -> ProjectM
                 raise IncompleteCoordinatesError(
                     f"incomplete coordinates: dependency #{index} lacks groupId or artifactId"
                 )
-            dependencies.append(shared.dependency(dep_group, dep_artifact, _field(fields.get("version"), properties),
-                                                  _field(fields.get("scope"), properties)))
+            dependencies.append(DependencyDecl(shared.coordinate(dep_group, dep_artifact),
+                                               _field(fields.get("version"), properties),
+                                               _field(fields.get("scope"), properties)))
 
     submodules: set[ProjectCoordinate] = set()
     modules_node = top.get("modules")

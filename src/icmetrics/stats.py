@@ -9,6 +9,7 @@ continued-fraction method.
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import NamedTuple, Sequence
 
 NAN = float("nan")
@@ -16,9 +17,11 @@ NAN = float("nan")
 _BETACF_TOL = 1e-14
 _BETACF_MAX_ITER = 300
 _TINY = 1e-300
-# Below this magnitude no sum of squared deviations, nor the product of two
-# such sums, can overflow: with |v| <= 2**200, sxx <= n * 2**402, and
-# sxx * syy < 2**1024 for any n < 2**110.
+# A series whose peak magnitude lies in [2**-200, 2**200] is used as it is.
+# No sum of squared deviations, nor the product of two such sums, can then
+# overflow: with |v| <= 2**200, sxx <= n * 2**402, and sxx * syy < 2**1024
+# for any n < 2**110. Nor does sxx underflow to zero: in a non-constant
+# series with such a peak, some value lies at least 2**-254 from the mean.
 _SAFE_MAGNITUDE = 2.0 ** 200
 
 
@@ -36,15 +39,17 @@ class CorrelationResult(NamedTuple):
 
 
 def _in_safe_range(values: Sequence[float]) -> Sequence[float]:
-    """``values``, scaled by a power of two when their squares could overflow.
+    """``values``, scaled by a power of two when their squares could overflow
+    or underflow.
 
     r does not change when a series is scaled, and scaling by a power of two
-    is exact (short of values that underflow), so a scaled series gets the r
-    it would get in a wider float; a series within the safe range is
-    returned as it is and keeps every bit of its r.
+    is exact (short of values that underflow when a huge series is scaled
+    down), so a scaled series gets the r it would get in a wider float; a
+    series within the safe range is returned as it is and keeps every bit of
+    its r.
     """
     peak = max(map(abs, values))
-    if peak <= _SAFE_MAGNITUDE:
+    if 1.0 / _SAFE_MAGNITUDE <= peak <= _SAFE_MAGNITUDE:
         return values
     shift = math.frexp(peak)[1]  # the scaled peak lies in [0.5, 1)
     return [math.ldexp(v, -shift) for v in values]
@@ -64,11 +69,15 @@ def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
     xs, ys = _in_safe_range(xs), _in_safe_range(ys)
     mean_x = math.fsum(xs) / n
     mean_y = math.fsum(ys) / n
-    sxx = math.fsum((x - mean_x) ** 2 for x in xs)
-    syy = math.fsum((y - mean_y) ** 2 for y in ys)
+    # Squares as d * d: ``**`` goes to the platform's pow, which need not
+    # round correctly, and r would then change under power-of-two scaling.
+    dx = [x - mean_x for x in xs]
+    dy = [y - mean_y for y in ys]
+    sxx = math.fsum(map(mul, dx, dx))
+    syy = math.fsum(map(mul, dy, dy))
     if sxx == 0.0 or syy == 0.0:
         return NAN
-    sxy = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    sxy = math.fsum(map(mul, dx, dy))
     r = sxy / math.sqrt(sxx * syy)
     return max(-1.0, min(1.0, r))
 
@@ -84,18 +93,15 @@ def _betacf(a: float, b: float, x: float) -> float:
         d = _TINY
     d = 1.0 / d
     h = d
-    for m in range(1, _BETACF_MAX_ITER + 1):
+    # Step k = 2m takes the even coefficient of the fraction and k = 2m + 1
+    # the odd one; convergence is tested after odd steps only.
+    for k in range(2, 2 * _BETACF_MAX_ITER + 2):
+        m, odd = divmod(k, 2)
         m2 = 2 * m
-        numerator = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + numerator / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        numerator = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        if odd:
+            numerator = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        else:
+            numerator = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + numerator * d
         if abs(d) < _TINY:
             d = _TINY
@@ -105,7 +111,7 @@ def _betacf(a: float, b: float, x: float) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _BETACF_TOL:
+        if odd and abs(delta - 1.0) < _BETACF_TOL:
             return h
     raise RuntimeError(
         f"incomplete beta continued fraction did not converge within {_BETACF_MAX_ITER}"

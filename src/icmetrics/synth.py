@@ -14,7 +14,7 @@ import os
 import random
 from pathlib import Path
 
-from .ingest import encode_snapshot
+from .ingest import HISTORY_COLUMNS, encode_snapshot
 from .model import ApiSurface, DependencyDecl, ProjectCoordinate, ProjectManifest, ReleaseSnapshot, UsageRecord
 
 GROUP = "synth.example"
@@ -66,7 +66,7 @@ def synth_ecosystem(out_dir: Path, seed: int, n_projects: int, n_releases: int,
     # skews the null p distribution away from uniform.
     slope = rng.randint(2, 5)
 
-    history_lines = ["project,version,timestamp,bugs_fixed"]
+    history_lines = [",".join(HISTORY_COLUMNS)]
     for i, coordinate in enumerate(coordinates):
         for t in range(n_releases):
             version = f"0.{t}.0"

@@ -7,7 +7,8 @@ import os
 from pathlib import Path
 
 import icmetrics
-from icmetrics.ingest import DEFAULT_SCOPE_FILTER, Corpus, FailedRelease, encode_snapshot, release_facts
+from icmetrics.ingest import (DEFAULT_SCOPE_FILTER, HISTORY_COLUMNS, Corpus, FailedRelease, encode_snapshot,
+                              release_facts)
 from icmetrics.model import (
     ApiSurface,
     DependencyDecl,
@@ -147,7 +148,7 @@ def write_failed_release(corpus_root: Path, project_key: str, version: str) -> P
 
 
 def write_history(path: Path, rows: list[tuple[str, str, int, int]]) -> Path:
-    lines = ["project,version,timestamp,bugs_fixed"]
+    lines = [",".join(HISTORY_COLUMNS)]
     lines += [f"{key},{version},{timestamp},{bugs}" for key, version, timestamp, bugs in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

@@ -116,15 +116,19 @@ def test_labels_that_need_quoting_read_back_from_every_table(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["analyze", "metrics"])
-@pytest.mark.parametrize("workers", ["0", "-1"])
-def test_workers_below_one_exits_two(tmp_path, capsys, command, workers):
+@pytest.mark.parametrize("workers, problem", [
+    pytest.param("0", "must be an integer of at least 1, got '0'", id="0"),
+    pytest.param("-1", "must be an integer of at least 1, got '-1'", id="-1"),
+    pytest.param("abc", "invalid int value: 'abc'", id="abc"),
+])
+def test_workers_below_one_exits_two(tmp_path, capsys, command, workers, problem):
     corpus, history, _, _ = _write_fixture_corpus(tmp_path)
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as excinfo:
         main([command, "--corpus", str(corpus), "--history", str(history), "--out", str(out),
               "--workers", workers])
     assert excinfo.value.code == 2
-    assert f"argument --workers: must be an integer of at least 1, got '{workers}'" in capsys.readouterr().err
+    assert f"argument --workers: {problem}" in capsys.readouterr().err
     assert not out.exists()
 
 

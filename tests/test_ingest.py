@@ -6,6 +6,7 @@ import string
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -325,6 +326,15 @@ def test_count_loc_unreadable_file_warns_and_counts_zero(tmp_path, monkeypatch):
     warnings: list[str] = []
     assert count_loc(tmp_path, {".java"}, warnings) == 2
     assert len(warnings) == 1 and "B.java" in warnings[0]
+
+
+def test_read_returns_what_a_file_grew_by_since_fstat(tmp_path, monkeypatch):
+    path = tmp_path / "grown.java"
+    content = b"line\n" * ingest._READ_CHUNK
+    path.write_bytes(content)
+    # fstat reports one byte, as if the file grew after it was taken.
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=1))
+    assert ingest._read(str(path)) == content
 
 
 def test_count_loc_skips_a_directory_it_cannot_list_with_a_warning(tmp_path, monkeypatch):
@@ -1228,15 +1238,16 @@ def _write_pom_release(corpus_root, version):
 
 
 def _pom_values(release_dir, shared):
-    """Every coordinate and dependency object of a release's two manifests,
-    decoded through ``shared``."""
+    """Every coordinate object of a release's two manifests, decoded through
+    ``shared``: the two manifests', the root's submodule and the two
+    dependency targets."""
     root, core = (parse_pom((release_dir / path).read_bytes(), shared) for path in ("pom.xml", "core/pom.xml"))
     [submodule] = root.submodule_coordinates
-    return [root.coordinate, submodule, core.coordinate, *root.declared_dependencies,
-            *core.declared_dependencies, root.declared_dependencies[0].target]
+    return [root.coordinate, submodule, core.coordinate, root.declared_dependencies[0].target,
+            core.declared_dependencies[0].target]
 
 
-def test_pom_releases_share_coordinates_and_dependencies_within_one_load_only(tmp_path):
+def test_pom_releases_share_coordinates_within_one_load_only(tmp_path):
     _write_pom_release(tmp_path, "1.0")
     _write_pom_release(tmp_path, "2.0")
     first, second = load_corpus(tmp_path, None).facts[ProjectCoordinate("g", "a")]
@@ -1250,7 +1261,7 @@ def test_pom_releases_share_coordinates_and_dependencies_within_one_load_only(tm
     later = _pom_values(tmp_path / "g:a" / "2.0", shared)
     other_load = _pom_values(tmp_path / "g:a" / "1.0", SharedValues())
     assert values == later == other_load
-    # Within one load, equal values are one object, across manifests and releases.
+    # Within one load, equal coordinates are one object, across manifests and releases.
     assert values[1] is values[2]
     assert values[3] is values[4]
     for value, repeated in zip(values, later):

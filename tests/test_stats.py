@@ -124,17 +124,24 @@ def test_affine_invariance(values, magnitude, sign, b):
 @given(
     st.lists(st.integers(-10**6, 10**6), min_size=3, max_size=30),
     st.lists(st.integers(-10**6, 10**6), min_size=30, max_size=30),
-    st.integers(0, 1000),
+    st.integers(-1000, 1000),
     st.booleans(),
 )
 def test_power_of_two_scaling_keeps_r_bit_identical(xs, ys, k, scale_both):
-    # Large k takes the scaled series past the overflow guard and back.
+    # Large |k| takes the scaled series past the overflow or underflow guard
+    # and back.
     xs = [float(x) for x in xs]
     ys = [float(y) for y in ys[:len(xs)]]
     base = pearson_r(xs, ys)
     factor = 2.0 ** k
     scaled = pearson_r([x * factor for x in xs], [y * factor for y in ys] if scale_both else ys)
     assert math.isnan(scaled) if math.isnan(base) else scaled == base
+
+
+def test_tiny_series_do_not_underflow():
+    # The squared deviations of this series underflow to zero unless it is
+    # scaled up first.
+    assert pearson_r([1e-200, 2e-200, 3e-200], [1, 2, 4]) == pytest.approx(9 / math.sqrt(84), abs=1e-12)
 
 
 def test_huge_finite_series_do_not_overflow():
