@@ -16,9 +16,7 @@ from .model import (
     DependencyDecl,
     MetricVector,
     ProjectCoordinate,
-    ProjectManifest,
     ReleaseFacts,
-    ReleaseSnapshot,
     UsageRecord,
     validate_snapshot,
 )
@@ -37,9 +35,13 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    # parse_pom and synth_ecosystem are imported on first use, so importing
-    # the package (as every analyze run does) loads neither the XML decoder
-    # nor the generator.
+    # parse_pom, synth_ecosystem and the record tier are imported on first
+    # use, so importing the package (as every analyze run does) loads
+    # neither the XML decoder, the generator nor ``dataclasses``.
+    if name in ("ProjectManifest", "ReleaseSnapshot"):
+        from . import records
+
+        return getattr(records, name)
     if name == "parse_pom":
         from .pom import parse_pom
 

@@ -32,24 +32,24 @@ import csv
 import io
 import json
 import os
-from dataclasses import replace
 from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Iterable, Iterator, NamedTuple, NoReturn
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple, NoReturn
 
 from .metrics import ic_lcom1, ic_rfc, response_set
 from .model import (
     ApiSurface,
     DependencyDecl,
     ProjectCoordinate,
-    ProjectManifest,
     ReleaseFacts,
-    ReleaseSnapshot,
     SharedValues,
     UsageRecord,
     validate_snapshot,
 )
+
+if TYPE_CHECKING:
+    from .records import ProjectManifest, ReleaseSnapshot
 
 DEFAULT_LOC_EXTENSIONS = frozenset({".java"})
 DEFAULT_SCOPE_FILTER = frozenset({"test", "provided"})
@@ -149,27 +149,38 @@ def _array(value: Any, path: str) -> list:
     return value
 
 
+def _response_count(surface: dict) -> int | None:
+    """The RFC of a JSON API surface object; None unless every value is an
+    array of strings.
+
+    The whole object is tested in C: every value a list, then the response
+    set (JSON keys are strings) all strings.
+    """
+    try:
+        identities = response_set(surface) if all(map(isinstance, surface.values(), repeat(list))) else None
+    except TypeError:  # an unhashable callee
+        return None
+    if identities is None or not all(map(isinstance, identities, repeat(str))):
+        return None
+    return len(identities)
+
+
 def _api_surface_from_json(value: Any, path: str) -> tuple[dict[str, list[str]] | None, int | None]:
     """Check an API surface, the ``api_surface`` field or api_surface.json:
     the surface (method -> callee list) and its RFC, both None for null.
-
-    The whole object is tested in C: every value a list, then the response
-    set (JSON keys are strings) all strings. Only a failing surface is
-    walked method by method, to name the first bad one.
+    Only a failing surface is walked method by method, to name the first
+    bad one.
     """
     if value is None:
         return None, None
     if not isinstance(value, dict):
         _invalid(path, "must be an object or null")
-    try:
-        identities = response_set(value) if all(map(isinstance, value.values(), repeat(list))) else None
-    except TypeError:  # an unhashable callee
-        identities = None
-    if identities is None or not all(map(isinstance, identities, repeat(str))):
+    rfc = _response_count(value)
+    if rfc is None:
         method = next(method for method, callees in value.items()
                       if not (isinstance(callees, list) and all(map(isinstance, callees, repeat(str)))))
         _invalid(f"{path}[{method!r}]", "must be an array of strings")
-    return value, len(identities)
+    return value, rfc
 
 
 def _usage_from_json(value: Any, path: str, shared: SharedValues) -> UsageRecord | None:
@@ -202,6 +213,8 @@ def _manifest_from_json(item: Any, shared: SharedValues, path: str, index: int) 
     """The manifest a JSON object declares. Its parts are checked with paths
     relative to the manifest; a failure's path gets ``path[index]`` in front
     here."""
+    from .records import ProjectManifest
+
     try:
         coordinate = _coordinate(item, shared, "")
         if not isinstance(item.get("version"), str):
@@ -232,20 +245,23 @@ def _check(snapshot: ReleaseSnapshot) -> None:
 
 def parse_snapshot_json(text: str) -> ReleaseSnapshot:
     """Decode one snapshot.json document; the result always validates clean."""
-    snapshot, surface, _ = _snapshot_from_json(text, SharedValues())
+    snapshot, surface, _ = _snapshot_from_json(_decode_json(text, "."), SharedValues())
     _check(snapshot)
     if surface is None:
         return snapshot
+    from dataclasses import replace  # loaded with the record tier
+
     return replace(snapshot, api_surface=ApiSurface({name: frozenset(callees) for name, callees in surface.items()}))
 
 
-def _snapshot_from_json(text: str, shared: SharedValues, row: ReleaseHistoryRow | None = None,
+def _snapshot_from_json(raw: Any, shared: SharedValues, row: ReleaseHistoryRow | None = None,
                         ) -> tuple[ReleaseSnapshot, dict[str, list[str]] | None, int | None]:
-    """Decode one snapshot.json document, sharing equal values through
-    ``shared``: the snapshot without its API surface, the checked surface
-    and its RFC. A history ``row`` replaces the document's bug count. The
-    snapshot rules are left to the caller."""
-    raw = _decode_json(text, ".")
+    """The record path: decode one snapshot.json value into records, sharing
+    equal values through ``shared``: the snapshot without its API surface,
+    the checked surface and its RFC. A history ``row`` replaces the
+    document's bug count. The snapshot rules are left to the caller."""
+    from .records import ReleaseSnapshot
+
     if not isinstance(raw, dict):
         _invalid(".", "document root must be an object")
 
@@ -572,8 +588,10 @@ def _load_pom_release(release_dir: os.DirEntry[str], loc_suffixes: tuple[str, ..
     if not pom_paths:
         raise SnapshotFormatError("no snapshot.json or pom.xml")
 
-    # Imported here, so a load that reads no pom.xml never loads the XML decoder.
+    # Imported here, so a load that reads no pom.xml never loads the XML
+    # decoder or the record tier.
     from .pom import parse_pom
+    from .records import ReleaseSnapshot
 
     manifests = tuple(parse_pom(_read(path), shared) for _, path in sorted(pom_paths))
 
@@ -638,6 +656,78 @@ def release_facts(snapshot: ReleaseSnapshot,
                   scope_filter, {})
 
 
+def _json_facts(raw: Any, coordinate: ProjectCoordinate, version_label: str, row: ReleaseHistoryRow | None,
+                scope_filter: frozenset[str] | set[str], shared: SharedValues) -> ReleaseFacts | None:
+    """The facts of a snapshot.json value, decoded straight from JSON, if the
+    record path would accept it: the value keeps every schema and snapshot
+    rule, names the project ``coordinate`` and the release
+    ``version_label``, and a history ``row`` has a non-negative bug count.
+    None for any other value, which the record path then judges and words;
+    this forms no message. Coordinates are judged through ``shared``."""
+    if type(raw) is not dict:
+        return None
+    get, kept = raw.get, shared.kept_coordinate
+    project, timestamp, loc, bugs = get("project"), get("timestamp"), get("loc"), get("bugs_fixed", 0)
+    if not (type(project) is dict and kept(project.get("group"), project.get("artifact")) == coordinate
+            and get("version") == version_label and type(timestamp) is int
+            and (loc is None or type(loc) is int and 0 <= loc < _FLOAT_OVERFLOW)
+            and type(bugs) is int and 0 <= bugs < _FLOAT_OVERFLOW):
+        return None
+    if row is not None:
+        bugs = row.bugs_fixed
+        if not (isinstance(bugs, int) and bugs >= 0):
+            return None
+
+    manifests = get("manifests")
+    if not (type(manifests) is list and manifests):
+        return None
+    own = {coordinate}  # the project and every declared submodule
+    strangers = []  # manifest coordinates other than the project's
+    targets = []  # unfiltered dependency targets
+    for item in manifests:
+        if type(item) is not dict:
+            return None
+        manifest = kept(item.get("group"), item.get("artifact"))
+        submodules, dependencies = item.get("submodules", []), item.get("dependencies", [])
+        if not (manifest is not None and type(item.get("version")) is str
+                and type(submodules) is list and type(dependencies) is list):
+            return None
+        for sub in submodules:
+            submodule = kept(sub.get("group"), sub.get("artifact")) if type(sub) is dict else None
+            if submodule is None or submodule == manifest:
+                return None
+            own.add(submodule)
+        if manifest != coordinate:
+            strangers.append(manifest)
+        for dep in dependencies:
+            if type(dep) is not dict:
+                return None
+            target, version, scope = kept(dep.get("group"), dep.get("artifact")), dep.get("version"), dep.get("scope")
+            if not (target is not None and (version is None or type(version) is str)
+                    and (scope is None or type(scope) is str)):
+                return None
+            if scope not in scope_filter:
+                targets.append(target)
+    if not own.issuperset(strangers):
+        return None
+
+    surface, usage, rfc, lcom1 = get("api_surface"), get("usage"), None, None
+    if surface is not None and (type(surface) is not dict or (rfc := _response_count(surface)) is None):
+        return None
+    edges = frozenset(targets).difference(own)
+    if usage is not None:
+        if type(usage) is not list:
+            return None
+        referenced = set()
+        for item in usage:
+            reference = kept(item.get("group"), item.get("artifact")) if type(item) is dict else None
+            if reference is None:
+                return None
+            referenced.add(reference)
+        lcom1 = len(edges.difference(referenced))
+    return ReleaseFacts(version_label, timestamp, bugs, loc, shared.targets.setdefault(edges, edges), rfc, lcom1)
+
+
 def _load_project(project_dir: os.DirEntry[str], coordinate: ProjectCoordinate,
                   rows: dict[str, ReleaseHistoryRow] | None, loc_suffixes: tuple[str, ...],
                   scope_filter: frozenset[str] | set[str], shared: SharedValues,
@@ -645,7 +735,9 @@ def _load_project(project_dir: os.DirEntry[str], coordinate: ProjectCoordinate,
     """Load the directory of the project ``coordinate``: its releases' facts in
     (timestamp, version) order, its failed releases and warnings in directory
     order, and the history ``rows`` (by version; None without history) left unjoined.
-    Each release is judged here alone: by its directory name, then by the
+    Each release is judged here alone, and by one path. A snapshot.json
+    value that ``_json_facts`` accepts is done. Any other release is
+    decoded into records and judged by its directory name, then by the
     snapshot rules, then by its directories; any OSError or ValueError makes
     it a failed release. Only an unlistable project directory raises."""
     facts, failed, warnings, unjoined = [], [], [], dict(rows or ())
@@ -657,24 +749,30 @@ def _load_project(project_dir: os.DirEntry[str], coordinate: ProjectCoordinate,
             row = unjoined.pop(version_label, None)
             snapshot_path = os.path.join(release_dir.path, "snapshot.json")
             if os.path.isfile(snapshot_path):
-                snapshot, _, rfc = _snapshot_from_json(_read_utf8(snapshot_path, "."), shared, row)
+                raw = _decode_json(_read_utf8(snapshot_path, "."), ".")
+                release = _json_facts(raw, coordinate, version_label, row, scope_filter, shared)
+                if release is None:
+                    snapshot, _, rfc = _snapshot_from_json(raw, shared, row)
             else:
+                release = None
                 snapshot, rfc = _load_pom_release(release_dir, loc_suffixes, warnings, shared, row)
-            _check(snapshot)
-            if snapshot.coordinate != coordinate:
-                raise SnapshotFormatError(f"manifest coordinate {snapshot.coordinate.key()} does not match"
-                                          f" project directory {project_dir.name}")
-            if snapshot.version_label != version_label:
-                raise SnapshotFormatError(f"snapshot version {snapshot.version_label} does not match"
-                                          f" release directory {version_label}")
+            if release is None:
+                _check(snapshot)
+                if snapshot.coordinate != coordinate:
+                    raise SnapshotFormatError(f"manifest coordinate {snapshot.coordinate.key()} does not match"
+                                              f" project directory {project_dir.name}")
+                if snapshot.version_label != version_label:
+                    raise SnapshotFormatError(f"snapshot version {snapshot.version_label} does not match"
+                                              f" release directory {version_label}")
+                release = _facts(snapshot, rfc, scope_filter, shared.targets)
         except (OSError, ValueError) as exc:
             failed.append(FailedRelease(version_label, str(exc)))
             warnings.append(f"failed release {project_dir.name}/{version_label}: {exc}")
             continue
         if row is None and rows is not None:
             warnings.append(f"no history row for {project_dir.name}/{version_label};"
-                            f" bugs_fixed defaults to {snapshot.bugs_fixed}")
-        facts.append(_facts(snapshot, rfc, scope_filter, shared.targets))
+                            f" bugs_fixed defaults to {release.bugs_fixed}")
+        facts.append(release)
     facts.sort(key=_RELEASE_ORDER)
     return facts, failed, warnings, unjoined
 
@@ -684,8 +782,8 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
                 scope_filter: frozenset[str] | set[str] = DEFAULT_SCOPE_FILTER) -> Corpus:
     """Walk a corpus tree into per-project, time-ordered lists of release facts.
 
-    Each release is decoded and checked once, and only its ``ReleaseFacts``
-    are kept: the out-edges left after ``scope_filter`` drops dependency
+    Each release is judged once, by one path (see ``_load_project``), and
+    only its ``ReleaseFacts`` are kept: the out-edges left after ``scope_filter`` drops dependency
     scopes, RFC, LCOM1, LOC, timestamp and bug count. ``history`` joins bug
     counts (and, for pom releases, timestamps) by (project key, version
     label); its keys are unique, as ``load_release_history`` guarantees, so
@@ -725,3 +823,12 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
                  f"{row.timestamp},{row.bugs_fixed} matches no release directory"
                  for row in history or () if row.version_label in rows_of[row.project_key]]
     return Corpus(facts, failed, warnings)
+
+
+def __getattr__(name: str):
+    # The record tier is imported on first use (see ``model``).
+    if name in ("ProjectManifest", "ReleaseSnapshot"):
+        from . import records
+
+        return getattr(records, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

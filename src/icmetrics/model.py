@@ -1,26 +1,28 @@
 """Shared domain types: immutable containers plus one invariant checker.
 
-Every record is a ``typing.NamedTuple``: several times cheaper than a
+Every record here is a ``typing.NamedTuple``: several times cheaper than a
 frozen dataclass both to create at import and to build, which every run
-pays for. ``perfbench/corpora.py`` pins four shapes: it rebuilds the frozen
-dataclasses ``ReleaseSnapshot`` and ``ProjectManifest`` with
-``dataclasses.replace``, and reads the one-field wrappers ``ApiSurface.methods``
-and ``UsageRecord.referenced_coordinates``.
+pays for. The two records that ``perfbench/corpora.py`` rebuilds with
+``dataclasses.replace``, ``ReleaseSnapshot`` and ``ProjectManifest``, are
+frozen dataclasses in ``records``; this module serves them on first use, so
+that a run that builds no record tree never imports ``dataclasses``.
 
 A record stores the objects it is given and converts none: its annotations
 are the contract, so a builder passes a tuple or a frozenset where one is
-annotated. Construction never raises; ``validate_snapshot`` is the one
-statement of the snapshot rules and reports violations as plain strings, so
+annotated. Construction never raises; ``validate_snapshot`` states the
+snapshot rules of a record tree and reports violations as plain strings, so
 corpus loading can keep going and record failures instead of aborting.
 ``SharedValues`` lets the decoders of one corpus load hand out one object
-per distinct coordinate and target set. ``ReleaseFacts`` is what a corpus
-load keeps of a release.
+per distinct coordinate and target set, and judge each distinct coordinate
+once. ``ReleaseFacts`` is what a corpus load keeps of a release.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
+
+if TYPE_CHECKING:
+    from .records import ReleaseSnapshot
 
 
 class ProjectCoordinate(NamedTuple):
@@ -62,14 +64,16 @@ class SharedValues:
     Decoders given the same instance return the same coordinate object for
     equal values, so a corpus load holds each coordinate once however many
     manifests repeat it; a load keeps its target sets through ``targets``.
-    The tables only grow; they live as long as the instance. Nothing is
-    checked here: a decoded release is checked with ``validate_snapshot``.
+    ``judged`` holds the coordinate rule's verdict on each distinct
+    (group, artifact) pair a decoder has asked about. The tables only grow;
+    they live as long as the instance.
     """
 
-    __slots__ = ("coordinates", "targets")
+    __slots__ = ("coordinates", "judged", "targets")
 
     def __init__(self) -> None:
         self.coordinates: dict[tuple[str, str], ProjectCoordinate] = {}
+        self.judged: dict[tuple[object, object], ProjectCoordinate | None] = {}
         self.targets: dict[frozenset[ProjectCoordinate], frozenset[ProjectCoordinate]] = {}
 
     def coordinate(self, group: str, artifact: str) -> ProjectCoordinate:
@@ -78,15 +82,21 @@ class SharedValues:
             coordinate = self.coordinates[group, artifact] = ProjectCoordinate(group, artifact)
         return coordinate
 
-
-@dataclass(frozen=True)
-class ProjectManifest:
-    """One build manifest (e.g. a single pom.xml) of a project module."""
-
-    coordinate: ProjectCoordinate
-    version_text: str
-    declared_dependencies: tuple[DependencyDecl, ...] = ()
-    submodule_coordinates: frozenset[ProjectCoordinate] = frozenset()
+    def kept_coordinate(self, group: object, artifact: object) -> ProjectCoordinate | None:
+        """The shared coordinate (group, artifact) if it keeps the coordinate
+        rule, else None. The rule runs once per distinct pair: a string
+        never equals a value of another type, so a pair of anything but
+        two strings can share no verdict with a pair of strings."""
+        key = (group, artifact)
+        try:
+            return self.judged[key]
+        except KeyError:
+            pass
+        except TypeError:  # an unhashable part, which no rule keeps
+            return None
+        kept = self.judged[key] = (None if _coordinate_violations(ProjectCoordinate(group, artifact))
+                                   else self.coordinate(group, artifact))
+        return kept
 
 
 class ApiSurface(NamedTuple):
@@ -103,20 +113,6 @@ class UsageRecord(NamedTuple):
     """Coordinates whose symbols the project actually references."""
 
     referenced_coordinates: frozenset[ProjectCoordinate]
-
-
-@dataclass(frozen=True)
-class ReleaseSnapshot:
-    """One project at one release."""
-
-    coordinate: ProjectCoordinate
-    version_label: str
-    timestamp: int
-    manifests: tuple[ProjectManifest, ...]
-    api_surface: ApiSurface | None = None
-    usage: UsageRecord | None = None
-    loc: int | None = None
-    bugs_fixed: int = 0
 
 
 class ReleaseFacts(NamedTuple):
@@ -175,7 +171,9 @@ def validate_snapshot(snapshot: ReleaseSnapshot) -> list[str]:
 
     An empty list means the snapshot is well formed. The result is a pure
     function of the snapshot (deterministic ordering). ``load_corpus`` runs
-    it once on every release it decodes, from JSON or from POMs.
+    it once on every POM release and on every ``snapshot.json`` release its
+    fast decoder refuses; the fast decoder accepts only a release this
+    finds clean.
     """
     violations: list[str] = []
     project = snapshot.coordinate
@@ -226,3 +224,12 @@ def validate_snapshot(snapshot: ReleaseSnapshot) -> list[str]:
                 violations.append(f"usage[{ref.key()}]{problem}")
 
     return violations
+
+
+def __getattr__(name: str):
+    # The record tier is imported on first use (see the module docstring).
+    if name in ("ProjectManifest", "ReleaseSnapshot"):
+        from . import records
+
+        return getattr(records, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

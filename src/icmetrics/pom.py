@@ -14,7 +14,8 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 
-from .model import DependencyDecl, ProjectCoordinate, ProjectManifest, SharedValues
+from .model import DependencyDecl, ProjectCoordinate, SharedValues
+from .records import ProjectManifest
 
 _PROPERTY_RE = re.compile(r"\$\{([^}]+)\}")
 _MAX_NESTING_DEPTH = 10

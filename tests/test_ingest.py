@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import shutil
@@ -7,9 +6,10 @@ import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (coord, deny_listing, make_manifest, make_snapshot, write_failed_release, write_messy_corpus,
@@ -28,7 +28,6 @@ from icmetrics.ingest import (
     load_corpus,
     load_release_history,
     parse_snapshot_json,
-    release_facts,
 )
 from icmetrics.model import (
     ApiSurface,
@@ -573,12 +572,20 @@ def test_every_release_that_breaks_a_rule_fails_with_the_full_check(tmp_path):
 
 
 def test_every_decoded_release_is_checked_once(tmp_path, monkeypatch):
-    calls = []
+    accepted, checked = [], []
+
+    def fast(raw, coordinate, version_label, *rest):
+        release = json_facts(raw, coordinate, version_label, *rest)
+        if release is not None:
+            accepted.append((coordinate, version_label))
+        return release
 
     def counted(snapshot):
-        calls.append((snapshot.coordinate, snapshot.version_label))
+        checked.append((snapshot.coordinate, snapshot.version_label))
         return validate_snapshot(snapshot)
 
+    json_facts = ingest._json_facts
+    monkeypatch.setattr(ingest, "_json_facts", fast)
     monkeypatch.setattr(ingest, "validate_snapshot", counted)
     # Decoded and clean: two snapshot.json and two pom releases.
     for version in ("1.0", "2.0"):
@@ -599,8 +606,11 @@ def test_every_decoded_release_is_checked_once(tmp_path, monkeypatch):
     corpus = load_corpus(tmp_path, None)
     assert [len(releases) for releases in corpus.facts.values()] == [2, 2]
     assert [len(failures) for failures in corpus.failed.values()] == [3, 2]
-    assert sorted(calls) == sorted({(coordinate, version) for coordinate in (coord("p"), ProjectCoordinate("g", "a"))
-                                    for version in ("1.0", "2.0", "3.0")})
+    # A clean snapshot.json release is judged by the fast decoder alone; a
+    # refused one and every pom release by the snapshot rules, once.
+    assert sorted(accepted) == [(coord("p"), "1.0"), (coord("p"), "2.0")]
+    assert sorted(checked) == [(ProjectCoordinate("g", "a"), version) for version in ("1.0", "2.0", "3.0")] + [
+        (coord("p"), "3.0")]
 
 
 def test_pom_release_with_sidecar_files(tmp_path):
@@ -1363,10 +1373,101 @@ _changed_callees = st.sampled_from([
 ])
 
 
+# Ways a release may break a rule, each one edit of its JSON value:
+# whitespace in a coordinate, a manifest that lists itself as a submodule,
+# a manifest that may be neither the project nor a declared submodule, and
+# a wrong JSON value at each field. A path that indexes an array that is
+# absent, null or empty first gets one clean element there.
+_CLEAN_ELEMENTS = {"dependencies": {"group": "g2", "artifact": "y", "version": None, "scope": None},
+                   "submodules": {"group": "g2", "artifact": "x"}, "usage": {"group": "g1", "artifact": "y"}}
+_COORDINATE_FIELDS = [("project", "artifact"), ("manifests", 0, "group"),
+                      ("manifests", 0, "dependencies", 0, "artifact"), ("manifests", 0, "submodules", 0, "group"),
+                      ("usage", 0, "artifact")]
+_TYPED_FIELDS = [
+    (), ("project",), ("project", "group"), ("version",), ("timestamp",), ("manifests",), ("manifests", 0),
+    ("manifests", 0, "artifact"), ("manifests", 0, "version"), ("manifests", 0, "dependencies"),
+    ("manifests", 0, "dependencies", 0), ("manifests", 0, "dependencies", 0, "group"),
+    ("manifests", 0, "dependencies", 0, "version"), ("manifests", 0, "dependencies", 0, "scope"),
+    ("manifests", 0, "submodules"), ("manifests", 0, "submodules", 0), ("manifests", 0, "submodules", 0, "artifact"),
+    ("api_surface",), ("usage",), ("usage", 0), ("usage", 0, "group"), ("loc",), ("bugs_fixed",),
+]
+_wrong_values = st.sampled_from([None, True, False, 0, 3, -1, 1.5, 2 ** 1024, "", "x", [], [1], ["x"], {},
+                                 {"group": "g1", "artifact": "x"}])
+_spaced_names = st.builds(lambda name, space, where: {"before": space + name, "inside": name[0] + space + name[1:],
+                                                      "after": name + space, "alone": space}[where],
+                          st.sampled_from(["g1", "x"]), st.sampled_from([" ", "\t", "\n", "\u00a0", "\u3000"]),
+                          st.sampled_from(["before", "inside", "after", "alone"]))
+_BREAK_SITES = ([("put", path, _spaced_names) for path in _COORDINATE_FIELDS]
+                + [("put", path, _wrong_values) for path in _TYPED_FIELDS]
+                + [("self", None, st.none()), ("manifest", True, _pool_coordinates),
+                   ("manifest", False, _pool_coordinates)])
+
+
+@st.composite
+def _breaks(draw):
+    """One break: a site and the value it puts there."""
+    kind, where, values = draw(st.sampled_from(_BREAK_SITES))
+    return kind, where, draw(values)
+
+
+def _with_every_break(test):
+    """``test`` with explicit examples on a fixed corpus: one per break
+    site, each on the second of three releases, a few values that only
+    break a rule at their field, and a negative history bug count. Drawn
+    sites are spread too unevenly to reach every rule in every run."""
+    project, other, submodule, used = _POOL_COORDINATES[:4]
+    releases = [ReleaseSnapshot(
+        coordinate=project, version_label=version, timestamp=1, loc=5,
+        manifests=(ProjectManifest(project, version, (DependencyDecl(other, "1.0", "compile"),),
+                                   frozenset({submodule})),),
+        api_surface=ApiSurface({"p.A.f()V": frozenset({"p.A.g()V"})}),
+        usage=UsageRecord(frozenset({used}))) for version in ("1", "2", "3")]
+    breaks = ([("put", path, "x y") for path in _COORDINATE_FIELDS]
+              + [("put", path, True) for path in _TYPED_FIELDS]
+              + [("put", ("loc",), -1), ("put", ("loc",), 2 ** 1024), ("put", ("bugs_fixed",), -1),
+                 ("put", ("bugs_fixed",), 2 ** 1024), ("put", ("manifests",), [])]
+              + [("self", None, None), ("manifest", True, other), ("manifest", False, other)])
+    for brk in breaks:
+        test = example(releases, [0] * 6, [{}] * 6, [None, brk] + [None] * 4)(test)
+    return example(releases, [0, -1, 0, 0, 0, 0], [{}] * 6, [None] * 6)(test)
+
+
+def _put(doc, path, value):
+    """``doc`` with the value at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    node = doc
+    for key, index in zip(path, path[1:]):
+        if isinstance(index, int) and not node.get(key):
+            node[key] = [dict(_CLEAN_ELEMENTS[key])]
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _broken(doc, kind, where, value):
+    """``doc`` after one drawn break."""
+    if kind == "put":
+        return _put(doc, where, value)
+    manifest = doc["manifests"][0]
+    if kind == "self":
+        manifest["submodules"].append({"group": manifest["group"], "artifact": manifest["artifact"]})
+    elif where:  # another coordinate for the first manifest
+        manifest.update(group=value.group, artifact=value.artifact)
+    else:  # a second manifest
+        doc["manifests"].append({"group": value.group, "artifact": value.artifact, "version": "1"})
+    return doc
+
+
 @settings(max_examples=100, deadline=None)
-@given(_pooled_corpora(), st.lists(st.integers(0, 9), min_size=6, max_size=6),
-       st.lists(st.dictionaries(_pool_methods, _changed_callees, max_size=2), min_size=6, max_size=6))
-def test_shared_load_equals_per_file_decode(releases, bugs, changes):
+@given(_pooled_corpora(), st.lists(st.integers(-2, 9), min_size=6, max_size=6),
+       st.lists(st.dictionaries(_pool_methods, _changed_callees, max_size=2), min_size=6, max_size=6),
+       st.lists(st.none() | _breaks(), min_size=6, max_size=6))
+@_with_every_break
+def test_shared_load_equals_per_file_decode(releases, bugs, changes, breaks):
+    # The load, whose fast decoder accepts what it can, must equal the record
+    # path on every release, each decoded in a load of its own: on facts, on
+    # failures (exact reason) and on warnings.
     history = [ReleaseHistoryRow(s.coordinate.key(), s.version_label, s.timestamp, b)
                for s, b in zip(releases, bugs)]
     expected: dict[ProjectCoordinate, list[ReleaseFacts]] = {}
@@ -1374,22 +1475,24 @@ def test_shared_load_equals_per_file_decode(releases, bugs, changes):
     warnings = []
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch)
-        for snapshot, row, change in zip(releases, history, changes):
+        for i, (snapshot, row, change, brk) in enumerate(zip(releases, history, changes, breaks)):
             doc = json.loads(encode_snapshot(snapshot))
             if doc["api_surface"] is not None:
                 doc["api_surface"].update(change)
+            if brk is not None:
+                doc = _broken(doc, *brk)
             text = json.dumps(doc)
-            release_dir = root / row.project_key / row.version_label
-            release_dir.mkdir(parents=True)
-            (release_dir / "snapshot.json").write_text(text, encoding="utf-8")
-            parsed = expected.setdefault(snapshot.coordinate, [])
-            failures = failed.setdefault(snapshot.coordinate, [])
-            try:
-                parsed.append(release_facts(dataclasses.replace(parse_snapshot_json(text), bugs_fixed=row.bugs_fixed)))
-            except SnapshotFormatError as exc:
-                failures.append(FailedRelease(row.version_label, str(exc)))
-                warnings.append(f"failed release {row.project_key}/{row.version_label}: {exc}")
-        corpus = load_corpus(root, history)
+            for corpus_root in (root / "shared", root / f"alone{i}"):
+                release_dir = corpus_root / row.project_key / row.version_label
+                release_dir.mkdir(parents=True)
+                (release_dir / "snapshot.json").write_text(text, encoding="utf-8")
+            with mock.patch.object(ingest, "_json_facts", return_value=None):
+                alone = load_corpus(root / f"alone{i}", [row])
+            for project, releases_alone in alone.facts.items():
+                expected.setdefault(project, []).extend(releases_alone)
+                failed.setdefault(project, []).extend(alone.failed[project])
+            warnings += alone.warnings
+        corpus = load_corpus(root / "shared", history)
 
     for snapshots in expected.values():
         snapshots.sort(key=lambda s: (s.timestamp, s.version_label))

@@ -1,16 +1,18 @@
 """The record rule and the import cost it protects.
 
 Every class of the package is a ``typing.NamedTuple``, an exception or
-``SharedValues``, except two: ``ReleaseSnapshot`` and ``ProjectManifest``
-stay dataclasses because ``perfbench/corpora.py`` rebuilds them with
-``dataclasses.replace`` (it also reads the ``ApiSurface.methods`` and
-``UsageRecord.referenced_coordinates`` wrappers, which keeps those two
-records). A frozen dataclass costs several times a named tuple to create at
-import and to build, and every analyze run pays for both. A record stores
-what its builder gives it: no class converts its fields in ``__post_init__`` or
-``__new__``. The synthetic-corpus generator is loaded only by the ``synth``
-command, and the POM decoder (with ``xml.etree``) only by the first
-``pom.xml`` release a load reads.
+``SharedValues``, except two: ``records.ReleaseSnapshot`` and
+``records.ProjectManifest`` stay dataclasses because ``perfbench/corpora.py``
+rebuilds them with ``dataclasses.replace`` (it also reads the
+``ApiSurface.methods`` and ``UsageRecord.referenced_coordinates`` wrappers,
+which keeps those two records). A frozen dataclass costs several times a
+named tuple to create at import and to build, and importing ``dataclasses``
+costs every process that does it; so ``records`` is loaded on first use. A
+record stores what its builder gives it: no class converts its fields in
+``__post_init__`` or ``__new__``. The synthetic-corpus generator is loaded
+only by the ``synth`` command, and the POM decoder (with ``xml.etree``) and
+the record tier (with ``dataclasses``) only by the first ``pom.xml`` release
+a load reads; a load of clean ``snapshot.json`` releases loads neither.
 """
 
 import ast
@@ -28,7 +30,7 @@ import icmetrics
 from icmetrics.model import SharedValues
 
 PACKAGE = sorted(Path(icmetrics.__file__).parent.glob("*.py"))
-DATACLASSES = {"ProjectManifest", "ReleaseSnapshot"}
+DATACLASSES = {"records.ProjectManifest", "records.ReleaseSnapshot"}
 
 
 def dataclass_names(source: str) -> set[str]:
@@ -54,19 +56,19 @@ def test_dataclass_names_are_found():
 
 
 def test_only_the_replaced_types_are_dataclasses():
-    found = set().union(*(dataclass_names(path.read_text(encoding="utf-8")) for path in PACKAGE))
+    found = {f"{path.stem}.{name}" for path in PACKAGE for name in dataclass_names(path.read_text(encoding="utf-8"))}
     assert found == DATACLASSES
 
 
 def defined_classes():
-    """Each class a ``class`` statement of the package defines, by name; None
-    for one that is not a name of its module (a class nested in a function or
-    another class)."""
+    """Each class a ``class`` statement of the package defines, by
+    ``module.name``; None for one that is not a name of its module (a class
+    nested in a function or another class)."""
     for path in PACKAGE:
         module = importlib.import_module("icmetrics" if path.stem == "__init__" else f"icmetrics.{path.stem}")
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ClassDef):
-                yield node.name, getattr(module, node.name, None)
+                yield f"{path.stem}.{node.name}", getattr(module, node.name, None)
 
 
 def is_allowed_class(name, cls):
@@ -81,7 +83,8 @@ def is_allowed_class(name, cls):
 def test_every_class_is_a_record_an_exception_or_pinned():
     classes = list(defined_classes())
     names = {name for name, _ in classes}
-    assert {"Corpus", "ReleaseFacts", "SnapshotFormatError", "PomError", "SharedValues"} <= names
+    assert {"ingest.Corpus", "model.ReleaseFacts", "ingest.SnapshotFormatError", "pom.PomError",
+            "model.SharedValues"} | DATACLASSES <= names
     assert sorted(name for name, cls in classes if not is_allowed_class(name, cls)) == []
 
 
@@ -91,7 +94,7 @@ def test_a_plain_or_nested_class_is_not_allowed():
 
     assert not is_allowed_class("Plain", Plain)
     assert not is_allowed_class("Nested", None)
-    assert not is_allowed_class("Other", dataclasses.dataclass(type("Other", (), {})))
+    assert not is_allowed_class("model.Other", dataclasses.dataclass(type("Other", (), {})))
 
 
 def converting_constructors(source: str) -> set[str]:
@@ -123,6 +126,8 @@ def run_python(code: str) -> subprocess.CompletedProcess:
                           check=True)
 
 
+# Every module an analyze run imports; the record tier (icmetrics.records)
+# is not one of them.
 ANALYZE_PATH = ["icmetrics", "icmetrics.cli", "icmetrics.ingest", "icmetrics.metrics", "icmetrics.model",
                 "icmetrics.pipeline", "icmetrics.report", "icmetrics.stats"]
 
@@ -134,14 +139,15 @@ def test_importing_the_cli_does_not_load_synth():
     assert loaded == ANALYZE_PATH
 
 
-DECODER_LOADED = "print(*(name in sys.modules for name in ('icmetrics.pom', 'xml.etree.ElementTree')))"
+DECODER_LOADED = ("print(*(name in sys.modules for name in"
+                  " ('icmetrics.pom', 'xml.etree.ElementTree', 'icmetrics.records', 'dataclasses')))")
 SNAPSHOT_JSON = ('{"project":{"group":"g","artifact":"a"},"version":"1.0","timestamp":1,'
                  '"manifests":[{"group":"g","artifact":"a","version":"1.0"}]}')
 POM_XML = "<project><groupId>g</groupId><artifactId>a</artifactId><version>1.0</version></project>"
 
 
 def test_importing_the_cli_does_not_load_the_pom_decoder():
-    assert run_python(f"import sys, icmetrics.cli; {DECODER_LOADED}").stdout.split() == ["False", "False"]
+    assert run_python(f"import sys, icmetrics.cli; {DECODER_LOADED}").stdout.split() == ["False"] * 4
 
 
 @pytest.mark.parametrize("name, text, loaded", [("snapshot.json", SNAPSHOT_JSON, "False"),
@@ -154,7 +160,7 @@ def test_only_a_pom_release_loads_the_pom_decoder(tmp_path, name, text, loaded):
     argv = ["analyze", "--corpus", str(tmp_path / "corpus"), "--history", str(tmp_path / "releases.csv"),
             "--out", str(tmp_path / "out")]
     result = run_python(f"import sys; from icmetrics.cli import main; print(main({argv!r})); {DECODER_LOADED}")
-    assert result.stdout.split() == ["0", loaded, loaded]
+    assert result.stdout.split() == ["0"] + [loaded] * 4
     assert "warning" not in result.stderr  # the release parsed and joined its history row
 
 
