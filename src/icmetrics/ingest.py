@@ -183,13 +183,13 @@ def _api_surface_from_json(value: Any, path: str) -> tuple[dict[str, list[str]] 
     return value, rfc
 
 
-def _usage_from_json(value: Any, path: str, shared: SharedValues) -> UsageRecord | None:
-    """Decode a usage record, the ``usage`` field or usage.json."""
+def _usage_from_json(value: Any, path: str, shared: SharedValues) -> frozenset[ProjectCoordinate] | None:
+    """The coordinates a usage record references, the ``usage`` field or usage.json."""
     if value is None:
         return None
     if not isinstance(value, list):
         _invalid(path, "must be an array or null")
-    return UsageRecord(frozenset(_coordinate(item, shared, path, i) for i, item in enumerate(value)))
+    return frozenset(_coordinate(item, shared, path, i) for i, item in enumerate(value))
 
 
 def _dependency(value: Any, shared: SharedValues, path: str, index: int) -> DependencyDecl:
@@ -277,7 +277,7 @@ def _snapshot_from_json(raw: Any, shared: SharedValues, row: ReleaseHistoryRow |
     manifests = tuple(_manifest_from_json(item, shared, ".manifests", i) for i, item in enumerate(manifests_raw))
 
     surface, rfc = _api_surface_from_json(raw.get("api_surface"), ".api_surface")
-    usage = _usage_from_json(raw.get("usage"), ".usage", shared)
+    referenced = _usage_from_json(raw.get("usage"), ".usage", shared)
 
     loc = raw.get("loc")
     if loc is not None:
@@ -289,7 +289,7 @@ def _snapshot_from_json(raw: Any, shared: SharedValues, row: ReleaseHistoryRow |
         version_label=raw["version"],
         timestamp=raw["timestamp"],
         manifests=manifests,
-        usage=usage,
+        usage=None if referenced is None else UsageRecord(referenced),
         loc=loc,
         bugs_fixed=bugs if row is None else row.bugs_fixed,
     )
@@ -560,17 +560,16 @@ def _read_sidecar(entry: os.DirEntry[str]) -> Any:
     return _decode_json(_read_utf8(entry.path, entry.name), entry.name)
 
 
-def _load_pom_release(release_dir: os.DirEntry[str], loc_suffixes: tuple[str, ...],
-                      warnings: list[str], shared: SharedValues,
-                      row: ReleaseHistoryRow | None) -> tuple[ReleaseSnapshot, int | None]:
-    """Assemble a snapshot, without its API surface, from pom.xml files plus
-    optional sidecar files; return it with its RFC.
+def _read_pom_release(release_dir: os.DirEntry[str], loc_suffixes: tuple[str, ...], warnings: list[str],
+                      shared: SharedValues) -> tuple[list[tuple], int | None, frozenset | None, int | None]:
+    """Decode a pom.xml release: ``read_pom``'s values of each manifest, the
+    RFC of api_surface.json, the coordinates usage.json references (through
+    ``shared``) and the LOC under ``src/``; an optional part is None when absent.
 
     One walk of the release directory finds the manifests (every pom.xml,
-    ordered by depth, then path), the sidecars and the LOC files under
-    ``src/``; only an unlistable release directory raises. The timestamp and
-    bug count come from the history ``row`` (0 without one). The snapshot
-    rules are left to the caller.
+    ordered by depth, then path), the sidecars and the LOC files; each
+    manifest is parsed once. Only an unlistable release directory raises
+    OSError; a manifest or sidecar that does not decode raises ValueError.
     """
     top: dict[str, os.DirEntry[str]] = {}
     pom_paths: list[tuple[int, str]] = []
@@ -588,37 +587,66 @@ def _load_pom_release(release_dir: os.DirEntry[str], loc_suffixes: tuple[str, ..
     if not pom_paths:
         raise SnapshotFormatError("no snapshot.json or pom.xml")
 
-    # Imported here, so a load that reads no pom.xml never loads the XML
-    # decoder or the record tier.
-    from .pom import parse_pom
-    from .records import ReleaseSnapshot
+    # Imported here, so a load that reads no pom.xml never loads the XML decoder.
+    from .pom import read_pom
 
-    manifests = tuple(parse_pom(_read(path), shared) for _, path in sorted(pom_paths))
+    poms = [read_pom(_read(path)) for _, path in sorted(pom_paths)]
 
-    rfc = usage = loc = None
+    rfc = referenced = loc = None
     surface_entry = top.get("api_surface.json")
     if surface_entry is not None and _is_file(surface_entry):
         _, rfc = _api_surface_from_json(_read_sidecar(surface_entry), surface_entry.name)
     usage_entry = top.get("usage.json")
     if usage_entry is not None and _is_file(usage_entry):
-        usage = _usage_from_json(_read_sidecar(usage_entry), usage_entry.name, shared)
+        referenced = _usage_from_json(_read_sidecar(usage_entry), usage_entry.name, shared)
 
     src_entry = top.get("src")
     if src_entry is not None and _is_dir(src_entry):
         # rglob enters a symlinked root, so a symlinked src/ gets a walk of its own.
         loc = (count_loc(src_entry.path, loc_suffixes, warnings) if src_entry.is_symlink()
                else _count_lines(sources, warnings))
+    return poms, rfc, referenced, loc
 
-    snapshot = ReleaseSnapshot(
+
+def _pom_facts(raw: tuple, coordinate: ProjectCoordinate, version_label: str, row: ReleaseHistoryRow | None,
+               scope_filter: frozenset[str] | set[str], shared: SharedValues) -> ReleaseFacts | None:
+    """The facts of a decoded pom.xml release if the record path would accept
+    it: its root names the project ``coordinate``, the history ``row`` (none
+    reads 0 and 0) has an integer timestamp and a non-negative bug count,
+    and every snapshot rule holds. None otherwise; this forms no message."""
+    poms, rfc, referenced, loc = raw
+    timestamp, bugs = (0, 0) if row is None else (row.timestamp, row.bugs_fixed)
+    if not (shared.kept_coordinate(*poms[0][:2]) == coordinate
+            and isinstance(timestamp, int) and isinstance(bugs, int) and bugs >= 0):
+        return None
+    found = _targets_and_lcom1(coordinate, ((group, artifact, zip(repeat(group), modules), dependencies)
+                                            for group, artifact, _, dependencies, modules in poms),
+                               referenced, scope_filter, shared)
+    if found is None:
+        return None
+    targets, lcom1 = found
+    return ReleaseFacts(version_label, timestamp, bugs, loc, targets, rfc, lcom1)
+
+
+def _pom_snapshot(raw: tuple, version_label: str, row: ReleaseHistoryRow | None,
+                  shared: SharedValues) -> tuple[ReleaseSnapshot, int | None]:
+    """The record path: a decoded pom.xml release's snapshot, without its API
+    surface, built through ``shared``, and its RFC. The history ``row`` gives
+    the timestamp and bug count (0 without one); the rules are left to the caller."""
+    from .pom import build_manifest  # with the record tier, only for a release the fast path refuses
+    from .records import ReleaseSnapshot
+
+    poms, rfc, referenced, loc = raw
+    manifests = tuple(build_manifest(values, shared) for values in poms)
+    return ReleaseSnapshot(
         coordinate=manifests[0].coordinate,
-        version_label=release_dir.name,
+        version_label=version_label,
         timestamp=0 if row is None else row.timestamp,
         manifests=manifests,
-        usage=usage,
+        usage=None if referenced is None else UsageRecord(referenced),
         loc=loc,
         bugs_fixed=0 if row is None else row.bugs_fixed,
-    )
-    return snapshot, rfc
+    ), rfc
 
 
 def effective_targets(snapshot: ReleaseSnapshot,
@@ -656,6 +684,72 @@ def release_facts(snapshot: ReleaseSnapshot,
                   scope_filter, {})
 
 
+_NO_PAIR = (None, None)  # no rule keeps it
+_BROKEN = (None, None, (), ())  # a manifest or dependency whose coordinate no rule keeps
+
+
+def _targets_and_lcom1(coordinate: ProjectCoordinate, manifests: Iterable[tuple], referenced: Iterable[tuple] | None,
+                       scope_filter: frozenset[str] | set[str], shared: SharedValues) -> tuple | None:
+    """The rule core of both fast decoders: a release's targets and LCOM1, or
+    None when a rule breaks. ``manifests`` yields (group, artifact,
+    submodule pairs, dependencies as (group, artifact, version, scope)),
+    ``referenced`` the usage record's pairs (None without one). Every pair
+    keeps the coordinate rule, judged through ``shared``; versions and
+    scopes are strings or None; no manifest lists itself as a submodule;
+    each manifest is the project ``coordinate`` or a declared submodule."""
+    kept = shared.kept_coordinate
+    own = {coordinate}  # the project and every declared submodule
+    strangers = []  # manifest coordinates other than the project's
+    targets = []  # dependency targets whose scope is not filtered
+    for group, artifact, submodules, dependencies in manifests:
+        manifest = kept(group, artifact)  # None, which is never in own, when it breaks the rule
+        for sub_group, sub_artifact in submodules:
+            submodule = kept(sub_group, sub_artifact)
+            if submodule is None or submodule == manifest:
+                return None
+            own.add(submodule)
+        if manifest != coordinate:
+            strangers.append(manifest)
+        for dep_group, dep_artifact, version, scope in dependencies:
+            target = kept(dep_group, dep_artifact)
+            if not (target is not None and (version is None or type(version) is str)
+                    and (scope is None or type(scope) is str)):
+                return None
+            if scope not in scope_filter:
+                targets.append(target)
+    if not own.issuperset(strangers):
+        return None
+    edges = frozenset(targets).difference(own)
+    lcom1 = None
+    if referenced is not None:
+        references = set()
+        for group, artifact in referenced:
+            reference = kept(group, artifact)
+            if reference is None:
+                return None
+            references.add(reference)
+        lcom1 = len(edges.difference(references))
+    return shared.targets.setdefault(edges, edges), lcom1
+
+
+def _json_pair(value: Any) -> tuple:
+    """The (group, artifact) of a JSON object; ``_NO_PAIR`` for another value."""
+    return (value.get("group"), value.get("artifact")) if type(value) is dict else _NO_PAIR
+
+
+def _json_manifest(item: Any) -> tuple:
+    """A JSON manifest as ``_targets_and_lcom1`` reads it; ``_BROKEN`` unless
+    it is an object with a string version and arrays of submodules and
+    dependencies."""
+    if type(item) is dict:
+        submodules, dependencies = item.get("submodules", []), item.get("dependencies", [])
+        if type(item.get("version")) is str and type(submodules) is list and type(dependencies) is list:
+            return (item.get("group"), item.get("artifact"), map(_json_pair, submodules),
+                    ((dep.get("group"), dep.get("artifact"), dep.get("version"), dep.get("scope"))
+                     if type(dep) is dict else _BROKEN for dep in dependencies))
+    return _BROKEN
+
+
 def _json_facts(raw: Any, coordinate: ProjectCoordinate, version_label: str, row: ReleaseHistoryRow | None,
                 scope_filter: frozenset[str] | set[str], shared: SharedValues) -> ReleaseFacts | None:
     """The facts of a snapshot.json value, decoded straight from JSON, if the
@@ -678,54 +772,17 @@ def _json_facts(raw: Any, coordinate: ProjectCoordinate, version_label: str, row
         if not (isinstance(bugs, int) and bugs >= 0):
             return None
 
-    manifests = get("manifests")
-    if not (type(manifests) is list and manifests):
+    manifests, surface, usage, rfc = get("manifests"), get("api_surface"), get("usage"), None
+    if not (type(manifests) is list and manifests and (usage is None or type(usage) is list)):
         return None
-    own = {coordinate}  # the project and every declared submodule
-    strangers = []  # manifest coordinates other than the project's
-    targets = []  # unfiltered dependency targets
-    for item in manifests:
-        if type(item) is not dict:
-            return None
-        manifest = kept(item.get("group"), item.get("artifact"))
-        submodules, dependencies = item.get("submodules", []), item.get("dependencies", [])
-        if not (manifest is not None and type(item.get("version")) is str
-                and type(submodules) is list and type(dependencies) is list):
-            return None
-        for sub in submodules:
-            submodule = kept(sub.get("group"), sub.get("artifact")) if type(sub) is dict else None
-            if submodule is None or submodule == manifest:
-                return None
-            own.add(submodule)
-        if manifest != coordinate:
-            strangers.append(manifest)
-        for dep in dependencies:
-            if type(dep) is not dict:
-                return None
-            target, version, scope = kept(dep.get("group"), dep.get("artifact")), dep.get("version"), dep.get("scope")
-            if not (target is not None and (version is None or type(version) is str)
-                    and (scope is None or type(scope) is str)):
-                return None
-            if scope not in scope_filter:
-                targets.append(target)
-    if not own.issuperset(strangers):
-        return None
-
-    surface, usage, rfc, lcom1 = get("api_surface"), get("usage"), None, None
     if surface is not None and (type(surface) is not dict or (rfc := _response_count(surface)) is None):
         return None
-    edges = frozenset(targets).difference(own)
-    if usage is not None:
-        if type(usage) is not list:
-            return None
-        referenced = set()
-        for item in usage:
-            reference = kept(item.get("group"), item.get("artifact")) if type(item) is dict else None
-            if reference is None:
-                return None
-            referenced.add(reference)
-        lcom1 = len(edges.difference(referenced))
-    return ReleaseFacts(version_label, timestamp, bugs, loc, shared.targets.setdefault(edges, edges), rfc, lcom1)
+    found = _targets_and_lcom1(coordinate, map(_json_manifest, manifests),
+                               None if usage is None else map(_json_pair, usage), scope_filter, shared)
+    if found is None:
+        return None
+    targets, lcom1 = found
+    return ReleaseFacts(version_label, timestamp, bugs, loc, targets, rfc, lcom1)
 
 
 def _load_project(project_dir: os.DirEntry[str], coordinate: ProjectCoordinate,
@@ -735,10 +792,13 @@ def _load_project(project_dir: os.DirEntry[str], coordinate: ProjectCoordinate,
     """Load the directory of the project ``coordinate``: its releases' facts in
     (timestamp, version) order, its failed releases and warnings in directory
     order, and the history ``rows`` (by version; None without history) left unjoined.
-    Each release is judged here alone, and by one path. A snapshot.json
-    value that ``_json_facts`` accepts is done. Any other release is
-    decoded into records and judged by its directory name, then by the
-    snapshot rules, then by its directories; any OSError or ValueError makes
+    Each release is judged here alone, and by one path. A release is
+    decoded once, a snapshot.json to its JSON value and a pom.xml release
+    to ``read_pom``'s values and its sidecars, and a decoder error fails it.
+    A decoded release that its fast decoder (``_json_facts``,
+    ``_pom_facts``) accepts is done. Only a release it refuses takes the
+    record path: records built from the decoded values and judged by the
+    snapshot rules, then by its directories. Any OSError or ValueError makes
     it a failed release. Only an unlistable project directory raises."""
     facts, failed, warnings, unjoined = [], [], [], dict(rows or ())
     for release_dir in _subdirs(project_dir.path):
@@ -754,8 +814,10 @@ def _load_project(project_dir: os.DirEntry[str], coordinate: ProjectCoordinate,
                 if release is None:
                     snapshot, _, rfc = _snapshot_from_json(raw, shared, row)
             else:
-                release = None
-                snapshot, rfc = _load_pom_release(release_dir, loc_suffixes, warnings, shared, row)
+                raw = _read_pom_release(release_dir, loc_suffixes, warnings, shared)
+                release = _pom_facts(raw, coordinate, version_label, row, scope_filter, shared)
+                if release is None:
+                    snapshot, rfc = _pom_snapshot(raw, version_label, row, shared)
             if release is None:
                 _check(snapshot)
                 if snapshot.coordinate != coordinate:

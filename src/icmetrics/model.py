@@ -171,9 +171,9 @@ def validate_snapshot(snapshot: ReleaseSnapshot) -> list[str]:
 
     An empty list means the snapshot is well formed. The result is a pure
     function of the snapshot (deterministic ordering). ``load_corpus`` runs
-    it once on every POM release and on every ``snapshot.json`` release its
-    fast decoder refuses; the fast decoder accepts only a release this
-    finds clean.
+    it once on every release, of either format, that its fast decoders
+    refuse, to word the refusal; they accept only a release this finds
+    clean.
     """
     violations: list[str] = []
     project = snapshot.coordinate

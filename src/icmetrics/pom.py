@@ -1,4 +1,4 @@
-"""Maven POM subset parser.
+"""Maven POM subset reader.
 
 Only the manifest surface needed for graph construction is read: the
 project coordinate (with ``<parent>`` fallback), the project-level
@@ -7,15 +7,23 @@ project coordinate (with ``<parent>`` fallback), the project-level
 dependencies are deliberately out of scope: resolving them faithfully
 requires a full build, while declared direct dependencies are a stable
 observable of the file alone.
+
+``read_pom`` returns those values as strings and tuples, which a corpus
+load judges straight to a release's facts. ``parse_pom`` wraps them in a
+``ProjectManifest``, importing the record tier (and ``dataclasses``) on
+first use.
 """
 
 from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
+from typing import TYPE_CHECKING
 
-from .model import DependencyDecl, ProjectCoordinate, SharedValues
-from .records import ProjectManifest
+from .model import DependencyDecl, SharedValues
+
+if TYPE_CHECKING:
+    from .records import ProjectManifest
 
 _PROPERTY_RE = re.compile(r"\$\{([^}]+)\}")
 _MAX_NESTING_DEPTH = 10
@@ -68,15 +76,13 @@ def _field(node: ET.Element | None, properties: dict[str, str], fallback: ET.Ele
     ``node`` is absent or blank, and None when both are."""
     if node is None or not node.text or not (text := node.text.strip()):
         return None if fallback is None else _field(fallback, properties)
-    return _interpolate(text, properties)
+    return text if "${" not in text else _interpolate(text, properties)
 
 
 def _interpolate(text: str, properties: dict[str, str]) -> str:
     """Resolve every ``${key}`` in ``text``: each round replaces them all, and
     a reference left after ``_MAX_NESTING_DEPTH`` rounds (deeper nesting or a
     cycle) fails, as does an undefined key; the error names a key."""
-    if "${" not in text:
-        return text
 
     def lookup(match: re.Match[str]) -> str:
         key = match.group(1)
@@ -93,18 +99,19 @@ def _interpolate(text: str, properties: dict[str, str]) -> str:
     return text
 
 
-def parse_pom(xml: bytes | str, _shared: SharedValues | None = None) -> ProjectManifest:
-    """Parse one pom.xml document into a ProjectManifest.
+def read_pom(xml: bytes | str) -> tuple[str, str, str, list[tuple], list[str]]:
+    """Read one pom.xml document: its group, artifact and version, each
+    declared dependency's (group, artifact, version, scope), and the names
+    of its modules, in document order. Every value is stripped and
+    interpolated; a dependency's version and scope are None when absent.
 
     Pass the file's bytes, so that the parser decodes them as the XML
     declaration says (UTF-8 when there is none); ``str`` input is parsed
-    as already decoded text. ``_shared`` is for ``ingest.load_corpus``: its
-    coordinates are shared by the whole load.
+    as already decoded text.
 
     Raises PomSyntaxError, PomEncodingError, IncompleteCoordinatesError or
-    UnresolvedPropertyError; never returns a partial manifest.
+    UnresolvedPropertyError; never returns partial values.
     """
-    shared = SharedValues() if _shared is None else _shared
     try:
         root = ET.fromstring(xml)
     except ET.ParseError as exc:
@@ -141,7 +148,7 @@ def parse_pom(xml: bytes | str, _shared: SharedValues | None = None) -> ProjectM
     properties.setdefault("project.artifactId", artifact)
     properties.setdefault("project.version", version)
 
-    dependencies: list[DependencyDecl] = []
+    dependencies: list[tuple[str, str, str | None, str | None]] = []
     deps_node = top.get("dependencies")
     if deps_node is not None:
         for index, node in enumerate(n for n in deps_node if _local(n.tag) == "dependency"):
@@ -152,20 +159,36 @@ def parse_pom(xml: bytes | str, _shared: SharedValues | None = None) -> ProjectM
                 raise IncompleteCoordinatesError(
                     f"incomplete coordinates: dependency #{index} lacks groupId or artifactId"
                 )
-            dependencies.append(DependencyDecl(shared.coordinate(dep_group, dep_artifact),
-                                               _field(fields.get("version"), properties),
-                                               _field(fields.get("scope"), properties)))
+            dependencies.append((dep_group, dep_artifact, _field(fields.get("version"), properties),
+                                 _field(fields.get("scope"), properties)))
 
-    submodules: set[ProjectCoordinate] = set()
+    modules: list[str] = []
     modules_node = top.get("modules")
     if modules_node is not None:
         for node in modules_node:
             if _local(node.tag) == "module" and (module := _field(node, properties)) is not None:
-                submodules.add(shared.coordinate(group, module))
+                modules.append(module)
 
+    return group, artifact, version, dependencies, modules
+
+
+def build_manifest(values: tuple, shared: SharedValues) -> ProjectManifest:
+    """The ProjectManifest of ``read_pom``'s values, its coordinates taken from ``shared``."""
+    from .records import ProjectManifest
+
+    group, artifact, version, dependencies, modules = values
     return ProjectManifest(
         coordinate=shared.coordinate(group, artifact),
         version_text=version,
-        declared_dependencies=tuple(dependencies),
-        submodule_coordinates=frozenset(submodules),
+        declared_dependencies=tuple(DependencyDecl(shared.coordinate(dep_group, dep_artifact), dep_version, scope)
+                                    for dep_group, dep_artifact, dep_version, scope in dependencies),
+        submodule_coordinates=frozenset(shared.coordinate(group, module) for module in modules),
     )
+
+
+def parse_pom(xml: bytes | str, _shared: SharedValues | None = None) -> ProjectManifest:
+    """Parse one pom.xml document into a ProjectManifest: ``read_pom``'s
+    values as a record, raising as ``read_pom`` does. ``_shared`` is for
+    callers that share coordinates across documents, as one corpus load does.
+    """
+    return build_manifest(read_pom(xml), SharedValues() if _shared is None else _shared)

@@ -3,10 +3,10 @@
 ``ReleaseSnapshot`` and ``ProjectManifest`` are frozen dataclasses, so that
 ``dataclasses.replace`` rebuilds them (``perfbench/corpora.py`` does). This
 module, and with it ``dataclasses``, is imported on first use: by
-``parse_snapshot_json``, by the first ``pom.xml`` release a load reads, by
-``synth``, or by a name ``model``, ``ingest`` or the package serves. A load
-of ``snapshot.json`` releases decodes each one straight to its
-``ReleaseFacts`` and loads it only for a release it refuses.
+``parse_snapshot_json``, ``parse_pom`` or ``synth``, by the first release a
+load refuses, or by a name ``model``, ``ingest`` or the package serves. A
+load decodes each release of either format straight to its
+``ReleaseFacts``, and builds records only for a release it refuses.
 """
 
 from __future__ import annotations

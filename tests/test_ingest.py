@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import shutil
@@ -7,6 +8,7 @@ import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
+from xml.sax.saxutils import escape
 
 import pytest
 from hypothesis import example, given, settings
@@ -574,18 +576,21 @@ def test_every_release_that_breaks_a_rule_fails_with_the_full_check(tmp_path):
 def test_every_decoded_release_is_checked_once(tmp_path, monkeypatch):
     accepted, checked = [], []
 
-    def fast(raw, coordinate, version_label, *rest):
-        release = json_facts(raw, coordinate, version_label, *rest)
-        if release is not None:
-            accepted.append((coordinate, version_label))
-        return release
+    def recording(decoder):
+        def fast(raw, coordinate, version_label, *rest):
+            release = decoder(raw, coordinate, version_label, *rest)
+            if release is not None:
+                accepted.append((coordinate, version_label))
+            return release
+
+        return fast
 
     def counted(snapshot):
         checked.append((snapshot.coordinate, snapshot.version_label))
         return validate_snapshot(snapshot)
 
-    json_facts = ingest._json_facts
-    monkeypatch.setattr(ingest, "_json_facts", fast)
+    monkeypatch.setattr(ingest, "_json_facts", recording(ingest._json_facts))
+    monkeypatch.setattr(ingest, "_pom_facts", recording(ingest._pom_facts))
     monkeypatch.setattr(ingest, "validate_snapshot", counted)
     # Decoded and clean: two snapshot.json and two pom releases.
     for version in ("1.0", "2.0"):
@@ -606,11 +611,11 @@ def test_every_decoded_release_is_checked_once(tmp_path, monkeypatch):
     corpus = load_corpus(tmp_path, None)
     assert [len(releases) for releases in corpus.facts.values()] == [2, 2]
     assert [len(failures) for failures in corpus.failed.values()] == [3, 2]
-    # A clean snapshot.json release is judged by the fast decoder alone; a
-    # refused one and every pom release by the snapshot rules, once.
-    assert sorted(accepted) == [(coord("p"), "1.0"), (coord("p"), "2.0")]
-    assert sorted(checked) == [(ProjectCoordinate("g", "a"), version) for version in ("1.0", "2.0", "3.0")] + [
-        (coord("p"), "3.0")]
+    # A clean release of either format is judged by its fast decoder alone,
+    # and never reaches the snapshot rules; a refused one reaches them once.
+    assert sorted(accepted) == [(project, version) for project in (ProjectCoordinate("g", "a"), coord("p"))
+                                for version in ("1.0", "2.0")]
+    assert sorted(checked) == [(ProjectCoordinate("g", "a"), "3.0"), (coord("p"), "3.0")]
 
 
 def test_pom_release_with_sidecar_files(tmp_path):
@@ -969,6 +974,51 @@ def test_pom_in_declared_latin1_parses(tmp_path):
     assert corpus.failed[ProjectCoordinate("g", "a")] == []
     [release] = corpus.facts[ProjectCoordinate("g", "a")]
     assert release.targets == frozenset({ProjectCoordinate("x", "caf\xe9")})
+
+
+_CLEAN_POM_FILES = {
+    "pom.xml": "<project><groupId>g</groupId><artifactId>a</artifactId><version>1</version>"
+               "<modules><module>core</module></modules></project>",
+    "core/pom.xml": "<project><parent><groupId>g</groupId><artifactId>a</artifactId><version>1</version></parent>"
+                    "<artifactId>core</artifactId><dependencies><dependency><groupId>x</groupId>"
+                    "<artifactId>y</artifactId></dependency></dependencies></project>",
+}
+# One fault of each kind a pom.xml release can have, in the order in which
+# they name its failure, each as the files it writes over _CLEAN_POM_FILES
+# and its reason alone: a manifest that does not decode, a sidecar that
+# breaks its schema, a manifest no manifest declares (a snapshot rule), and
+# a root that names another project than its directory, which its module
+# declares, so that no snapshot rule breaks.
+_POM_FAULTS = {
+    "decoder": ({"bad/pom.xml": "<project><groupId>g</groupId><artifactId>${missing}</artifactId>"
+                                "<version>1</version></project>"},
+                "unresolved property: 'missing'"),
+    "sidecar": ({"api_surface.json": "[]"}, "api_surface.json: must be an object or null"),
+    "rule": ({"zz/pom.xml": "<project><groupId>g</groupId><artifactId>zz</artifactId><version>1</version></project>"},
+             "snapshot violates invariants: manifests[2].coordinate: g:zz is neither the project coordinate"
+             " nor a declared submodule"),
+    "directory": ({"pom.xml": _CLEAN_POM_FILES["pom.xml"].replace(">a<", ">b<"),
+                   "core/pom.xml": _CLEAN_POM_FILES["core/pom.xml"].replace(
+                       "<dependencies>", "<modules><module>b</module></modules><dependencies>")},
+                  "manifest coordinate g:b does not match project directory g:a"),
+}
+_FAULT_SETS = [faults for size in range(1, len(_POM_FAULTS) + 1)
+               for faults in itertools.combinations(_POM_FAULTS, size)]
+
+
+@pytest.mark.parametrize("faults", _FAULT_SETS, ids=["+".join(faults) for faults in _FAULT_SETS])
+def test_a_pom_release_with_several_faults_fails_with_the_first(tmp_path, faults):
+    # A decoder error beats a sidecar schema error, which beats a snapshot
+    # rule, which beats the project directory: one reason per release.
+    files = dict(_CLEAN_POM_FILES)
+    for fault in faults:
+        files.update(_POM_FAULTS[fault][0])
+    _write_release_files(tmp_path, {name: text.encode() for name, text in files.items()})
+    corpus = load_corpus(tmp_path, None)
+    reason = _POM_FAULTS[faults[0]][1]
+    assert corpus.facts[ProjectCoordinate("g", "a")] == []
+    assert corpus.failed[ProjectCoordinate("g", "a")] == [FailedRelease("1.0", reason)]
+    assert corpus.warnings == [f"failed release g:a/1.0: {reason}"]
 
 
 # The fuzz corpus: g:a/1.0 from POMs with sidecars and src/, g:a/2.0 and
@@ -1498,6 +1548,218 @@ def test_shared_load_equals_per_file_decode(releases, bugs, changes, breaks):
         snapshots.sort(key=lambda s: (s.timestamp, s.version_label))
     # load_corpus walks project and release directories by name; the pool's
     # keys all have one length, so sorted warning texts are in that order.
+    assert corpus.warnings == sorted(warnings)
+    assert corpus.facts == expected
+    assert corpus.failed == failed
+
+
+# --------------------------------------------------------------------------
+# pom.xml releases: the fast decoder against the record path
+
+
+def _manifest_spec(group, artifact, version=None, *, parent=None, directory="", modules=(), dependencies=(),
+                   group_by_property=False):
+    """One pom.xml as ``_pom_text`` writes it into ``directory``: group None
+    takes the parent's; modules are (name, read from a property) pairs and
+    dependencies (group, artifact, version, scope) tuples."""
+    return {"directory": directory, "parent": parent, "group": group, "artifact": artifact, "version": version,
+            "group_by_property": group_by_property, "modules": list(modules), "dependencies": list(dependencies)}
+
+
+def _xml_fields(**fields):
+    return "".join(f"<{name}>{escape(value)}</{name}>" for name, value in fields.items() if value is not None)
+
+
+def _pom_text(spec):
+    group, modules, parent = spec["group"], spec["modules"], spec["parent"]
+    properties = {f"mod.{k}": name for k, (name, by_property) in enumerate(modules) if by_property}
+    return "".join([
+        "<project>",
+        "" if parent is None else "<parent>" + _xml_fields(groupId=parent[0], artifactId=parent[1],
+                                                           version=parent[2]) + "</parent>",
+        f"<properties>{_xml_fields(**{'lib.group': group}, **properties)}</properties>",
+        _xml_fields(groupId="${lib.group}" if spec["group_by_property"] else group, artifactId=spec["artifact"],
+                    version=spec["version"]),
+        "<modules>", *(f"<module>{'${mod.%d}' % k if by_property else escape(name)}</module>"
+                       for k, (name, by_property) in enumerate(modules)), "</modules>",
+        "<dependencies>", *(f"<dependency>{_xml_fields(groupId=g, artifactId=a, version=v, scope=s)}</dependency>"
+                            for g, a, v, s in spec["dependencies"]), "</dependencies>",
+        "</project>",
+    ])
+
+
+_pom_dependencies = st.lists(st.builds(lambda target, version, scope: (*target, version, scope), _pool_coordinates,
+                                       st.sampled_from([None, "1.0", "${project.version}"]),
+                                       st.sampled_from([None, "compile", "test"])), max_size=2)
+
+
+@st.composite
+def _pom_release(draw, project, version):
+    """A clean pom.xml release of ``project``: a root manifest and one module
+    manifest per declared module, optional sidecars and an optional src/ tree."""
+    modules = draw(st.lists(st.sampled_from(["api", "core"]), unique=True, max_size=2))
+    root = _manifest_spec(*project, version, group_by_property=draw(st.booleans()),
+                          modules=[(name, draw(st.booleans())) for name in modules],
+                          dependencies=draw(_pom_dependencies))
+    return {
+        "manifests": [root] + [_manifest_spec(draw(st.none() | st.just(project.group)), name, directory=name,
+                                              parent=(*project, version), dependencies=draw(_pom_dependencies))
+                               for name in modules],
+        "malformed": False,
+        "api_surface": draw(st.none() | st.dictionaries(_pool_methods, st.lists(_pool_methods, max_size=2),
+                                                        max_size=3)),
+        "usage": draw(st.none() | st.lists(_pool_coordinates.map(lambda c: {"group": c.group, "artifact": c.artifact}),
+                                           max_size=2)),
+        "loc": draw(st.none() | st.integers(0, 3)),
+    }
+
+
+@st.composite
+def _pom_corpora(draw):
+    projects = draw(st.lists(_pool_coordinates, min_size=1, max_size=2, unique=True))
+    return [(project, version, draw(_pom_release(project, version)))
+            for project in projects for version in ("1", "2", "3")[:draw(st.integers(1, 3))]]
+
+
+def _write_release_spec(release_dir, release):
+    """Write a release (see ``_pom_release``) into ``release_dir``; a
+    malformed root manifest is cut in half."""
+    for spec in release["manifests"]:
+        text = _pom_text(spec)
+        if release["malformed"] and not spec["directory"]:
+            text = text[:len(text) // 2]
+        (release_dir / spec["directory"]).mkdir(parents=True)
+        (release_dir / spec["directory"] / "pom.xml").write_text(text, encoding="utf-8")
+    for name in ("api_surface", "usage"):
+        if release[name] is not None:
+            (release_dir / f"{name}.json").write_text(json.dumps(release[name]), encoding="utf-8")
+    if release["loc"] is not None:
+        (release_dir / "src").mkdir()
+        (release_dir / "src" / "A.java").write_text("x\n" * release["loc"], encoding="utf-8")
+
+
+# Ways a pom.xml release may break a rule, each one edit of the release:
+# whitespace in a coordinate the root names, in the group a module takes
+# from its parent, in a dependency's, or in a module name read from a
+# property (or a property of only whitespace, so an empty name); a manifest
+# that lists itself as a module; a module manifest no manifest declares; a
+# root that names another project, which its own module declares; an
+# undefined property; malformed XML; a usage.json item or api_surface.json
+# value of the wrong kind; and a history row whose timestamp or bug count
+# the snapshot rules refuse.
+_pom_spaced_names = st.builds(lambda name, space: name[0] + space + name[1:], st.sampled_from(["g1", "x"]),
+                              st.sampled_from([" ", "\t", "\n", "\u00a0", "\u3000"]))
+_POM_BREAK_SITES = [
+    ("own", "group", _pom_spaced_names), ("own", "artifact", _pom_spaced_names),
+    ("parent", None, _pom_spaced_names), ("dependency", None, _pom_spaced_names),
+    ("module", None, _pom_spaced_names | st.just(" ")), ("self", None, st.none()), ("stranger", None, st.none()),
+    ("mismatch", None, st.none()), ("unresolved", None, st.none()), ("malformed", None, st.none()),
+    ("usage", None, _wrong_values | _pom_spaced_names.map(lambda name: {"group": "g1", "artifact": name})),
+    ("surface", None, st.sampled_from([None, "p.A.g()V", 1, {}, [1], ["p.A.g()V", None]])),
+    ("row", "timestamp", st.sampled_from(["1", 1.5, None])),
+    ("row", "bugs_fixed", st.sampled_from([-1, "1", 1.5, None])),
+]
+
+
+@st.composite
+def _pom_breaks(draw):
+    kind, where, values = draw(st.sampled_from(_POM_BREAK_SITES))
+    return kind, where, draw(values)
+
+
+def _pom_broken(release, row, kind, where, value):
+    """``release`` (edited in place) and ``row`` after one break."""
+    root = release["manifests"][0]
+    parent = (root["group"], root["artifact"], root["version"])
+    if kind == "own":
+        root[where] = value
+    elif kind == "parent":
+        release["manifests"].append(_manifest_spec(None, "par", directory="par", parent=(value, *parent[1:])))
+        root["modules"].append(("par", False))
+    elif kind == "dependency":
+        root["dependencies"].append(("g2", value, None, None))
+    elif kind == "unresolved":
+        root["dependencies"].append(("g2", "y", "${undefined}", None))
+    elif kind == "module":
+        root["modules"].append((value, True))
+    elif kind == "self":
+        root["modules"].append((root["artifact"], False))
+    elif kind == "stranger":
+        release["manifests"].append(_manifest_spec(None, "zz", directory="zz", parent=parent))
+    elif kind == "mismatch":
+        release["manifests"].append(_manifest_spec(None, "mid", directory="mid", parent=parent,
+                                                   modules=[("other", False)]))
+        root["artifact"] = "other"
+        root["modules"].append(("mid", False))
+    elif kind == "malformed":
+        release["malformed"] = True
+    elif kind == "usage":
+        release["usage"] = [*(release["usage"] or []), value]
+    elif kind == "surface":
+        release["api_surface"] = {**(release["api_surface"] or {}), "p.A.f()V": value}
+    else:
+        row = row._replace(**{where: value})
+    return release, row
+
+
+def _with_every_pom_break(test):
+    """``test`` with explicit examples on a fixed corpus: each break site
+    once, on the second of three releases on which every rule bites (a
+    module declared by name and one from a property, unfiltered dependencies
+    in every manifest, a usage record)."""
+    project, other, _, used = _POOL_COORDINATES[:4]
+    releases = [(project, version, {
+        "manifests": [_manifest_spec(*project, version, group_by_property=True,
+                                     modules=[("api", False), ("core", True)],
+                                     dependencies=[(*other, "1.0", None)])]
+                     + [_manifest_spec(None, name, directory=name, parent=(*project, version),
+                                       dependencies=[(*used, None, None)]) for name in ("api", "core")],
+        "malformed": False, "api_surface": {"p.A.f()V": ["p.A.g()V"]},
+        "usage": [{"group": used.group, "artifact": used.artifact}], "loc": 2,
+    }) for version in ("1", "2", "3")]
+    breaks = [("own", "group", "g 1"), ("own", "artifact", "x\ty"), ("parent", None, "g\u00a01"),
+              ("dependency", None, "y z"), ("module", None, "a b"), ("module", None, " "), ("self", None, None),
+              ("stranger", None, None), ("mismatch", None, None), ("unresolved", None, None),
+              ("malformed", None, None), ("usage", None, {"group": "g1", "artifact": "a b"}),
+              ("usage", None, 7), ("surface", None, "p.A.g()V"), ("row", "timestamp", "1"),
+              ("row", "bugs_fixed", -1), ("row", "bugs_fixed", "1")]
+    for brk in breaks:
+        test = example(releases, [0] * 6, [None, brk] + [None] * 4)(test)
+    return test
+
+
+@settings(max_examples=40, deadline=None)
+@given(_pom_corpora(), st.lists(st.integers(-2, 9), min_size=6, max_size=6),
+       st.lists(st.none() | _pom_breaks(), min_size=6, max_size=6))
+@_with_every_pom_break
+def test_pom_load_equals_the_record_path_per_release(releases, bugs, breaks):
+    # The load, whose fast decoder accepts what it can, must equal the record
+    # path (read_pom's values as records, the snapshot rules, then the
+    # facts) on every release, each read in a load of its own: on facts, on
+    # failures (exact reason) and on warnings.
+    expected: dict[ProjectCoordinate, list[ReleaseFacts]] = {}
+    failed: dict[ProjectCoordinate, list[FailedRelease]] = {}
+    warnings, history = [], []
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        for i, ((project, version, release), bug_count, brk) in enumerate(zip(releases, bugs, breaks)):
+            release, row = json.loads(json.dumps(release)), ReleaseHistoryRow(project.key(), version, i, bug_count)
+            if brk is not None:
+                release, row = _pom_broken(release, row, *brk)
+            history.append(row)
+            for corpus_root in (root / "shared", root / f"alone{i}"):
+                _write_release_spec(corpus_root / project.key() / version, release)
+            with mock.patch.object(ingest, "_pom_facts", return_value=None):
+                alone = load_corpus(root / f"alone{i}", [row])
+            for coordinate, releases_alone in alone.facts.items():
+                expected.setdefault(coordinate, []).extend(releases_alone)
+                failed.setdefault(coordinate, []).extend(alone.failed[coordinate])
+            warnings += alone.warnings
+        corpus = load_corpus(root / "shared", history)
+
+    for facts in expected.values():
+        facts.sort(key=lambda release: (release.timestamp, release.version_label))
+    # As in the snapshot.json twin above, sorted warning texts are in load order.
     assert corpus.warnings == sorted(warnings)
     assert corpus.facts == expected
     assert corpus.failed == failed

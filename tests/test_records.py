@@ -10,9 +10,11 @@ named tuple to create at import and to build, and importing ``dataclasses``
 costs every process that does it; so ``records`` is loaded on first use. A
 record stores what its builder gives it: no class converts its fields in
 ``__post_init__`` or ``__new__``. The synthetic-corpus generator is loaded
-only by the ``synth`` command, and the POM decoder (with ``xml.etree``) and
-the record tier (with ``dataclasses``) only by the first ``pom.xml`` release
-a load reads; a load of clean ``snapshot.json`` releases loads neither.
+only by the ``synth`` command, the POM decoder (with ``xml.etree``) only by
+the first ``pom.xml`` release a load reads, and the record tier (with
+``dataclasses``) only by the first release a load refuses; a load of clean
+``snapshot.json`` releases loads neither, and one of clean ``pom.xml``
+releases only the POM decoder.
 """
 
 import ast
@@ -150,18 +152,37 @@ def test_importing_the_cli_does_not_load_the_pom_decoder():
     assert run_python(f"import sys, icmetrics.cli; {DECODER_LOADED}").stdout.split() == ["False"] * 4
 
 
-@pytest.mark.parametrize("name, text, loaded", [("snapshot.json", SNAPSHOT_JSON, "False"),
-                                                ("pom.xml", POM_XML, "True")], ids=["json", "pom"])
-def test_only_a_pom_release_loads_the_pom_decoder(tmp_path, name, text, loaded):
-    release = tmp_path / "corpus" / "g:a" / "1.0"
-    release.mkdir(parents=True)
-    (release / name).write_text(text, encoding="utf-8")
+# Lists itself as a submodule, so the snapshot rules refuse the release.
+SELF_LISTED_POM_XML = POM_XML.replace("</project>", "<modules><module>a</module></modules></project>")
+
+
+@pytest.mark.parametrize("releases, loaded", [
+    ({"1.0": ("snapshot.json", SNAPSHOT_JSON)}, ["False"] * 4),
+    ({"1.0": ("pom.xml", POM_XML)}, ["True", "True", "False", "False"]),
+    ({"1.0": ("pom.xml", POM_XML), "2.0": ("pom.xml", SELF_LISTED_POM_XML)}, ["True"] * 4),
+], ids=["json", "pom", "refused-pom"])
+def test_only_a_pom_release_loads_the_pom_decoder(tmp_path, releases, loaded):
+    # A pom.xml release loads the POM decoder; only a release the snapshot
+    # rules refuse builds records, and so loads the record tier.
+    for version, (name, text) in releases.items():
+        release = tmp_path / "corpus" / "g:a" / version
+        release.mkdir(parents=True)
+        (release / name).write_text(text, encoding="utf-8")
     (tmp_path / "releases.csv").write_text("project,version,timestamp,bugs_fixed\ng:a,1.0,1,0\n")
     argv = ["analyze", "--corpus", str(tmp_path / "corpus"), "--history", str(tmp_path / "releases.csv"),
             "--out", str(tmp_path / "out")]
     result = run_python(f"import sys; from icmetrics.cli import main; print(main({argv!r})); {DECODER_LOADED}")
-    assert result.stdout.split() == ["0"] + [loaded] * 4
-    assert "warning" not in result.stderr  # the release parsed and joined its history row
+    assert result.stdout.split() == ["0"] + loaded
+    # Release 1.0 parsed and joined its history row; only 2.0 fails.
+    assert [line for line in result.stderr.splitlines() if "warning" in line] == [
+        "warning: failed release g:a/2.0: snapshot violates invariants: manifests[0].submodule_coordinates:"
+        " manifest lists itself as a submodule"][:len(releases) - 1]
+
+
+def test_importing_the_pom_decoder_does_not_load_the_record_tier():
+    result = run_python("import sys, icmetrics.pom; print(*(name in sys.modules for name in"
+                        " ('xml.etree.ElementTree', 'icmetrics.records', 'dataclasses')))")
+    assert result.stdout.split() == ["True", "False", "False"]
 
 
 def test_parse_pom_is_still_a_package_name():
