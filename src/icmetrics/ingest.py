@@ -21,9 +21,17 @@ load. An unlistable directory below it, and a project directory that cannot
 be listed or whose name is not UTF-8 or not a group:artifact key, is skipped
 with a warning.
 
-A release's edges (``effective_targets``) are the targets of its dependencies
-whose scope is not filtered out (``test`` and ``provided`` by default), less
-the project's own module and submodule coordinates.
+A release's edges are the targets of its dependencies whose scope is not
+filtered out (``test`` and ``provided`` by default), less the project's own
+module and submodule coordinates.
+
+This module holds the fast decoders, which turn a decoded release straight
+into its ``ReleaseFacts``, the JSON and sidecar checkers they share with the
+record path, the directory walk, LOC and the release history. A release the
+fast decoders refuse is judged and its failure worded by
+``records.judge_refused``, this module's one call into the record tier.
+``parse_snapshot_json`` and ``encode_snapshot`` live there too, and are
+served from here on first use.
 """
 
 from __future__ import annotations
@@ -35,21 +43,10 @@ import os
 from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple, NoReturn
+from typing import Any, Iterable, Iterator, NamedTuple, NoReturn
 
-from .metrics import ic_lcom1, ic_rfc, response_set
-from .model import (
-    ApiSurface,
-    DependencyDecl,
-    ProjectCoordinate,
-    ReleaseFacts,
-    SharedValues,
-    UsageRecord,
-    validate_snapshot,
-)
-
-if TYPE_CHECKING:
-    from .records import ProjectManifest, ReleaseSnapshot
+from .metrics import response_set
+from .model import ProjectCoordinate, ReleaseFacts, SharedValues
 
 DEFAULT_LOC_EXTENSIONS = frozenset({".java"})
 DEFAULT_SCOPE_FILTER = frozenset({"test", "provided"})
@@ -105,12 +102,11 @@ class Corpus(NamedTuple):
 # snapshot.json
 
 
-# Each input rule has one checker. It tests the raw JSON value and returns
-# the decoded value; only for a failing value does it format the JSON path,
-# passed in as a prefix plus an optional index, and raise naming the first
-# broken part. A manifest's parts are checked with paths relative to the
-# manifest, and only a failure gets the manifest's own path in front. So
-# the success path formats no path.
+# Each input rule has one checker, here or, for a rule only the record path
+# reads, in ``records``. It tests the raw JSON value and returns the decoded
+# value; only for a failing value does it format the JSON path, passed in as
+# a prefix plus an optional index, and raise naming the first broken part.
+# So the success path formats no path.
 
 
 def _invalid(path: str, message: str) -> NoReturn:
@@ -130,23 +126,6 @@ def _coordinate(value: Any, shared: SharedValues, path: str, index: int | None =
         _invalid(f"{_where(path, index)}.{'artifact' if isinstance(group, str) and group else 'group'}",
                  "must be a non-empty string")
     _invalid(_where(path, index), "must be an object")
-
-
-def _count(value: Any, path: str, rule: str) -> int:
-    """``value`` if it is a non-negative integer that a float can hold;
-    otherwise SnapshotFormatError at ``path``, naming ``rule`` for a wrong
-    type or sign and the float bound for a count too large."""
-    if not (isinstance(value, int) and not isinstance(value, bool) and value >= 0):
-        _invalid(path, rule)
-    if value >= _FLOAT_OVERFLOW:
-        _invalid(path, _FLOAT_RULE)
-    return value
-
-
-def _array(value: Any, path: str) -> list:
-    if not isinstance(value, list):
-        _invalid(path, "must be an array")
-    return value
 
 
 def _response_count(surface: dict) -> int | None:
@@ -192,157 +171,12 @@ def _usage_from_json(value: Any, path: str, shared: SharedValues) -> frozenset[P
     return frozenset(_coordinate(item, shared, path, i) for i, item in enumerate(value))
 
 
-def _dependency(value: Any, shared: SharedValues, path: str, index: int) -> DependencyDecl:
-    """The dependency a JSON object declares; SnapshotFormatError at ``path[index]``
-    naming the first wrong part (target, version, scope) when it declares none."""
-    if isinstance(value, dict):
-        group, artifact = value.get("group"), value.get("artifact")
-        version, scope = value.get("version"), value.get("scope")
-        if (isinstance(group, str) and group and isinstance(artifact, str) and artifact
-                and (version is None or isinstance(version, str))
-                and (scope is None or isinstance(scope, str))):
-            return DependencyDecl(shared.coordinate(group, artifact), version, scope)
-    _coordinate(value, shared, path, index)  # raises unless value is an object naming a target
-    where = _where(path, index)
-    if not (version is None or isinstance(version, str)):
-        _invalid(f"{where}.version", "must be a string or null")
-    _invalid(f"{where}.scope", "must be a string or null")
-
-
-def _manifest_from_json(item: Any, shared: SharedValues, path: str, index: int) -> ProjectManifest:
-    """The manifest a JSON object declares. Its parts are checked with paths
-    relative to the manifest; a failure's path gets ``path[index]`` in front
-    here."""
-    from .records import ProjectManifest
-
-    try:
-        coordinate = _coordinate(item, shared, "")
-        if not isinstance(item.get("version"), str):
-            _invalid(".version", "must be a string")
-        deps = tuple(_dependency(dep, shared, ".dependencies", j)
-                     for j, dep in enumerate(_array(item.get("dependencies", []), ".dependencies")))
-        submodules = frozenset(_coordinate(sub, shared, ".submodules", k)
-                               for k, sub in enumerate(_array(item.get("submodules", []), ".submodules")))
-    except SnapshotFormatError as exc:
-        raise SnapshotFormatError(f"{_where(path, index)}{exc}") from None
-    return ProjectManifest(coordinate, item["version"], deps, submodules)
-
-
 def _decode_json(text: str, where: str) -> Any:
     """The JSON value of ``text``; SnapshotFormatError at ``where`` when it has none."""
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # ValueError: also an integer of over 4300 digits
         raise SnapshotFormatError(f"{where}: invalid JSON: {exc}") from exc
-
-
-def _check(snapshot: ReleaseSnapshot) -> None:
-    """Raise SnapshotFormatError naming every snapshot rule ``snapshot`` breaks."""
-    violations = validate_snapshot(snapshot)
-    if violations:
-        raise SnapshotFormatError("snapshot violates invariants: " + "; ".join(violations))
-
-
-def parse_snapshot_json(text: str) -> ReleaseSnapshot:
-    """Decode one snapshot.json document; the result always validates clean."""
-    snapshot, surface, _ = _snapshot_from_json(_decode_json(text, "."), SharedValues())
-    _check(snapshot)
-    if surface is None:
-        return snapshot
-    from dataclasses import replace  # loaded with the record tier
-
-    return replace(snapshot, api_surface=ApiSurface({name: frozenset(callees) for name, callees in surface.items()}))
-
-
-def _snapshot_from_json(raw: Any, shared: SharedValues, row: ReleaseHistoryRow | None = None,
-                        ) -> tuple[ReleaseSnapshot, dict[str, list[str]] | None, int | None]:
-    """The record path: decode one snapshot.json value into records, sharing
-    equal values through ``shared``: the snapshot without its API surface,
-    the checked surface and its RFC. A history ``row`` replaces the
-    document's bug count. The snapshot rules are left to the caller."""
-    from .records import ReleaseSnapshot
-
-    if not isinstance(raw, dict):
-        _invalid(".", "document root must be an object")
-
-    coordinate = _coordinate(raw.get("project"), shared, ".project")
-    if not (isinstance(raw.get("version"), str) and raw["version"]):
-        _invalid(".version", "must be a non-empty string")
-    if not (isinstance(raw.get("timestamp"), int) and not isinstance(raw.get("timestamp"), bool)):
-        _invalid(".timestamp", "must be an integer")
-
-    manifests_raw = raw.get("manifests")
-    if not (isinstance(manifests_raw, list) and manifests_raw):
-        _invalid(".manifests", "must be a non-empty array")
-    manifests = tuple(_manifest_from_json(item, shared, ".manifests", i) for i, item in enumerate(manifests_raw))
-
-    surface, rfc = _api_surface_from_json(raw.get("api_surface"), ".api_surface")
-    referenced = _usage_from_json(raw.get("usage"), ".usage", shared)
-
-    loc = raw.get("loc")
-    if loc is not None:
-        _count(loc, ".loc", "must be a non-negative integer or null")
-    bugs = _count(raw.get("bugs_fixed", 0), ".bugs_fixed", "must be a non-negative integer")
-
-    snapshot = ReleaseSnapshot(
-        coordinate=coordinate,
-        version_label=raw["version"],
-        timestamp=raw["timestamp"],
-        manifests=manifests,
-        usage=None if referenced is None else UsageRecord(referenced),
-        loc=loc,
-        bugs_fixed=bugs if row is None else row.bugs_fixed,
-    )
-    return snapshot, surface, rfc
-
-
-def encode_snapshot(snapshot: ReleaseSnapshot) -> str:
-    """Inverse of parse_snapshot_json (round-trips field-by-field). The
-    compact separators fix the bytes that synth corpora and
-    ``perfbench/digests.json`` pin."""
-    doc: dict[str, Any] = {
-        "project": {"group": snapshot.coordinate.group, "artifact": snapshot.coordinate.artifact},
-        "version": snapshot.version_label,
-        "timestamp": snapshot.timestamp,
-        "manifests": [
-            {
-                "group": m.coordinate.group,
-                "artifact": m.coordinate.artifact,
-                "version": m.version_text,
-                "dependencies": [
-                    {
-                        "group": d.target.group,
-                        "artifact": d.target.artifact,
-                        "version": d.version_text,
-                        "scope": d.scope,
-                    }
-                    for d in m.declared_dependencies
-                ],
-                "submodules": [
-                    {"group": s.group, "artifact": s.artifact}
-                    for s in sorted(m.submodule_coordinates)
-                ],
-            }
-            for m in snapshot.manifests
-        ],
-        "api_surface": (
-            None
-            if snapshot.api_surface is None
-            else {method: sorted(callees) for method, callees in sorted(snapshot.api_surface.methods.items())}
-        ),
-        "usage": (
-            None
-            if snapshot.usage is None
-            else [
-                {"group": c.group, "artifact": c.artifact}
-                for c in sorted(snapshot.usage.referenced_coordinates)
-            ]
-        ),
-        "loc": snapshot.loc,
-    }
-    if snapshot.bugs_fixed:
-        doc["bugs_fixed"] = snapshot.bugs_fixed
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -628,62 +462,6 @@ def _pom_facts(raw: tuple, coordinate: ProjectCoordinate, version_label: str, ro
     return ReleaseFacts(version_label, timestamp, bugs, loc, targets, rfc, lcom1)
 
 
-def _pom_snapshot(raw: tuple, version_label: str, row: ReleaseHistoryRow | None,
-                  shared: SharedValues) -> tuple[ReleaseSnapshot, int | None]:
-    """The record path: a decoded pom.xml release's snapshot, without its API
-    surface, built through ``shared``, and its RFC. The history ``row`` gives
-    the timestamp and bug count (0 without one); the rules are left to the caller."""
-    from .pom import build_manifest  # with the record tier, only for a release the fast path refuses
-    from .records import ReleaseSnapshot
-
-    poms, rfc, referenced, loc = raw
-    manifests = tuple(build_manifest(values, shared) for values in poms)
-    return ReleaseSnapshot(
-        coordinate=manifests[0].coordinate,
-        version_label=version_label,
-        timestamp=0 if row is None else row.timestamp,
-        manifests=manifests,
-        usage=None if referenced is None else UsageRecord(referenced),
-        loc=loc,
-        bugs_fixed=0 if row is None else row.bugs_fixed,
-    ), rfc
-
-
-def effective_targets(snapshot: ReleaseSnapshot,
-                      scope_filter: frozenset[str] | set[str] = DEFAULT_SCOPE_FILTER,
-                      ) -> frozenset[ProjectCoordinate]:
-    """The out-edges a snapshot contributes: targets of dependencies whose
-    scope is not filtered, minus the project's own module and submodule
-    coordinates."""
-    own_modules = {snapshot.coordinate}
-    for manifest in snapshot.manifests:
-        own_modules.add(manifest.coordinate)
-        own_modules.update(manifest.submodule_coordinates)
-    return frozenset(
-        dep.target
-        for manifest in snapshot.manifests
-        for dep in manifest.declared_dependencies
-        if dep.scope not in scope_filter and dep.target not in own_modules
-    )
-
-
-def _facts(snapshot: ReleaseSnapshot, rfc: int | None, scope_filter: frozenset[str] | set[str],
-           target_sets: dict[frozenset[ProjectCoordinate], frozenset[ProjectCoordinate]]) -> ReleaseFacts:
-    """The facts of a checked snapshot whose RFC is given; equal target sets
-    are shared through ``target_sets``."""
-    targets = effective_targets(snapshot, scope_filter)
-    targets = target_sets.setdefault(targets, targets)
-    return ReleaseFacts(snapshot.version_label, snapshot.timestamp, snapshot.bugs_fixed, snapshot.loc,
-                        targets, rfc, None if snapshot.usage is None else ic_lcom1(targets, snapshot.usage))
-
-
-def release_facts(snapshot: ReleaseSnapshot,
-                  scope_filter: frozenset[str] | set[str] = DEFAULT_SCOPE_FILTER) -> ReleaseFacts:
-    """What ``load_corpus`` keeps of a release, derived from its snapshot."""
-    return _facts(snapshot, None if snapshot.api_surface is None else ic_rfc(snapshot.api_surface),
-                  scope_filter, {})
-
-
 _NO_PAIR = (None, None)  # no rule keeps it
 _BROKEN = (None, None, (), ())  # a manifest or dependency whose coordinate no rule keeps
 
@@ -797,9 +575,10 @@ def _load_project(project_dir: os.DirEntry[str], coordinate: ProjectCoordinate,
     to ``read_pom``'s values and its sidecars, and a decoder error fails it.
     A decoded release that its fast decoder (``_json_facts``,
     ``_pom_facts``) accepts is done. Only a release it refuses takes the
-    record path: records built from the decoded values and judged by the
-    snapshot rules, then by its directories. Any OSError or ValueError makes
-    it a failed release. Only an unlistable project directory raises."""
+    record path (``records.judge_refused``): records built from the decoded
+    values and judged by the snapshot rules, then by its directories. Any
+    OSError or ValueError makes it a failed release. Only an unlistable
+    project directory raises."""
     facts, failed, warnings, unjoined = [], [], [], dict(rows or ())
     for release_dir in _subdirs(project_dir.path):
         version_label = _utf8_name(release_dir.name)
@@ -808,25 +587,17 @@ def _load_project(project_dir: os.DirEntry[str], coordinate: ProjectCoordinate,
                 raise SnapshotFormatError("release directory name is not valid UTF-8")
             row = unjoined.pop(version_label, None)
             snapshot_path = os.path.join(release_dir.path, "snapshot.json")
-            if os.path.isfile(snapshot_path):
-                raw = _decode_json(_read_utf8(snapshot_path, "."), ".")
-                release = _json_facts(raw, coordinate, version_label, row, scope_filter, shared)
-                if release is None:
-                    snapshot, _, rfc = _snapshot_from_json(raw, shared, row)
-            else:
+            pom = not os.path.isfile(snapshot_path)
+            if pom:
                 raw = _read_pom_release(release_dir, loc_suffixes, warnings, shared)
                 release = _pom_facts(raw, coordinate, version_label, row, scope_filter, shared)
-                if release is None:
-                    snapshot, rfc = _pom_snapshot(raw, version_label, row, shared)
+            else:
+                raw = _decode_json(_read_utf8(snapshot_path, "."), ".")
+                release = _json_facts(raw, coordinate, version_label, row, scope_filter, shared)
             if release is None:
-                _check(snapshot)
-                if snapshot.coordinate != coordinate:
-                    raise SnapshotFormatError(f"manifest coordinate {snapshot.coordinate.key()} does not match"
-                                              f" project directory {project_dir.name}")
-                if snapshot.version_label != version_label:
-                    raise SnapshotFormatError(f"snapshot version {snapshot.version_label} does not match"
-                                              f" release directory {version_label}")
-                release = _facts(snapshot, rfc, scope_filter, shared.targets)
+                from .records import judge_refused  # the record tier, on the first refused release
+
+                release = judge_refused(raw, pom, coordinate, version_label, row, scope_filter, shared)
         except (OSError, ValueError) as exc:
             failed.append(FailedRelease(version_label, str(exc)))
             warnings.append(f"failed release {project_dir.name}/{version_label}: {exc}")
@@ -888,8 +659,9 @@ def load_corpus(root: Path, history: list[ReleaseHistoryRow] | None,
 
 
 def __getattr__(name: str):
-    # The record tier is imported on first use (see ``model``).
-    if name in ("ProjectManifest", "ReleaseSnapshot"):
+    # The two record-tier names that ``perfbench/corpora.py`` imports from
+    # here, served on first use.
+    if name in ("encode_snapshot", "parse_snapshot_json"):
         from . import records
 
         return getattr(records, name)

@@ -1,28 +1,20 @@
-"""Shared domain types: immutable containers plus one invariant checker.
+"""Shared domain types: immutable named tuples, ``SharedValues`` and the
+coordinate rule.
 
 Every record here is a ``typing.NamedTuple``: several times cheaper than a
 frozen dataclass both to create at import and to build, which every run
-pays for. The two records that ``perfbench/corpora.py`` rebuilds with
-``dataclasses.replace``, ``ReleaseSnapshot`` and ``ProjectManifest``, are
-frozen dataclasses in ``records``; this module serves them on first use, so
-that a run that builds no record tree never imports ``dataclasses``.
-
-A record stores the objects it is given and converts none: its annotations
-are the contract, so a builder passes a tuple or a frozenset where one is
-annotated. Construction never raises; ``validate_snapshot`` states the
-snapshot rules of a record tree and reports violations as plain strings, so
-corpus loading can keep going and record failures instead of aborting.
-``SharedValues`` lets the decoders of one corpus load hand out one object
-per distinct coordinate and target set, and judge each distinct coordinate
-once. ``ReleaseFacts`` is what a corpus load keeps of a release.
+pays for. A record stores the objects it is given and converts none: its
+annotations are the contract, so a builder passes a tuple or a frozenset
+where one is annotated. ``SharedValues`` lets the decoders of one corpus
+load hand out one object per distinct coordinate and target set, and judge
+each distinct coordinate once by the coordinate rule. ``ReleaseFacts`` is
+what a corpus load keeps of a release. The snapshot record tree, and the
+snapshot rules that judge it, live in ``records``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, NamedTuple
-
-if TYPE_CHECKING:
-    from .records import ReleaseSnapshot
+from typing import Mapping, NamedTuple
 
 
 class ProjectCoordinate(NamedTuple):
@@ -118,7 +110,7 @@ class UsageRecord(NamedTuple):
 class ReleaseFacts(NamedTuple):
     """What the metric sweep reads of one parsed release.
 
-    ``targets`` are the release's out-edges (``ingest.effective_targets``);
+    ``targets`` are the release's out-edges (``records.effective_targets``);
     ``rfc`` and ``lcom1`` are its class-local metrics, None when the release
     has no API surface or usage record.
     """
@@ -164,72 +156,3 @@ def _coordinate_violations(coordinate: ProjectCoordinate) -> tuple[str, ...]:
                  else f".{name}: must be a non-empty string"
                  for name, value in (("group", group), ("artifact", artifact))
                  if not (isinstance(value, str) and value.split() == [value]))
-
-
-def validate_snapshot(snapshot: ReleaseSnapshot) -> list[str]:
-    """Check every type invariant of a snapshot; return violations as data.
-
-    An empty list means the snapshot is well formed. The result is a pure
-    function of the snapshot (deterministic ordering). ``load_corpus`` runs
-    it once on every release, of either format, that its fast decoders
-    refuse, to word the refusal; they accept only a release this finds
-    clean.
-    """
-    violations: list[str] = []
-    project = snapshot.coordinate
-    for problem in _coordinate_violations(project):
-        violations.append(f"coordinate{problem}")
-
-    if not isinstance(snapshot.timestamp, int):
-        violations.append("timestamp: must be an integer (UTC seconds)")
-    if not isinstance(snapshot.bugs_fixed, int) or snapshot.bugs_fixed < 0:
-        violations.append("bugs_fixed: must be a non-negative integer")
-    if snapshot.loc is not None and (not isinstance(snapshot.loc, int) or snapshot.loc < 0):
-        violations.append("loc: must be a non-negative integer when present")
-
-    if not snapshot.manifests:
-        violations.append("manifests: must contain at least one manifest")
-
-    # Coordinates a manifest is allowed to carry: the project itself plus
-    # the union of every manifest's declared submodules (nested modules are
-    # covered because their declaring manifest is in the same list). Built
-    # only for a manifest that is not the project's own coordinate object.
-    allowed: set[ProjectCoordinate] | None = None
-
-    # A path is formatted only when a value fails the coordinate rule.
-    for i, manifest in enumerate(snapshot.manifests):
-        coordinate, submodules = manifest.coordinate, manifest.submodule_coordinates
-        for problem in _coordinate_violations(coordinate):
-            violations.append(f"manifests[{i}].coordinate{problem}")
-        if submodules and coordinate in submodules:
-            violations.append(f"manifests[{i}].submodule_coordinates: manifest lists itself as a submodule")
-        if coordinate is not project:
-            if allowed is None:
-                allowed = {project}.union(*(m.submodule_coordinates for m in snapshot.manifests))
-            if coordinate not in allowed:
-                violations.append(
-                    f"manifests[{i}].coordinate: {coordinate.key()} is neither the project"
-                    " coordinate nor a declared submodule"
-                )
-        for sub in sorted(submodules):
-            for problem in _coordinate_violations(sub):
-                violations.append(f"manifests[{i}].submodule[{sub.key()}]{problem}")
-        for j, dep in enumerate(manifest.declared_dependencies):
-            for problem in _coordinate_violations(dep.target):
-                violations.append(f"manifests[{i}].dependencies[{j}].target{problem}")
-
-    if snapshot.usage is not None:
-        for ref in sorted(snapshot.usage.referenced_coordinates):
-            for problem in _coordinate_violations(ref):
-                violations.append(f"usage[{ref.key()}]{problem}")
-
-    return violations
-
-
-def __getattr__(name: str):
-    # The record tier is imported on first use (see the module docstring).
-    if name in ("ProjectManifest", "ReleaseSnapshot"):
-        from . import records
-
-        return getattr(records, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,22 +8,15 @@ dependencies are deliberately out of scope: resolving them faithfully
 requires a full build, while declared direct dependencies are a stable
 observable of the file alone.
 
-``read_pom`` returns those values as strings and tuples, which a corpus
-load judges straight to a release's facts. ``parse_pom`` wraps them in a
-``ProjectManifest``, importing the record tier (and ``dataclasses``) on
-first use.
+This module is the XML reader alone: ``read_pom`` returns those values as
+strings and tuples, which a corpus load judges straight to a release's
+facts. ``records.parse_pom`` wraps them in a ``ProjectManifest``.
 """
 
 from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from typing import TYPE_CHECKING
-
-from .model import DependencyDecl, SharedValues
-
-if TYPE_CHECKING:
-    from .records import ProjectManifest
 
 _PROPERTY_RE = re.compile(r"\$\{([^}]+)\}")
 _MAX_NESTING_DEPTH = 10
@@ -170,25 +163,3 @@ def read_pom(xml: bytes | str) -> tuple[str, str, str, list[tuple], list[str]]:
                 modules.append(module)
 
     return group, artifact, version, dependencies, modules
-
-
-def build_manifest(values: tuple, shared: SharedValues) -> ProjectManifest:
-    """The ProjectManifest of ``read_pom``'s values, its coordinates taken from ``shared``."""
-    from .records import ProjectManifest
-
-    group, artifact, version, dependencies, modules = values
-    return ProjectManifest(
-        coordinate=shared.coordinate(group, artifact),
-        version_text=version,
-        declared_dependencies=tuple(DependencyDecl(shared.coordinate(dep_group, dep_artifact), dep_version, scope)
-                                    for dep_group, dep_artifact, dep_version, scope in dependencies),
-        submodule_coordinates=frozenset(shared.coordinate(group, module) for module in modules),
-    )
-
-
-def parse_pom(xml: bytes | str, _shared: SharedValues | None = None) -> ProjectManifest:
-    """Parse one pom.xml document into a ProjectManifest: ``read_pom``'s
-    values as a record, raising as ``read_pom`` does. ``_shared`` is for
-    callers that share coordinates across documents, as one corpus load does.
-    """
-    return build_manifest(read_pom(xml), SharedValues() if _shared is None else _shared)

@@ -14,8 +14,9 @@ import os
 import random
 from pathlib import Path
 
-from .ingest import HISTORY_COLUMNS, encode_snapshot
-from .model import ApiSurface, DependencyDecl, ProjectCoordinate, ProjectManifest, ReleaseSnapshot, UsageRecord
+from .ingest import HISTORY_COLUMNS
+from .model import ApiSurface, DependencyDecl, ProjectCoordinate, UsageRecord
+from .records import ProjectManifest, ReleaseSnapshot, encode_snapshot
 
 GROUP = "synth.example"
 EXTERNAL_GROUP = "ext.vendor"

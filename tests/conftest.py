@@ -7,18 +7,16 @@ import os
 from pathlib import Path
 
 import icmetrics
-from icmetrics.ingest import (DEFAULT_SCOPE_FILTER, HISTORY_COLUMNS, Corpus, FailedRelease, encode_snapshot,
-                              release_facts)
+from icmetrics.ingest import DEFAULT_SCOPE_FILTER, HISTORY_COLUMNS, Corpus, FailedRelease
 from icmetrics.model import (
     ApiSurface,
     DependencyDecl,
     MetricVector,
     ProjectCoordinate,
-    ProjectManifest,
-    ReleaseSnapshot,
     UsageRecord,
 )
 from icmetrics.pipeline import build_series
+from icmetrics.records import ProjectManifest, ReleaseSnapshot, encode_snapshot, release_facts
 
 FIXTURE_GROUP = "org.fixture"
 

@@ -34,8 +34,8 @@ from icmetrics.pom import (
     IncompleteCoordinatesError,
     PomSyntaxError,
     UnresolvedPropertyError,
-    parse_pom,
 )
+from icmetrics.records import parse_pom
 from icmetrics.stats import p_two_tailed, pearson_r
 
 

@@ -32,14 +32,11 @@ from icmetrics.cli import main
 from icmetrics.ingest import (
     DEFAULT_SCOPE_FILTER,
     count_loc,
-    encode_snapshot,
     load_corpus,
     load_release_history,
-    parse_snapshot_json,
-    release_facts,
 )
-from icmetrics.model import ApiSurface, ProjectCoordinate, ReleaseSnapshot, UsageRecord
-from icmetrics.pom import parse_pom
+from icmetrics.model import ApiSurface, ProjectCoordinate, UsageRecord
+from icmetrics.records import ReleaseSnapshot, encode_snapshot, parse_pom, parse_snapshot_json, release_facts
 from icmetrics.report import format_p
 from icmetrics.stats import p_two_tailed
 from icmetrics.synth import synth_ecosystem

@@ -3,8 +3,6 @@ module-level name of the package goes unused.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules, so that
 deleting code also deletes the imports and private helpers only it needed.
-``__init__.py`` is exempt from the import rule: its imports are the
-package's public names.
 """
 
 import ast
@@ -15,7 +13,6 @@ import pytest
 import icmetrics
 
 PACKAGE = sorted(Path(icmetrics.__file__).parent.glob("*.py"))
-MODULES = [path for path in PACKAGE if path.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -91,7 +88,7 @@ def test_orphaned_private_names_are_found():
     assert orphaned_private_names(sources) == ["a._unused", "a._walk"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
 def test_module_imports_only_names_it_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

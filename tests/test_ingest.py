@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import (coord, deny_listing, make_manifest, make_snapshot, write_failed_release, write_messy_corpus,
                       write_release)
 
-from icmetrics import ingest
+from icmetrics import ingest, records
 from icmetrics.ingest import (
     DEFAULT_LOC_EXTENSIONS,
     DEFAULT_SCOPE_FILTER,
@@ -26,23 +26,25 @@ from icmetrics.ingest import (
     ReleaseHistoryRow,
     SnapshotFormatError,
     count_loc,
-    encode_snapshot,
     load_corpus,
     load_release_history,
-    parse_snapshot_json,
 )
 from icmetrics.model import (
     ApiSurface,
     DependencyDecl,
     ProjectCoordinate,
-    ProjectManifest,
     ReleaseFacts,
-    ReleaseSnapshot,
     SharedValues,
     UsageRecord,
+)
+from icmetrics.records import (
+    ProjectManifest,
+    ReleaseSnapshot,
+    encode_snapshot,
+    parse_pom,
+    parse_snapshot_json,
     validate_snapshot,
 )
-from icmetrics.pom import parse_pom
 
 # --------------------------------------------------------------------------
 # snapshot.json
@@ -591,7 +593,7 @@ def test_every_decoded_release_is_checked_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ingest, "_json_facts", recording(ingest._json_facts))
     monkeypatch.setattr(ingest, "_pom_facts", recording(ingest._pom_facts))
-    monkeypatch.setattr(ingest, "validate_snapshot", counted)
+    monkeypatch.setattr(records, "validate_snapshot", counted)
     # Decoded and clean: two snapshot.json and two pom releases.
     for version in ("1.0", "2.0"):
         write_release(tmp_path, make_snapshot("p", version=version))

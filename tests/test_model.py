@@ -6,11 +6,9 @@ from icmetrics.model import (
     ApiSurface,
     DependencyDecl,
     ProjectCoordinate,
-    ProjectManifest,
-    ReleaseSnapshot,
     UsageRecord,
-    validate_snapshot,
 )
+from icmetrics.records import ProjectManifest, ReleaseSnapshot, validate_snapshot
 
 
 class TestProjectCoordinate:

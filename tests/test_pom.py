@@ -12,8 +12,8 @@ from icmetrics.pom import (
     PomSyntaxError,
     UnresolvedPropertyError,
     _interpolate,
-    parse_pom,
 )
+from icmetrics.records import parse_pom
 
 MINIMAL = """<?xml version="1.0"?>
 <project>

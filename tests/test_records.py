@@ -1,4 +1,4 @@
-"""The record rule and the import cost it protects.
+"""The record rule, the import cost it protects, and where the record tier lives.
 
 Every class of the package is a ``typing.NamedTuple``, an exception or
 ``SharedValues``, except two: ``records.ReleaseSnapshot`` and
@@ -9,12 +9,19 @@ which keeps those two records). A frozen dataclass costs several times a
 named tuple to create at import and to build, and importing ``dataclasses``
 costs every process that does it; so ``records`` is loaded on first use. A
 record stores what its builder gives it: no class converts its fields in
-``__post_init__`` or ``__new__``. The synthetic-corpus generator is loaded
-only by the ``synth`` command, the POM decoder (with ``xml.etree``) only by
-the first ``pom.xml`` release a load reads, and the record tier (with
-``dataclasses``) only by the first release a load refuses; a load of clean
-``snapshot.json`` releases loads neither, and one of clean ``pom.xml``
-releases only the POM decoder.
+``__post_init__`` or ``__new__``. Importing the package loads none of its
+modules. The synthetic-corpus generator is loaded only by the ``synth``
+command, the POM decoder (with ``xml.etree``) only by the first ``pom.xml``
+release a load reads, and the record tier (with ``dataclasses``) only by
+the first release a load refuses; a load of clean ``snapshot.json``
+releases loads neither, and one of clean ``pom.xml`` releases only the POM
+decoder.
+
+The record tier is confined to ``records.py``: every function that builds,
+checks or reads a record tree lives there. Only ``synth`` and ``records``
+build records; only ``synth`` and ``ingest`` (its one call that judges a
+refused release, and the two names it serves the benchmark harness) import
+``records``; and ``ingest`` alone has a module ``__getattr__``.
 """
 
 import ast
@@ -154,16 +161,21 @@ def test_importing_the_cli_does_not_load_the_pom_decoder():
 
 # Lists itself as a submodule, so the snapshot rules refuse the release.
 SELF_LISTED_POM_XML = POM_XML.replace("</project>", "<modules><module>a</module></modules></project>")
+SELF_LISTED_SNAPSHOT_JSON = ('{"project":{"group":"g","artifact":"a"},"version":"2.0","timestamp":1,"manifests":'
+                             '[{"group":"g","artifact":"a","version":"2.0","submodules":[{"group":"g","artifact":"a"}]}]}')
 
 
 @pytest.mark.parametrize("releases, loaded", [
     ({"1.0": ("snapshot.json", SNAPSHOT_JSON)}, ["False"] * 4),
     ({"1.0": ("pom.xml", POM_XML)}, ["True", "True", "False", "False"]),
+    ({"1.0": ("snapshot.json", SNAPSHOT_JSON), "2.0": ("snapshot.json", SELF_LISTED_SNAPSHOT_JSON)},
+     ["False", "False", "True", "True"]),
     ({"1.0": ("pom.xml", POM_XML), "2.0": ("pom.xml", SELF_LISTED_POM_XML)}, ["True"] * 4),
-], ids=["json", "pom", "refused-pom"])
+], ids=["json", "pom", "refused-json", "refused-pom"])
 def test_only_a_pom_release_loads_the_pom_decoder(tmp_path, releases, loaded):
     # A pom.xml release loads the POM decoder; only a release the snapshot
-    # rules refuse builds records, and so loads the record tier.
+    # rules refuse builds records, and so loads the record tier (and, for a
+    # snapshot.json release, not the POM decoder).
     for version, (name, text) in releases.items():
         release = tmp_path / "corpus" / "g:a" / version
         release.mkdir(parents=True)
@@ -185,15 +197,63 @@ def test_importing_the_pom_decoder_does_not_load_the_record_tier():
     assert result.stdout.split() == ["True", "False", "False"]
 
 
-def test_parse_pom_is_still_a_package_name():
-    from icmetrics import parse_pom
-    from icmetrics.pom import parse_pom as defined
-
-    assert parse_pom is defined
+def test_importing_the_package_loads_none_of_its_modules():
+    code = "import sys, icmetrics; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'icmetrics'))"
+    assert run_python(code).stdout.split() == ["icmetrics"]
 
 
-def test_synth_ecosystem_is_still_a_package_name():
-    from icmetrics import synth_ecosystem
-    from icmetrics.synth import synth_ecosystem as defined
+def test_ingest_serves_the_record_names_the_harness_imports():
+    # perfbench/corpora.py imports these two from icmetrics.ingest.
+    code = ("from icmetrics.ingest import encode_snapshot, parse_snapshot_json;"
+            " print(encode_snapshot.__module__, parse_snapshot_json.__module__)")
+    assert run_python(code).stdout.split() == ["icmetrics.records"] * 2
+    with pytest.raises(ImportError):
+        from icmetrics.ingest import ReleaseSnapshot  # a record name it does not serve
 
-    assert synth_ecosystem is defined
+
+RECORD_TYPES = {"ProjectManifest", "ReleaseSnapshot"}
+
+
+def builds_records(source: str) -> bool:
+    """Whether ``source`` calls a record type, by its name or as an attribute."""
+    return any(isinstance(node, ast.Call)
+               and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None))
+               in RECORD_TYPES for node in ast.walk(ast.parse(source)))
+
+
+def imports_records(source: str) -> bool:
+    """Whether ``source`` imports ``icmetrics.records``, relatively or by its full name."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = f"icmetrics.{node.module or ''}".rstrip(".") if node.level else node.module
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if "icmetrics.records" in names:
+            return True
+    return False
+
+
+def defines_module_getattr(source: str) -> bool:
+    return any(isinstance(node, ast.FunctionDef) and node.name == "__getattr__" for node in ast.parse(source).body)
+
+
+def test_the_record_tier_detectors():
+    assert builds_records("x = ReleaseSnapshot(c, '1', 0, ())\n")
+    assert builds_records("records.ProjectManifest(c, '1')\n")
+    assert not builds_records("from .records import ReleaseSnapshot\nkind = ReleaseSnapshot\n")
+    for source in ("from . import records\n", "from .records import judge_refused\n", "import icmetrics.records\n",
+                   "from icmetrics import records\n", "from icmetrics.records import ReleaseSnapshot\n"):
+        assert imports_records(source), source
+    assert not imports_records("from . import ingest\nfrom .model import records\nimport records\n")
+    assert defines_module_getattr("def __getattr__(name):\n    pass\n")
+    assert not defines_module_getattr("class A:\n    def __getattr__(self, name):\n        pass\n")
+
+
+def test_the_record_tier_stays_in_records():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert sorted(module for module, source in sources.items() if builds_records(source)) == ["records", "synth"]
+    assert sorted(module for module, source in sources.items() if imports_records(source)) == ["ingest", "synth"]
+    assert [module for module, source in sources.items() if defines_module_getattr(source)] == ["ingest"]
